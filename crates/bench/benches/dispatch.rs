@@ -7,9 +7,8 @@
 //! dispatch avoids the queue + wakeup cost; asynchronous dispatch
 //! decouples the sender. The paper exposes both through the CCL.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use compadres_bench::harness::{record, run, summarize, write_json_if_requested, Stats};
@@ -96,81 +95,6 @@ fn one_message(app: &App, rx: &mpsc::Receiver<u64>, seq: u64) {
     assert_eq!(got, seq);
 }
 
-/// Replica of the pre-conversion dispatch queue — one `Mutex<BinaryHeap>`
-/// plus a `Condvar` — kept here so the contended comparison against the
-/// lock-free `PriorityFifo` stays self-contained after the conversion.
-struct LockedQueue {
-    heap: Mutex<BinaryHeap<LockedEntry>>,
-    cond: Condvar,
-    closed: AtomicBool,
-    seq: AtomicU64,
-}
-
-struct LockedEntry {
-    priority: Priority,
-    seq: u64,
-    item: u64,
-}
-
-impl PartialEq for LockedEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl Eq for LockedEntry {}
-impl PartialOrd for LockedEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LockedEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: higher priority first, then FIFO (lower seq first).
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl LockedQueue {
-    fn new() -> Self {
-        LockedQueue {
-            heap: Mutex::new(BinaryHeap::new()),
-            cond: Condvar::new(),
-            closed: AtomicBool::new(false),
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, priority: Priority, item: u64) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.heap.lock().unwrap().push(LockedEntry {
-            priority,
-            seq,
-            item,
-        });
-        self.cond.notify_one();
-    }
-
-    fn pop(&self) -> Option<u64> {
-        let mut heap = self.heap.lock().unwrap();
-        loop {
-            if let Some(e) = heap.pop() {
-                return Some(e.item);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                return None;
-            }
-            heap = self.cond.wait(heap).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.cond.notify_all();
-    }
-}
-
 const SESSION_PRODUCERS: usize = 4;
 const SESSION_WORKERS: usize = 4;
 const SESSION_MSGS_PER_PRODUCER: u64 = 5_000;
@@ -217,35 +141,6 @@ fn contended_session(
         "{name:<44} {per_msg:>9.1} ns/msg  {throughput:>12.0} msg/s  (p50 of {iters} sessions of {SESSION_TOTAL} msgs)"
     );
     record(name, &s);
-    s
-}
-
-fn bench_locked_session(iters: u32) -> Stats {
-    let q = Arc::new(LockedQueue::new());
-    let done = Arc::new(AtomicU64::new(0));
-    let workers: Vec<_> = (0..SESSION_WORKERS)
-        .map(|_| {
-            let q = Arc::clone(&q);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                while let Some(item) = q.pop() {
-                    std::hint::black_box(item);
-                    done.fetch_add(1, Ordering::SeqCst);
-                }
-            })
-        })
-        .collect();
-    let q2 = Arc::clone(&q);
-    let s = contended_session(
-        "contended 4p/4w locked baseline",
-        iters,
-        move |prio, item| q2.push(prio, item),
-        done,
-    );
-    q.close();
-    for w in workers {
-        w.join().unwrap();
-    }
     s
 }
 
@@ -347,7 +242,6 @@ fn main() {
     // max, so the gated tail number was whatever the single worst
     // descheduling blip cost. 120 sessions makes p99 a real percentile.
     const SESSION_ITERS: u32 = 120;
-    let locked = bench_locked_session(SESSION_ITERS);
     let balanced = bench_lockfree_session(
         "contended 4p/4w lock-free (balanced)",
         ParkPolicy::balanced(),
@@ -363,8 +257,6 @@ fn main() {
         ParkPolicy::park_eagerly(),
         SESSION_ITERS,
     );
-    let speedup = locked.p50.as_secs_f64() / balanced.p50.as_secs_f64();
-    println!("lock-free (balanced) speedup over locked baseline: {speedup:.2}x (p50 session time)");
     let tail = balanced.p99.as_secs_f64() / spin_longer.p99.as_secs_f64();
     println!("spin_longer tail vs balanced: {tail:.2}x lower p99 session time");
 

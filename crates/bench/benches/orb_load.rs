@@ -47,8 +47,9 @@ use std::time::{Duration, Instant};
 use compadres_bench::harness::{self, Stats};
 use rtcorba::cdr::Endian;
 
-use rtcorba::giop::{self, Message, RequestMessage, HEADER_LEN};
+use rtcorba::giop::{self, MessageView, HEADER_LEN};
 use rtcorba::service::ObjectRegistry;
+use rtplatform::bufchain::SegPool;
 use rtplatform::poll::{Interest, PollEvent, Poller};
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -91,6 +92,8 @@ struct Driver {
     conns: Vec<DriverConn>,
     poller: Poller,
     endian: Endian,
+    /// Marshal segments for outgoing requests (one small frame each).
+    pool: SegPool,
 }
 
 struct DriverConn {
@@ -120,6 +123,7 @@ impl Driver {
             conns,
             poller,
             endian: Endian::native(),
+            pool: SegPool::new(2, 256),
         }
     }
 
@@ -141,16 +145,18 @@ impl Driver {
     /// Fires one request on connection `idx`, stamped with its
     /// *scheduled* (not actual) send time.
     fn fire(&mut self, idx: usize, sched_ns: u64) {
-        let frame = RequestMessage {
-            request_id: 0,
-            response_expected: true,
-            object_key: b"echo".to_vec(),
-            operation: "echo".to_string(),
-            body: sched_ns.to_le_bytes().to_vec(),
-            service_context: Vec::new(),
-        }
-        .encode(self.endian);
-        self.send_all(idx, frame.as_slice());
+        let frame = giop::encode_request_chain(
+            0,
+            true,
+            b"echo",
+            "echo",
+            &sched_ns.to_le_bytes(),
+            &[],
+            self.endian,
+            &self.pool,
+        );
+        let bytes = frame.as_single().expect("a request fits one segment");
+        self.send_all(idx, bytes);
     }
 
     /// Drains readable connections, decoding replies into latencies
@@ -188,7 +194,7 @@ impl Driver {
                     break;
                 }
                 let frame: Vec<u8> = inbuf.drain(..HEADER_LEN + body).collect();
-                if let Ok(Message::Reply(r)) = giop::decode(&frame) {
+                if let Ok(MessageView::Reply(r)) = giop::decode_view(&[&frame]) {
                     let sched = u64::from_le_bytes(r.body[..8].try_into().expect("timestamp body"));
                     latencies.push(now_ns.saturating_sub(sched));
                 }

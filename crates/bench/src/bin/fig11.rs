@@ -1,15 +1,13 @@
 //! Regenerates paper **Fig. 11**: round-trip latency of the hand-coded
 //! ZenOrb (RTZen stand-in) versus the component-assembled Compadres ORB,
-//! for message sizes 32–1024 bytes over a single-host connection.
+//! for message sizes 32–1024 bytes over loopback TCP (the paper's setup
+//! is "single machine connected via loopback network").
 //!
-//! Run with `--quick` for a reduced observation count, `--inproc` to use
-//! the in-process transport instead of a real loopback TCP socket (the
-//! paper's setup is "single machine connected via loopback network").
+//! Run with `--quick` for a reduced observation count.
 
 use std::sync::Arc;
 
 use compadres_bench::us;
-use rtcorba::service::ObjectRegistry;
 use rtcorba::{corb, zen};
 use rtsched::{LatencySummary, SteadyState};
 
@@ -17,7 +15,6 @@ const SIZES: [usize; 6] = [32, 64, 128, 256, 512, 1024];
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let tcp = !std::env::args().any(|a| a == "--inproc");
     let protocol = if quick {
         SteadyState::quick()
     } else {
@@ -27,14 +24,8 @@ fn main() {
     println!("Fig. 11: Comparison of round-trip times of RTZen (ZenOrb stand-in)");
     println!("with the Compadres ORB for different message sizes, single host");
     println!(
-        "({} observations per point, {} warm-up, transport: {})",
-        protocol.observations,
-        protocol.warmup,
-        if tcp {
-            "TCP loopback"
-        } else {
-            "in-process loopback"
-        }
+        "({} observations per point, {} warm-up, transport: TCP loopback)",
+        protocol.observations, protocol.warmup
     );
     println!();
     println!(
@@ -51,37 +42,12 @@ fn main() {
         let payload = vec![0xABu8; size];
 
         // --- ZenOrb (hand-coded baseline, the RTZen stand-in) ---
-        let (zen_summary, _guard1): (LatencySummary, Box<dyn std::any::Any>) = if tcp {
-            let server = rtcorba::ServerBuilder::new(ObjectRegistry::with_echo())
-                .threaded()
-                .serve_zen()
-                .expect("zen tcp server");
-            let client = rtcorba::ClientBuilder::new()
-                .connect_zen(server.addr().unwrap())
-                .expect("zen tcp client");
-            let rec = protocol.run_timed_result(&client, &payload);
-            (rec, Box::new(server))
-        } else {
-            let (server, client) = zen::loopback_echo_pair().expect("zen pair");
-            let rec = protocol.run_timed_result(&client, &payload);
-            (rec, Box::new(server))
-        };
+        let (_zen_server, zen_client) = zen::loopback_echo_pair().expect("zen pair");
+        let zen_summary = protocol.run_timed_result(&zen_client, &payload);
 
         // --- Compadres ORB ---
-        let (compadres_summary, _guard2): (LatencySummary, Box<dyn std::any::Any>) = if tcp {
-            let server = rtcorba::ServerBuilder::new(ObjectRegistry::with_echo())
-                .serve()
-                .expect("corb tcp server");
-            let client = rtcorba::ClientBuilder::new()
-                .connect(server.addr().unwrap())
-                .expect("corb tcp client");
-            let rec = protocol.run_timed_result(&client, &payload);
-            (rec, Box::new(server))
-        } else {
-            let (server, client) = corb::loopback_echo_pair().expect("corb pair");
-            let rec = protocol.run_timed_result(&client, &payload);
-            (rec, Box::new(server))
-        };
+        let (_corb_server, corb_client) = corb::loopback_echo_pair().expect("corb pair");
+        let compadres_summary = protocol.run_timed_result(&corb_client, &payload);
 
         for (name, s) in [
             ("RTZen (Zen)", &zen_summary),

@@ -1211,15 +1211,38 @@ impl App {
         }
     }
 
-    /// Waits until all asynchronous ports are drained (best effort).
+    /// Waits until every asynchronous port has finished the work it
+    /// accepted: buffers empty **and** no handler still running.
+    ///
+    /// A port's `inflight` count is buffer occupancy — it drops when a
+    /// worker takes the message, before the handler runs — so the
+    /// completed-work condition is the pool's own `pending`-based
+    /// [`ThreadPool::wait_idle`]. A handler may feed a port this pass
+    /// already visited, so a pass counts only if no job finished while
+    /// it ran (a job's sends are accepted before the job finishes).
     pub fn wait_quiescent(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
+        let ports = || {
+            self.core
+                .in_ports
+                .values()
+                .filter_map(|p| match &p.dispatch {
+                    Dispatch::Async { pool, inflight, .. } => Some((pool, inflight)),
+                    Dispatch::Synchronous => None,
+                })
+        };
+        let finished = || -> u64 { ports().map(|(p, _)| p.executed() + p.panicked()).sum() };
         loop {
-            let busy = self.core.in_ports.values().any(|p| match &p.dispatch {
-                Dispatch::Async { inflight, .. } => inflight.load(Ordering::SeqCst) > 0,
-                Dispatch::Synchronous => false,
-            });
-            if !busy {
+            let before = finished();
+            let mut settled = true;
+            for (pool, inflight) in ports() {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if !pool.wait_idle(left) {
+                    return false;
+                }
+                settled &= inflight.load(Ordering::SeqCst) == 0;
+            }
+            if settled && finished() == before {
                 return true;
             }
             if std::time::Instant::now() >= deadline {

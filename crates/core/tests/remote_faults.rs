@@ -27,6 +27,8 @@ impl BytesCodec for Ping {
     }
 }
 
+/// One worker on the sink port, so the order messages reach `rx` is the
+/// order they arrived in (a second worker could overtake the first).
 fn sink_app() -> (Arc<App>, mpsc::Receiver<u32>) {
     let cdl = r#"
       <Component><ComponentName>Sink</ComponentName>
@@ -36,7 +38,7 @@ fn sink_app() -> (Arc<App>, mpsc::Receiver<u32>) {
       <Application><ApplicationName>FaultSink</ApplicationName>
         <Component><InstanceName>S</InstanceName><ClassName>Sink</ClassName><ComponentType>Immortal</ComponentType>
           <Connection><Port><PortName>In</PortName>
-            <PortAttributes><BufferSize>64</BufferSize><MinThreadpoolSize>1</MinThreadpoolSize><MaxThreadpoolSize>2</MaxThreadpoolSize></PortAttributes>
+            <PortAttributes><BufferSize>64</BufferSize><MinThreadpoolSize>1</MinThreadpoolSize><MaxThreadpoolSize>1</MaxThreadpoolSize></PortAttributes>
           </Port></Connection>
         </Component>
       </Application>"#;

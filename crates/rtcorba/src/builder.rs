@@ -1,14 +1,12 @@
-//! Unified construction API for both ORBs.
+//! Construction API for both ORBs.
 //!
-//! The historical entry points — `CompadresServer::spawn_tcp`,
-//! `spawn_tcp_reactor`, `spawn_tcp_threaded`, `ZenServer::spawn_tcp`,
-//! `ZenClient::connect_tcp`, … — grew one static constructor per
-//! (transport × fault-policy × ORB) combination. [`ServerBuilder`] and
-//! [`ClientBuilder`] collapse that matrix into one fluent surface with
-//! two terminal methods each: `serve()` / `connect()` produce the
-//! Compadres (component-assembled) ORB, `serve_zen()` / `connect_zen()`
-//! the hand-coded ZenOrb comparator. The old constructors survive as
-//! deprecated thin shims over the same internals.
+//! [`ServerBuilder`] and [`ClientBuilder`] have two terminal methods
+//! each: `serve()` / `connect()` produce the Compadres
+//! (component-assembled) ORB, `serve_zen()` / `connect_zen()` the
+//! hand-coded ZenOrb comparator. Each server ORB has exactly one I/O
+//! model: the Compadres server runs on the event-driven
+//! [`reactor`](crate::reactor), sized by [`ServerBuilder::reactor`];
+//! ZenOrb is thread-per-connection, as the paper's RTZen comparator is.
 //!
 //! ```
 //! use rtcorba::{ClientBuilder, ServerBuilder};
@@ -24,7 +22,6 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use rtobs::Observer;
 use rtplatform::fault::FaultPolicy;
 
 use crate::corb::{CompadresClient, CompadresServer};
@@ -34,122 +31,50 @@ use crate::transport::Connection;
 use crate::zen::{ZenClient, ZenServer};
 use crate::OrbError;
 
-/// Which I/O model a server runs its connections on.
-#[derive(Debug, Clone, Copy)]
-pub enum Transport {
-    /// Event-driven: one poll-loop thread multiplexes every connection,
-    /// a worker pool dispatches complete frames (DESIGN.md §5h). The
-    /// default — scales past the thread-per-client wall.
-    Reactor(ReactorConfig),
-    /// Paper-faithful acceptor + one reader thread per connection.
-    Threaded,
-    /// No TCP endpoint: only in-process `attach_loopback` connections.
-    Loopback,
-}
-
-/// Builds a server ORB — either the component-assembled Compadres ORB
-/// ([`serve`](ServerBuilder::serve)) or the hand-coded ZenOrb
-/// comparator ([`serve_zen`](ServerBuilder::serve_zen)) — over a chosen
-/// [`Transport`].
+/// Builds a server ORB on `127.0.0.1:0` — either the component-assembled
+/// Compadres ORB ([`serve`](ServerBuilder::serve)) or the hand-coded
+/// ZenOrb comparator ([`serve_zen`](ServerBuilder::serve_zen)).
 #[derive(Debug)]
 pub struct ServerBuilder {
     registry: Arc<ObjectRegistry>,
-    transport: Transport,
-    observer: Option<Arc<Observer>>,
+    reactor: ReactorConfig,
 }
 
 impl ServerBuilder {
-    /// Starts a builder serving `registry` on the default transport
-    /// (reactor with [`ReactorConfig::default`]).
+    /// Starts a builder serving `registry`.
     pub fn new(registry: Arc<ObjectRegistry>) -> ServerBuilder {
         ServerBuilder {
             registry,
-            transport: Transport::Reactor(ReactorConfig::default()),
-            observer: None,
+            reactor: ReactorConfig::default(),
         }
     }
 
-    /// Selects the transport explicitly.
-    pub fn transport(mut self, transport: Transport) -> ServerBuilder {
-        self.transport = transport;
+    /// Sizes the Compadres server's reactor (worker pool, per-connection
+    /// inbox, frame and read limits). ZenOrb has no reactor and ignores
+    /// it.
+    pub fn reactor(mut self, cfg: ReactorConfig) -> ServerBuilder {
+        self.reactor = cfg;
         self
     }
 
-    /// Selects the reactor transport with explicit sizing.
-    pub fn reactor(self, cfg: ReactorConfig) -> ServerBuilder {
-        self.transport(Transport::Reactor(cfg))
-    }
-
-    /// Selects the thread-per-connection transport.
-    pub fn threaded(self) -> ServerBuilder {
-        self.transport(Transport::Threaded)
-    }
-
-    /// Serves only in-process loopback connections (no TCP endpoint).
-    pub fn loopback(self) -> ServerBuilder {
-        self.transport(Transport::Loopback)
-    }
-
-    /// Sets the reactor worker-pool size. Switches to the reactor
-    /// transport if another one was selected.
-    pub fn workers(self, workers: usize) -> ServerBuilder {
-        let mut cfg = self.reactor_cfg();
-        cfg.workers = workers.max(1);
-        self.reactor(cfg)
-    }
-
-    /// Caps how many complete frames one connection's reactor inbox may
-    /// hold before newly arrived frames are shed (`reactor_shed_total`).
-    /// Switches to the reactor transport if another one was selected.
-    pub fn inbox_capacity(self, frames: usize) -> ServerBuilder {
-        let mut cfg = self.reactor_cfg();
-        cfg.inbox_capacity = frames.max(1);
-        self.reactor(cfg)
-    }
-
-    /// Observability domain for the reactor's metrics. The Compadres ORB
-    /// ignores this — its reactor always shares the component app's
-    /// observer; ZenOrb, which has no component app, records reactor
-    /// metrics here (a fresh, disabled observer when unset).
-    pub fn observer(mut self, obs: Arc<Observer>) -> ServerBuilder {
-        self.observer = Some(obs);
-        self
-    }
-
-    fn reactor_cfg(&self) -> ReactorConfig {
-        match self.transport {
-            Transport::Reactor(cfg) => cfg,
-            _ => ReactorConfig::default(),
-        }
-    }
-
-    /// Builds and starts the component-assembled Compadres ORB server.
+    /// Builds and starts the component-assembled Compadres ORB server
+    /// on the event-driven reactor transport.
     ///
     /// # Errors
     ///
     /// Bind, composition or memory failures.
     pub fn serve(self) -> Result<CompadresServer, OrbError> {
-        match self.transport {
-            Transport::Reactor(cfg) => CompadresServer::serve_reactor(self.registry, cfg),
-            Transport::Threaded => CompadresServer::serve_threaded(self.registry),
-            Transport::Loopback => CompadresServer::spawn_loopback(self.registry),
-        }
+        CompadresServer::serve(self.registry, self.reactor)
     }
 
-    /// Builds and starts the hand-coded ZenOrb comparator server.
+    /// Builds and starts the hand-coded ZenOrb comparator server
+    /// (thread per connection).
     ///
     /// # Errors
     ///
     /// Bind or memory-architecture failures.
     pub fn serve_zen(self) -> Result<ZenServer, OrbError> {
-        match self.transport {
-            Transport::Reactor(cfg) => {
-                let obs = self.observer.unwrap_or_else(Observer::new);
-                ZenServer::serve_reactor(self.registry, obs, cfg)
-            }
-            Transport::Threaded => ZenServer::serve_threaded(self.registry),
-            Transport::Loopback => ZenServer::spawn_loopback(self.registry),
-        }
+        ZenServer::serve(self.registry)
     }
 }
 
@@ -232,46 +157,24 @@ impl ClientBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::TcpConn;
 
     #[test]
-    fn builder_default_is_reactor() {
-        let b = ServerBuilder::new(ObjectRegistry::with_echo());
-        assert!(matches!(b.transport, Transport::Reactor(_)));
-    }
-
-    #[test]
-    fn workers_and_inbox_capacity_compose() {
-        let b = ServerBuilder::new(ObjectRegistry::with_echo())
-            .workers(2)
-            .inbox_capacity(8);
-        match b.transport {
-            Transport::Reactor(cfg) => {
-                assert_eq!(cfg.workers, 2);
-                assert_eq!(cfg.inbox_capacity, 8);
-            }
-            other => panic!("expected reactor, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn loopback_server_via_builder() {
-        let server = ServerBuilder::new(ObjectRegistry::with_echo())
-            .loopback()
-            .serve()
-            .unwrap();
-        let conn = server.attach_loopback();
-        let client = ClientBuilder::new().over(Arc::new(conn)).unwrap();
-        assert_eq!(client.invoke(b"echo", "echo", &[7, 7]).unwrap(), vec![7, 7]);
-    }
-
-    #[test]
-    fn zen_loopback_via_builder() {
-        let server = ServerBuilder::new(ObjectRegistry::with_echo())
-            .loopback()
+    fn clients_over_an_established_connection() {
+        // `over` / `over_zen` take any `Connection`: here a raw TCP conn
+        // to a Zen server and a Compadres server respectively.
+        let zen = ServerBuilder::new(ObjectRegistry::with_echo())
             .serve_zen()
             .unwrap();
-        let conn = server.attach_loopback();
-        let client = ClientBuilder::new().over_zen(Arc::new(conn)).unwrap();
+        let conn = Arc::new(TcpConn::connect(zen.addr().unwrap()).unwrap());
+        let client = ClientBuilder::new().over(conn).unwrap();
+        assert_eq!(client.invoke(b"echo", "echo", &[7, 7]).unwrap(), vec![7, 7]);
+
+        let corb = ServerBuilder::new(ObjectRegistry::with_echo())
+            .serve()
+            .unwrap();
+        let conn = Arc::new(TcpConn::connect(corb.addr().unwrap()).unwrap());
+        let client = ClientBuilder::new().over_zen(conn).unwrap();
         assert_eq!(client.invoke(b"echo", "echo", &[9]).unwrap(), vec![9]);
     }
 }

@@ -6,6 +6,14 @@
 //! path of both ORBs. Primitives are aligned to their natural size
 //! relative to the start of the encapsulation; both endiannesses are
 //! supported as CDR requires.
+//!
+//! There is one encoder and one decoder. [`CdrEncoder`] is generic over
+//! a [`CdrSink`] — a `Vec<u8>` for standalone encapsulations (naming-
+//! service arguments), a [`BufChain`] for GIOP frames — and aligns
+//! relative to the sink's body origin, so a frame body is laid out the
+//! same whichever sink holds it. [`CdrDecoder`] reads a sequence of
+//! borrowed parts in wire order (a [`rtplatform::bufchain::FrameBuf`]'s
+//! segments); a contiguous buffer is the one-part case.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -86,7 +94,49 @@ impl fmt::Display for CdrError {
 
 impl std::error::Error for CdrError {}
 
-/// CDR encoder writing into a growable buffer.
+/// Where a [`CdrEncoder`] puts its bytes.
+pub trait CdrSink {
+    /// Bytes written since the body origin — the alignment reference.
+    fn body_len(&self) -> usize;
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+    /// Appends `n` zero bytes.
+    fn pad(&mut self, n: usize);
+}
+
+impl CdrSink for Vec<u8> {
+    fn body_len(&self) -> usize {
+        self.len()
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn pad(&mut self, n: usize) {
+        self.resize(self.len() + n, 0);
+    }
+}
+
+/// Bytes land in pool-leased segments (crossing boundaries
+/// transparently) and are never moved again: the GIOP header is later
+/// prepended into the chain's headroom, which `body_len` excludes.
+impl CdrSink for BufChain {
+    fn body_len(&self) -> usize {
+        BufChain::body_len(self)
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        BufChain::put(self, bytes);
+    }
+
+    fn pad(&mut self, n: usize) {
+        BufChain::pad(self, n);
+    }
+}
+
+/// CDR encoder writing into a [`CdrSink`] (a growable buffer unless
+/// told otherwise).
 ///
 /// # Examples
 ///
@@ -105,159 +155,37 @@ impl std::error::Error for CdrError {}
 /// # Ok::<(), rtcorba::cdr::CdrError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct CdrEncoder {
-    buf: Vec<u8>,
+pub struct CdrEncoder<S = Vec<u8>> {
+    sink: S,
     endian: Endian,
 }
 
 impl CdrEncoder {
-    /// Creates an encoder with the given byte order.
+    /// Creates an encoder over a fresh `Vec` with the given byte order.
     pub fn new(endian: Endian) -> CdrEncoder {
-        CdrEncoder {
-            buf: Vec::new(),
-            endian,
-        }
-    }
-
-    /// Creates an encoder reusing an existing buffer (cleared).
-    pub fn with_buffer(mut buf: Vec<u8>, endian: Endian) -> CdrEncoder {
-        buf.clear();
-        CdrEncoder { buf, endian }
-    }
-
-    /// The byte order in use.
-    pub fn endian(&self) -> Endian {
-        self.endian
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        CdrEncoder::over(Vec::new(), endian)
     }
 
     /// Consumes the encoder, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        self.sink
     }
 
     /// A view of the encoded bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Inserts padding so the next write lands on `alignment`.
-    pub fn align(&mut self, alignment: usize) {
-        let misaligned = self.buf.len() % alignment;
-        if misaligned != 0 {
-            self.buf.resize(self.buf.len() + alignment - misaligned, 0);
-        }
-    }
-
-    /// Writes one octet.
-    pub fn write_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a boolean as an octet.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-
-    /// Writes an aligned 16-bit unsigned integer.
-    pub fn write_u16(&mut self, v: u16) {
-        self.align(2);
-        match self.endian {
-            Endian::Big => self.buf.extend_from_slice(&v.to_be_bytes()),
-            Endian::Little => self.buf.extend_from_slice(&v.to_le_bytes()),
-        }
-    }
-
-    /// Writes an aligned 32-bit unsigned integer.
-    pub fn write_u32(&mut self, v: u32) {
-        self.align(4);
-        match self.endian {
-            Endian::Big => self.buf.extend_from_slice(&v.to_be_bytes()),
-            Endian::Little => self.buf.extend_from_slice(&v.to_le_bytes()),
-        }
-    }
-
-    /// Writes an aligned 64-bit unsigned integer.
-    pub fn write_u64(&mut self, v: u64) {
-        self.align(8);
-        match self.endian {
-            Endian::Big => self.buf.extend_from_slice(&v.to_be_bytes()),
-            Endian::Little => self.buf.extend_from_slice(&v.to_le_bytes()),
-        }
-    }
-
-    /// Writes an aligned 16-bit signed integer.
-    pub fn write_i16(&mut self, v: i16) {
-        self.write_u16(v as u16);
-    }
-
-    /// Writes an aligned 32-bit signed integer.
-    pub fn write_i32(&mut self, v: i32) {
-        self.write_u32(v as u32);
-    }
-
-    /// Writes an aligned 64-bit signed integer.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    /// Writes an aligned IEEE-754 float.
-    pub fn write_f32(&mut self, v: f32) {
-        self.write_u32(v.to_bits());
-    }
-
-    /// Writes an aligned IEEE-754 double.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Writes a CDR string: u32 length (including NUL), bytes, NUL.
-    pub fn write_string(&mut self, s: &str) {
-        self.write_u32(s.len() as u32 + 1);
-        self.buf.extend_from_slice(s.as_bytes());
-        self.buf.push(0);
-    }
-
-    /// Writes a `sequence<octet>`: u32 length then raw bytes.
-    pub fn write_octets(&mut self, bytes: &[u8]) {
-        self.write_u32(bytes.len() as u32);
-        self.buf.extend_from_slice(bytes);
+        &self.sink
     }
 }
 
-/// CDR encoder writing directly into a segment chain — the zero-copy
-/// counterpart of [`CdrEncoder`]. Bytes land in pool-leased segments
-/// (crossing boundaries transparently) and are never moved again: the
-/// GIOP header is later prepended into the chain's headroom and the
-/// segments go to the socket via vectored writes.
-///
-/// Alignment is maintained relative to the *body* start (the chain's
-/// [`BufChain::body_len`]), matching how [`CdrDecoder`] aligns when
-/// decoding a GIOP body. The legacy [`CdrEncoder`] aligns relative to
-/// the frame start (header included); the two agree for every
-/// alignment ≤ 4 because the GIOP header is 12 bytes (12 ≡ 0 mod 4).
-/// Only 8-byte-aligned primitives would diverge — no GIOP message body
-/// in this ORB uses one, and the wire-compat property tests pin the
-/// byte-for-byte agreement.
-#[derive(Debug)]
-pub struct CdrChainEncoder<'a> {
-    chain: &'a mut BufChain,
-    endian: Endian,
-}
+impl<S: CdrSink> CdrEncoder<S> {
+    /// Wraps a sink; writes append after whatever it already holds.
+    pub fn over(sink: S, endian: Endian) -> CdrEncoder<S> {
+        CdrEncoder { sink, endian }
+    }
 
-impl<'a> CdrChainEncoder<'a> {
-    /// Wraps a chain; writes append after whatever the chain holds.
-    pub fn new(chain: &'a mut BufChain, endian: Endian) -> CdrChainEncoder<'a> {
-        CdrChainEncoder { chain, endian }
+    /// Consumes the encoder, returning the sink.
+    pub fn into_sink(self) -> S {
+        self.sink
     }
 
     /// The byte order in use.
@@ -265,23 +193,38 @@ impl<'a> CdrChainEncoder<'a> {
         self.endian
     }
 
-    /// Logical body offset (alignment reference point).
-    pub fn position(&self) -> usize {
-        self.chain.body_len()
+    /// Body bytes written so far.
+    pub fn len(&self) -> usize {
+        self.sink.body_len()
+    }
+
+    /// Whether nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Inserts padding so the next write lands on `alignment`
-    /// (relative to the body start).
+    /// (relative to the sink's body origin).
     pub fn align(&mut self, alignment: usize) {
-        let misaligned = self.chain.body_len() % alignment;
+        let misaligned = self.sink.body_len() % alignment;
         if misaligned != 0 {
-            self.chain.pad(alignment - misaligned);
+            self.sink.pad(alignment - misaligned);
         }
+    }
+
+    /// Writes an `N`-byte primitive aligned to `N`, given in both byte
+    /// orders.
+    fn put_aligned<const N: usize>(&mut self, be: [u8; N], le: [u8; N]) {
+        self.align(N);
+        self.sink.put(match self.endian {
+            Endian::Big => &be,
+            Endian::Little => &le,
+        });
     }
 
     /// Writes one octet.
     pub fn write_u8(&mut self, v: u8) {
-        self.chain.put(&[v]);
+        self.sink.put(&[v]);
     }
 
     /// Writes a boolean as an octet.
@@ -291,29 +234,17 @@ impl<'a> CdrChainEncoder<'a> {
 
     /// Writes an aligned 16-bit unsigned integer.
     pub fn write_u16(&mut self, v: u16) {
-        self.align(2);
-        match self.endian {
-            Endian::Big => self.chain.put(&v.to_be_bytes()),
-            Endian::Little => self.chain.put(&v.to_le_bytes()),
-        }
+        self.put_aligned(v.to_be_bytes(), v.to_le_bytes());
     }
 
     /// Writes an aligned 32-bit unsigned integer.
     pub fn write_u32(&mut self, v: u32) {
-        self.align(4);
-        match self.endian {
-            Endian::Big => self.chain.put(&v.to_be_bytes()),
-            Endian::Little => self.chain.put(&v.to_le_bytes()),
-        }
+        self.put_aligned(v.to_be_bytes(), v.to_le_bytes());
     }
 
     /// Writes an aligned 64-bit unsigned integer.
     pub fn write_u64(&mut self, v: u64) {
-        self.align(8);
-        match self.endian {
-            Endian::Big => self.chain.put(&v.to_be_bytes()),
-            Endian::Little => self.chain.put(&v.to_le_bytes()),
-        }
+        self.put_aligned(v.to_be_bytes(), v.to_le_bytes());
     }
 
     /// Writes an aligned 16-bit signed integer.
@@ -344,222 +275,68 @@ impl<'a> CdrChainEncoder<'a> {
     /// Writes a CDR string: u32 length (including NUL), bytes, NUL.
     pub fn write_string(&mut self, s: &str) {
         self.write_u32(s.len() as u32 + 1);
-        self.chain.put(s.as_bytes());
-        self.chain.put(&[0]);
+        self.sink.put(s.as_bytes());
+        self.sink.put(&[0]);
     }
 
     /// Writes a `sequence<octet>`: u32 length then raw bytes.
     pub fn write_octets(&mut self, bytes: &[u8]) {
         self.write_u32(bytes.len() as u32);
-        self.chain.put(bytes);
+        self.sink.put(bytes);
     }
 }
 
-/// CDR decoder over a byte slice.
+/// CDR decoder over borrowed parts in wire order. Decodes in place:
+/// sequence and string payloads come back as [`Cow::Borrowed`] views
+/// whenever they do not straddle a part boundary (always, for a
+/// contiguous buffer), and primitives that do straddle are reassembled
+/// through a stack buffer.
 #[derive(Debug, Clone)]
 pub struct CdrDecoder<'a> {
-    buf: &'a [u8],
+    /// Unread bytes of the current part.
+    cur: &'a [u8],
+    /// Parts after the current one.
+    rest: &'a [&'a [u8]],
+    /// Bytes consumed since the origin — the alignment reference.
     pos: usize,
+    remaining: usize,
     endian: Endian,
 }
 
 impl<'a> CdrDecoder<'a> {
-    /// Creates a decoder with the given byte order.
+    /// Creates a decoder over one contiguous buffer.
     pub fn new(buf: &'a [u8], endian: Endian) -> CdrDecoder<'a> {
         CdrDecoder {
-            buf,
+            cur: buf,
+            rest: &[],
             pos: 0,
+            remaining: buf.len(),
             endian,
         }
     }
 
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CdrError> {
-        if self.remaining() < n {
-            return Err(CdrError::Truncated {
-                needed: n,
-                remaining: self.remaining(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Skips padding so the next read is aligned.
-    pub fn align(&mut self, alignment: usize) -> Result<(), CdrError> {
-        let misaligned = self.pos % alignment;
-        if misaligned != 0 {
-            self.take(alignment - misaligned)?;
-        }
-        Ok(())
-    }
-
-    /// Reads one octet.
-    pub fn read_u8(&mut self) -> Result<u8, CdrError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a boolean octet.
-    pub fn read_bool(&mut self) -> Result<bool, CdrError> {
-        match self.read_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CdrError::BadBoolean(other)),
-        }
-    }
-
-    /// Reads an aligned 16-bit unsigned integer.
-    pub fn read_u16(&mut self) -> Result<u16, CdrError> {
-        self.align(2)?;
-        let b = self.take(2)?;
-        let arr = [b[0], b[1]];
-        Ok(match self.endian {
-            Endian::Big => u16::from_be_bytes(arr),
-            Endian::Little => u16::from_le_bytes(arr),
-        })
-    }
-
-    /// Reads an aligned 32-bit unsigned integer.
-    pub fn read_u32(&mut self) -> Result<u32, CdrError> {
-        self.align(4)?;
-        let b = self.take(4)?;
-        let arr = [b[0], b[1], b[2], b[3]];
-        Ok(match self.endian {
-            Endian::Big => u32::from_be_bytes(arr),
-            Endian::Little => u32::from_le_bytes(arr),
-        })
-    }
-
-    /// Reads an aligned 64-bit unsigned integer.
-    pub fn read_u64(&mut self) -> Result<u64, CdrError> {
-        self.align(8)?;
-        let b = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(match self.endian {
-            Endian::Big => u64::from_be_bytes(arr),
-            Endian::Little => u64::from_le_bytes(arr),
-        })
-    }
-
-    /// Reads an aligned 16-bit signed integer.
-    pub fn read_i16(&mut self) -> Result<i16, CdrError> {
-        Ok(self.read_u16()? as i16)
-    }
-
-    /// Reads an aligned 32-bit signed integer.
-    pub fn read_i32(&mut self) -> Result<i32, CdrError> {
-        Ok(self.read_u32()? as i32)
-    }
-
-    /// Reads an aligned 64-bit signed integer.
-    pub fn read_i64(&mut self) -> Result<i64, CdrError> {
-        Ok(self.read_u64()? as i64)
-    }
-
-    /// Reads an aligned IEEE-754 float.
-    pub fn read_f32(&mut self) -> Result<f32, CdrError> {
-        Ok(f32::from_bits(self.read_u32()?))
-    }
-
-    /// Reads an aligned IEEE-754 double.
-    pub fn read_f64(&mut self) -> Result<f64, CdrError> {
-        Ok(f64::from_bits(self.read_u64()?))
-    }
-
-    /// Reads a CDR string.
-    pub fn read_string(&mut self) -> Result<String, CdrError> {
-        let len = self.read_u32()?;
-        if len == 0 || len as usize > self.remaining() {
-            return Err(CdrError::LengthOverflow(len));
-        }
-        let bytes = self.take(len as usize)?;
-        if bytes[bytes.len() - 1] != 0 {
-            return Err(CdrError::BadString);
-        }
-        String::from_utf8(bytes[..bytes.len() - 1].to_vec()).map_err(|_| CdrError::BadString)
-    }
-
-    /// Skips a length-prefixed octet sequence (the layout shared by
-    /// `sequence<octet>` and CDR strings) without copying it; returns
-    /// the payload length skipped. Used by scanners that only care
-    /// about a later field, e.g. [`crate::giop::peek_trace`].
-    pub fn skip_octets(&mut self) -> Result<usize, CdrError> {
-        let len = self.read_u32()?;
-        if len as usize > self.remaining() {
-            return Err(CdrError::LengthOverflow(len));
-        }
-        self.take(len as usize)?;
-        Ok(len as usize)
-    }
-
-    /// Reads a `sequence<octet>`.
-    pub fn read_octets(&mut self) -> Result<Vec<u8>, CdrError> {
-        let len = self.read_u32()?;
-        if len as usize > self.remaining() {
-            return Err(CdrError::LengthOverflow(len));
-        }
-        Ok(self.take(len as usize)?.to_vec())
-    }
-}
-
-/// CDR decoder over a *fragmented* buffer — a sequence of borrowed
-/// segment regions in wire order, as produced by [`rtplatform::bufchain::
-/// FrameBuf::slices`]. Decodes in place: sequence and string payloads
-/// come back as [`Cow::Borrowed`] views into the segments whenever they
-/// do not straddle a boundary (the common case), and primitives that do
-/// straddle are reassembled through an 8-byte stack buffer. Semantics
-/// (alignment, validation, errors) are identical to [`CdrDecoder`]; the
-/// wire-compat property tests enforce the agreement on random frames.
-#[derive(Debug, Clone)]
-pub struct CdrSliceDecoder<'a> {
-    parts: &'a [&'a [u8]],
-    part: usize,
-    off: usize,
-    pos: usize,
-    total: usize,
-    endian: Endian,
-}
-
-impl<'a> CdrSliceDecoder<'a> {
     /// Creates a decoder over `parts` (concatenated in order).
-    pub fn new(parts: &'a [&'a [u8]], endian: Endian) -> CdrSliceDecoder<'a> {
-        CdrSliceDecoder {
-            parts,
-            part: 0,
-            off: 0,
+    pub fn over(parts: &'a [&'a [u8]], endian: Endian) -> CdrDecoder<'a> {
+        let mut d = CdrDecoder {
+            cur: &[],
+            rest: parts,
             pos: 0,
-            total: parts.iter().map(|p| p.len()).sum(),
+            remaining: parts.iter().map(|p| p.len()).sum(),
             endian,
-        }
+        };
+        d.advance(0); // step onto the first non-empty part
+        d
     }
 
-    /// A decoder over the same `parts` that starts `skip` bytes in and
-    /// sees at most `len` bytes, with alignment rebased to the new
-    /// start — how a GIOP body (alignment restarts after the header)
-    /// is decoded in place from a fragmented frame.
-    pub fn sub(
-        parts: &'a [&'a [u8]],
-        endian: Endian,
-        skip: usize,
-        len: usize,
-    ) -> Result<CdrSliceDecoder<'a>, CdrError> {
-        let mut d = CdrSliceDecoder::new(parts, endian);
-        d.check(skip)?;
-        d.advance(skip);
-        d.total = (d.total - skip).min(len);
-        d.pos = 0;
-        Ok(d)
+    /// A decoder for the encapsulation that starts at the current
+    /// position: alignment restarts here, the byte order is `endian`
+    /// and at most `len` further bytes are visible — how a GIOP body is
+    /// decoded in place once its header has been read.
+    pub fn rebased(mut self, endian: Endian, len: usize) -> CdrDecoder<'a> {
+        self.pos = 0;
+        self.endian = endian;
+        self.remaining = self.remaining.min(len);
+        self
     }
 
     /// Current read offset.
@@ -569,67 +346,59 @@ impl<'a> CdrSliceDecoder<'a> {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.total - self.pos
+        self.remaining
     }
 
     fn check(&self, n: usize) -> Result<(), CdrError> {
-        if self.remaining() < n {
+        if self.remaining < n {
             return Err(CdrError::Truncated {
                 needed: n,
-                remaining: self.remaining(),
+                remaining: self.remaining,
             });
         }
         Ok(())
     }
 
-    /// Advances past `n` bytes (which must be available).
+    /// Advances past `n` bytes (which must be available), leaving
+    /// `cur` on real bytes whenever any remain.
     fn advance(&mut self, mut n: usize) {
         self.pos += n;
-        while n > 0 {
-            let here = self.parts[self.part].len() - self.off;
-            if n < here {
-                self.off += n;
+        self.remaining -= n;
+        while n >= self.cur.len() {
+            n -= self.cur.len();
+            let Some((next, rest)) = self.rest.split_first() else {
+                self.cur = &[];
                 return;
-            }
-            n -= here;
-            self.part += 1;
-            self.off = 0;
+            };
+            self.cur = next;
+            self.rest = rest;
         }
-        // Skip any empty parts so `contiguous` sees real bytes.
-        while self.part < self.parts.len() && self.off == self.parts[self.part].len() {
-            self.part += 1;
-            self.off = 0;
-        }
+        self.cur = &self.cur[n..];
     }
 
-    /// A borrowed view of the next `n` bytes if they are contiguous in
-    /// one part (does not consume).
-    fn contiguous(&self, n: usize) -> Option<&'a [u8]> {
-        let p = self.parts.get(self.part)?;
-        if p.len() - self.off >= n {
-            Some(&p[self.off..self.off + n])
-        } else {
-            None
-        }
-    }
-
-    /// Consumes `n` bytes into `out` (must be available).
+    /// Consumes `out.len()` bytes into `out` (must be available).
     fn copy_out(&mut self, out: &mut [u8]) {
         let mut done = 0;
         while done < out.len() {
-            let p = self.parts[self.part];
-            let here = (p.len() - self.off).min(out.len() - done);
-            out[done..done + here].copy_from_slice(&p[self.off..self.off + here]);
+            let here = self.cur.len().min(out.len() - done);
+            out[done..done + here].copy_from_slice(&self.cur[..here]);
             done += here;
             self.advance(here);
         }
+    }
+
+    /// Reads `out.len()` raw octets, unaligned.
+    pub fn read_exact(&mut self, out: &mut [u8]) -> Result<(), CdrError> {
+        self.check(out.len())?;
+        self.copy_out(out);
+        Ok(())
     }
 
     /// Consumes `n` bytes as a zero-copy view when contiguous, or an
     /// owned copy when they straddle a boundary.
     fn take_view(&mut self, n: usize) -> Result<Cow<'a, [u8]>, CdrError> {
         self.check(n)?;
-        if let Some(view) = self.contiguous(n) {
+        if let Some(view) = self.cur.get(..n) {
             self.advance(n);
             return Ok(Cow::Borrowed(view));
         }
@@ -649,21 +418,24 @@ impl<'a> CdrSliceDecoder<'a> {
         Ok(())
     }
 
-    fn take_fixed<const N: usize>(&mut self) -> Result<[u8; N], CdrError> {
+    /// Reads an `N`-byte primitive aligned to `N`, in wire order.
+    fn take_aligned<const N: usize>(&mut self) -> Result<[u8; N], CdrError> {
+        self.align(N)?;
         self.check(N)?;
-        let mut arr = [0u8; N];
-        if let Some(view) = self.contiguous(N) {
-            arr.copy_from_slice(view);
-            self.advance(N);
-        } else {
-            self.copy_out(&mut arr);
+        let mut raw = [0u8; N];
+        match self.cur.get(..N) {
+            Some(view) => {
+                raw.copy_from_slice(view);
+                self.advance(N);
+            }
+            None => self.copy_out(&mut raw),
         }
-        Ok(arr)
+        Ok(raw)
     }
 
     /// Reads one octet.
     pub fn read_u8(&mut self) -> Result<u8, CdrError> {
-        Ok(self.take_fixed::<1>()?[0])
+        Ok(self.take_aligned::<1>()?[0])
     }
 
     /// Reads a boolean octet.
@@ -677,31 +449,28 @@ impl<'a> CdrSliceDecoder<'a> {
 
     /// Reads an aligned 16-bit unsigned integer.
     pub fn read_u16(&mut self) -> Result<u16, CdrError> {
-        self.align(2)?;
-        let arr = self.take_fixed::<2>()?;
+        let raw = self.take_aligned()?;
         Ok(match self.endian {
-            Endian::Big => u16::from_be_bytes(arr),
-            Endian::Little => u16::from_le_bytes(arr),
+            Endian::Big => u16::from_be_bytes(raw),
+            Endian::Little => u16::from_le_bytes(raw),
         })
     }
 
     /// Reads an aligned 32-bit unsigned integer.
     pub fn read_u32(&mut self) -> Result<u32, CdrError> {
-        self.align(4)?;
-        let arr = self.take_fixed::<4>()?;
+        let raw = self.take_aligned()?;
         Ok(match self.endian {
-            Endian::Big => u32::from_be_bytes(arr),
-            Endian::Little => u32::from_le_bytes(arr),
+            Endian::Big => u32::from_be_bytes(raw),
+            Endian::Little => u32::from_le_bytes(raw),
         })
     }
 
     /// Reads an aligned 64-bit unsigned integer.
     pub fn read_u64(&mut self) -> Result<u64, CdrError> {
-        self.align(8)?;
-        let arr = self.take_fixed::<8>()?;
+        let raw = self.take_aligned()?;
         Ok(match self.endian {
-            Endian::Big => u64::from_be_bytes(arr),
-            Endian::Little => u64::from_le_bytes(arr),
+            Endian::Big => u64::from_be_bytes(raw),
+            Endian::Little => u64::from_le_bytes(raw),
         })
     }
 
@@ -730,18 +499,28 @@ impl<'a> CdrSliceDecoder<'a> {
         Ok(f64::from_bits(self.read_u64()?))
     }
 
-    /// Reads a CDR string as a zero-copy view when possible.
-    pub fn read_string_view(&mut self) -> Result<Cow<'a, str>, CdrError> {
+    /// Reads the `u32` length prefix shared by strings and octet
+    /// sequences, bounded by what the stream still holds.
+    fn read_len(&mut self) -> Result<usize, CdrError> {
         let len = self.read_u32()?;
-        if len == 0 || len as usize > self.remaining() {
+        if len as usize > self.remaining {
             return Err(CdrError::LengthOverflow(len));
         }
-        let bytes = self.take_view(len as usize)?;
-        if bytes[bytes.len() - 1] != 0 {
+        Ok(len as usize)
+    }
+
+    /// Reads a CDR string as a zero-copy view when possible.
+    pub fn read_string_view(&mut self) -> Result<Cow<'a, str>, CdrError> {
+        let len = self.read_len()?;
+        if len == 0 {
+            return Err(CdrError::LengthOverflow(0));
+        }
+        let bytes = self.take_view(len)?;
+        if bytes[len - 1] != 0 {
             return Err(CdrError::BadString);
         }
         match bytes {
-            Cow::Borrowed(b) => std::str::from_utf8(&b[..b.len() - 1])
+            Cow::Borrowed(b) => std::str::from_utf8(&b[..len - 1])
                 .map(Cow::Borrowed)
                 .map_err(|_| CdrError::BadString),
             Cow::Owned(mut v) => {
@@ -760,11 +539,8 @@ impl<'a> CdrSliceDecoder<'a> {
 
     /// Reads a `sequence<octet>` as a zero-copy view when possible.
     pub fn read_octets_view(&mut self) -> Result<Cow<'a, [u8]>, CdrError> {
-        let len = self.read_u32()?;
-        if len as usize > self.remaining() {
-            return Err(CdrError::LengthOverflow(len));
-        }
-        self.take_view(len as usize)
+        let len = self.read_len()?;
+        self.take_view(len)
     }
 
     /// Reads a `sequence<octet>` into an owned `Vec`.
@@ -772,15 +548,14 @@ impl<'a> CdrSliceDecoder<'a> {
         Ok(self.read_octets_view()?.into_owned())
     }
 
-    /// Skips a length-prefixed octet sequence without copying; returns
-    /// the payload length skipped.
+    /// Skips a length-prefixed octet sequence (the layout shared by
+    /// `sequence<octet>` and CDR strings) without copying it; returns
+    /// the payload length skipped. Used by scanners that only care
+    /// about a later field, e.g. [`crate::giop::peek_trace_parts`].
     pub fn skip_octets(&mut self) -> Result<usize, CdrError> {
-        let len = self.read_u32()?;
-        if len as usize > self.remaining() {
-            return Err(CdrError::LengthOverflow(len));
-        }
-        self.advance(len as usize);
-        Ok(len as usize)
+        let len = self.read_len()?;
+        self.advance(len);
+        Ok(len)
     }
 }
 
@@ -894,77 +669,82 @@ mod tests {
         parts
     }
 
-    #[test]
-    fn chain_encoder_matches_vec_encoder() {
-        use rtplatform::bufchain::SegPool;
-        // Deliberately tiny segments so every multi-byte primitive can
-        // straddle a boundary.
-        let pool = SegPool::new(32, 8);
-        for endian in [Endian::Big, Endian::Little] {
-            let mut legacy = CdrEncoder::new(endian);
-            let mut chain = BufChain::with_headroom(&pool, 0);
-            let mut enc = CdrChainEncoder::new(&mut chain, endian);
-            legacy.write_u8(7);
-            legacy.write_u16(0x1234);
-            legacy.write_u32(0xAABB_CCDD);
-            legacy.write_bool(true);
-            legacy.write_string("straddle-me-please");
-            legacy.write_octets(&[9; 21]);
-            legacy.write_i32(-5);
-            enc.write_u8(7);
-            enc.write_u16(0x1234);
-            enc.write_u32(0xAABB_CCDD);
-            enc.write_bool(true);
-            enc.write_string("straddle-me-please");
-            enc.write_octets(&[9; 21]);
-            enc.write_i32(-5);
-            assert_eq!(chain.to_vec(), legacy.into_bytes(), "{endian:?}");
-        }
+    fn write_sample<S: CdrSink>(enc: &mut CdrEncoder<S>) {
+        enc.write_u8(7);
+        enc.write_u16(0x1234);
+        enc.write_u32(0xAABB_CCDD);
+        enc.write_bool(true);
+        enc.write_string("straddle-me-please");
+        enc.write_octets(&[9; 21]);
+        enc.write_u64(0x0102_0304_0506_0708);
+        enc.write_i32(-5);
     }
 
     #[test]
-    fn slice_decoder_matches_contiguous_decoder() {
+    fn every_sink_yields_the_same_bytes() {
+        use rtplatform::bufchain::SegPool;
+        // Deliberately tiny segments so every multi-byte primitive can
+        // straddle a boundary; headroom must not shift the alignment.
+        let pool = SegPool::new(32, 8);
+        for endian in [Endian::Big, Endian::Little] {
+            let mut vec = CdrEncoder::new(endian);
+            write_sample(&mut vec);
+            for headroom in [0, 5, 7] {
+                let mut chain = CdrEncoder::over(BufChain::with_headroom(&pool, headroom), endian);
+                write_sample(&mut chain);
+                assert_eq!(chain.len(), vec.len());
+                assert_eq!(
+                    chain.into_sink().to_vec(),
+                    vec.as_bytes(),
+                    "{endian:?}, headroom {headroom}"
+                );
+            }
+        }
+    }
+
+    fn read_sample(dec: &mut CdrDecoder<'_>) {
+        assert_eq!(dec.read_u8().unwrap(), 1);
+        assert_eq!(dec.read_u32().unwrap(), 0xC0FF_EE00);
+        assert_eq!(dec.read_string().unwrap(), "zero-copy");
+        assert_eq!(dec.read_octets().unwrap(), vec![5; 17]);
+        assert_eq!(dec.read_u16().unwrap(), 0xBEEF);
+        assert_eq!(dec.read_u64().unwrap(), u64::MAX - 1);
+        assert_eq!(dec.remaining(), 0);
+    }
+
+    #[test]
+    fn split_parts_decode_like_one_part() {
         let mut enc = CdrEncoder::new(Endian::Little);
         enc.write_u8(1);
         enc.write_u32(0xC0FF_EE00);
         enc.write_string("zero-copy");
         enc.write_octets(&[5; 17]);
         enc.write_u16(0xBEEF);
+        enc.write_u64(u64::MAX - 1);
         let bytes = enc.into_bytes();
+        read_sample(&mut CdrDecoder::new(&bytes, Endian::Little));
         // Every possible single split point, plus a many-way split.
         for cut in 0..=bytes.len() {
             let parts = chunked(&bytes, &[cut]);
-            let mut dec = CdrSliceDecoder::new(&parts, Endian::Little);
-            assert_eq!(dec.read_u8().unwrap(), 1);
-            assert_eq!(dec.read_u32().unwrap(), 0xC0FF_EE00);
-            assert_eq!(dec.read_string().unwrap(), "zero-copy");
-            assert_eq!(dec.read_octets().unwrap(), vec![5; 17]);
-            assert_eq!(dec.read_u16().unwrap(), 0xBEEF);
-            assert_eq!(dec.remaining(), 0);
+            read_sample(&mut CdrDecoder::over(&parts, Endian::Little));
         }
         let every: Vec<usize> = (1..bytes.len()).collect();
         let parts = chunked(&bytes, &every);
-        let mut dec = CdrSliceDecoder::new(&parts, Endian::Little);
-        assert_eq!(dec.read_u8().unwrap(), 1);
-        assert_eq!(dec.read_u32().unwrap(), 0xC0FF_EE00);
-        assert_eq!(dec.read_string().unwrap(), "zero-copy");
-        assert_eq!(dec.read_octets().unwrap(), vec![5; 17]);
-        assert_eq!(dec.read_u16().unwrap(), 0xBEEF);
+        read_sample(&mut CdrDecoder::over(&parts, Endian::Little));
     }
 
     #[test]
-    fn slice_decoder_borrows_when_contiguous() {
+    fn views_borrow_when_contiguous() {
         let mut enc = CdrEncoder::new(Endian::Big);
         enc.write_octets(&[1, 2, 3, 4]);
         enc.write_string("view");
         let bytes = enc.into_bytes();
-        let parts = [&bytes[..]];
-        let mut dec = CdrSliceDecoder::new(&parts, Endian::Big);
+        let mut dec = CdrDecoder::new(&bytes, Endian::Big);
         assert!(matches!(dec.read_octets_view().unwrap(), Cow::Borrowed(_)));
         assert!(matches!(dec.read_string_view().unwrap(), Cow::Borrowed(_)));
         // A split through the octets forces an owned copy, same value.
         let parts = chunked(&bytes, &[6]);
-        let mut dec = CdrSliceDecoder::new(&parts, Endian::Big);
+        let mut dec = CdrDecoder::over(&parts, Endian::Big);
         match dec.read_octets_view().unwrap() {
             Cow::Owned(v) => assert_eq!(v, vec![1, 2, 3, 4]),
             Cow::Borrowed(_) => panic!("split payload cannot borrow"),
@@ -972,15 +752,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_decoder_truncation_and_validation() {
+    fn split_parts_truncation_and_validation() {
         let parts: [&[u8]; 2] = [&[0, 0], &[0]];
-        let mut dec = CdrSliceDecoder::new(&parts, Endian::Big);
+        let mut dec = CdrDecoder::over(&parts, Endian::Big);
         assert!(matches!(dec.read_u32(), Err(CdrError::Truncated { .. })));
-        let parts: [&[u8]; 1] = [&[7]];
-        let mut dec = CdrSliceDecoder::new(&parts, Endian::Big);
+        let parts: [&[u8]; 2] = [&[], &[7]];
+        let mut dec = CdrDecoder::over(&parts, Endian::Big);
         assert!(matches!(dec.read_bool(), Err(CdrError::BadBoolean(7))));
         let parts: [&[u8]; 2] = [&[0, 0], &[0, 100]];
-        let mut dec = CdrSliceDecoder::new(&parts, Endian::Big);
+        let mut dec = CdrDecoder::over(&parts, Endian::Big);
         assert!(matches!(
             dec.read_string(),
             Err(CdrError::LengthOverflow(100))
@@ -988,11 +768,23 @@ mod tests {
     }
 
     #[test]
-    fn buffer_reuse_clears() {
-        let mut enc = CdrEncoder::new(Endian::Big);
-        enc.write_u64(42);
-        let buf = enc.into_bytes();
-        let enc2 = CdrEncoder::with_buffer(buf, Endian::Big);
-        assert!(enc2.is_empty());
+    fn rebased_decoder_restarts_alignment_and_bounds_length() {
+        // 3 bytes of prefix, then a body whose u32 sits at body offset 4.
+        let mut body = CdrEncoder::new(Endian::Little);
+        body.write_u8(9);
+        body.write_u32(0xDEAD_BEEF);
+        let mut bytes = vec![0xFF; 3];
+        bytes.extend_from_slice(body.as_bytes());
+        bytes.extend_from_slice(&[0xEE; 4]); // beyond the declared length
+        let parts = chunked(&bytes, &[2, 5]);
+        let mut dec = CdrDecoder::over(&parts, Endian::Big);
+        let mut prefix = [0u8; 3];
+        dec.read_exact(&mut prefix).unwrap();
+        assert_eq!(prefix, [0xFF; 3]);
+        let mut dec = dec.rebased(Endian::Little, body.len());
+        assert_eq!(dec.read_u8().unwrap(), 9);
+        assert_eq!(dec.read_u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(dec.remaining(), 0);
+        assert!(matches!(dec.read_u8(), Err(CdrError::Truncated { .. })));
     }
 }

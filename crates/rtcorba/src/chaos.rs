@@ -454,15 +454,19 @@ mod tests {
     use crate::transport::loopback_pair;
 
     fn frame_of(n: u8) -> Vec<u8> {
-        crate::giop::RequestMessage {
-            request_id: u32::from(n),
-            response_expected: true,
-            object_key: b"k".to_vec(),
-            operation: "op".to_string(),
-            body: vec![n; 64],
-            service_context: Vec::new(),
-        }
-        .encode(crate::cdr::Endian::Big)
+        let pool = rtplatform::bufchain::SegPool::new(1, 256);
+        let body = [n; 64];
+        crate::giop::encode_request_chain(
+            u32::from(n),
+            true,
+            b"k",
+            "op",
+            &body,
+            &[],
+            crate::cdr::Endian::Big,
+            &pool,
+        )
+        .to_vec()
     }
 
     #[test]

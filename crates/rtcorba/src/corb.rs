@@ -15,9 +15,8 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use compadres_core::{App, AppBuilder, ChildHandle, HandlerCtx, Priority};
 use rtobs::{span, CounterId, EventKind, HistId, SpanCtx};
@@ -29,9 +28,7 @@ use crate::cdr::Endian;
 use crate::giop::{self, MessageView, ReplyStatus};
 use crate::reactor::{FrameFn, ReactorConfig, ReactorServer};
 use crate::service::ObjectRegistry;
-use crate::transport::{
-    loopback_pair, Connection, LoopbackConn, TcpAcceptor, TcpConn, TransportError,
-};
+use crate::transport::{Connection, TcpConn, TransportError};
 use crate::{InvokeOptions, OrbError};
 
 /// Completion slot a client invocation waits on (filled synchronously,
@@ -299,38 +296,14 @@ impl CompadresClient {
         CompadresClient::from_conn_with(Arc::new(conn), policy)
     }
 
-    /// Connects over TCP.
-    ///
-    /// # Errors
-    ///
-    /// Connection, composition or memory failures.
-    #[deprecated(note = "use rtcorba::ClientBuilder::new().connect(addr)")]
-    pub fn connect_tcp(addr: SocketAddr) -> Result<CompadresClient, OrbError> {
-        CompadresClient::tcp(addr)
-    }
-
-    /// Connects over TCP under a [`FaultPolicy`]: connect/send/recv
-    /// deadlines from the policy bound every later invocation.
-    ///
-    /// # Errors
-    ///
-    /// Connection, composition or memory failures.
-    #[deprecated(note = "use rtcorba::ClientBuilder::new().fault_policy(policy).connect(addr)")]
-    pub fn connect_tcp_with(
-        addr: SocketAddr,
-        policy: &FaultPolicy,
-    ) -> Result<CompadresClient, OrbError> {
-        CompadresClient::tcp_with(addr, policy)
-    }
-
     /// Connects to the ORB endpoint named by a stringified `corbaloc`
     /// object reference; returns the client plus the reference's object
     /// key (the CORBA `string_to_object` flow).
     ///
     /// # Errors
     ///
-    /// Reference parse/resolution failures, then the same as
-    /// [`CompadresClient::connect_tcp`].
+    /// Reference parse/resolution failures, then connection,
+    /// composition or memory failures.
     pub fn connect_ref(reference: &str) -> Result<(CompadresClient, Vec<u8>), OrbError> {
         let obj = crate::ior::ObjectRef::parse(reference)?;
         let addr = obj.socket_addr()?;
@@ -584,19 +557,18 @@ fn client_round_trip(
     }
 }
 
-/// The component-assembled server ORB.
+/// The component-assembled server ORB, serving TCP on the event-driven
+/// reactor transport ([`crate::reactor`]). Dropping it shuts the reactor,
+/// its workers and every connection down.
 pub struct CompadresServer {
     app: Arc<App>,
-    addr: Option<SocketAddr>,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    reactor: Option<ReactorServer>,
+    reactor: ReactorServer,
     _keepalive: Vec<ChildHandle>,
 }
 
 impl std::fmt::Debug for CompadresServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CompadresServer({:?})", self.addr)
+        write!(f, "CompadresServer({:?})", self.reactor.addr())
     }
 }
 
@@ -655,35 +627,12 @@ impl CompadresServer {
         Ok(app)
     }
 
-    /// Spawns a TCP server on the event-driven reactor transport.
-    ///
-    /// # Errors
-    ///
-    /// Bind, composition or memory failures.
-    #[deprecated(note = "use rtcorba::ServerBuilder::new(registry).serve()")]
-    pub fn spawn_tcp(registry: Arc<ObjectRegistry>) -> Result<CompadresServer, OrbError> {
-        Self::serve_reactor(registry, ReactorConfig::default())
-    }
-
-    /// Spawns a TCP server with explicit reactor sizing.
-    ///
-    /// # Errors
-    ///
-    /// Bind, composition or memory failures.
-    #[deprecated(note = "use rtcorba::ServerBuilder::new(registry).reactor(cfg).serve()")]
-    pub fn spawn_tcp_reactor(
-        registry: Arc<ObjectRegistry>,
-        cfg: ReactorConfig,
-    ) -> Result<CompadresServer, OrbError> {
-        Self::serve_reactor(registry, cfg)
-    }
-
-    /// The event-driven reactor transport (DESIGN.md §5h): one poll-loop
-    /// thread multiplexes every connection and a small worker pool
-    /// injects complete frames into the POA component pipeline — the
-    /// same pipeline, spans and fault replies as the
-    /// thread-per-connection path, minus the thread-per-client wall.
-    pub(crate) fn serve_reactor(
+    /// Binds `127.0.0.1:0` and serves it: one poll-loop thread
+    /// multiplexes every connection and a small worker pool injects
+    /// complete frames into the POA component pipeline. The POA/Acceptor
+    /// and Transport components stay alive for the server's lifetime, as
+    /// the paper's server keeps them.
+    pub(crate) fn serve(
         registry: Arc<ObjectRegistry>,
         cfg: ReactorConfig,
     ) -> Result<CompadresServer, OrbError> {
@@ -696,98 +645,22 @@ impl CompadresServer {
             let _ = inject_frame(&app2, conn, frame);
         });
         let reactor = ReactorServer::spawn(handler, Arc::clone(app.observer()), cfg)?;
-        let addr = reactor.addr();
         Ok(CompadresServer {
             app,
-            addr: Some(addr),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            accept_handle: None,
-            reactor: Some(reactor),
+            reactor,
             _keepalive: keepalive,
         })
     }
 
-    /// Spawns a TCP server with the paper-faithful acceptor +
-    /// per-connection reader threads.
-    ///
-    /// # Errors
-    ///
-    /// Bind, composition or memory failures.
-    #[deprecated(note = "use rtcorba::ServerBuilder::new(registry).threaded().serve()")]
-    pub fn spawn_tcp_threaded(registry: Arc<ObjectRegistry>) -> Result<CompadresServer, OrbError> {
-        Self::serve_threaded(registry)
-    }
-
-    /// The paper-faithful acceptor + per-connection reader threads (the
-    /// pre-reactor I/O model; kept for comparison benchmarks and as the
-    /// simplest possible path).
-    pub(crate) fn serve_threaded(
-        registry: Arc<ObjectRegistry>,
-    ) -> Result<CompadresServer, OrbError> {
-        let app = Arc::new(Self::build_app(registry)?);
-        // Keep the POA/Acceptor and Transport components alive for the
-        // server's lifetime, as the paper's server does.
-        let keepalive = vec![app.connect("ThePoa")?, app.connect("ServerTransport")?];
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let acceptor = TcpAcceptor::bind_loopback()?;
-        let addr = acceptor.local_addr()?;
-        let app2 = Arc::clone(&app);
-        let shutdown2 = Arc::clone(&shutdown);
-        let accept_handle = std::thread::Builder::new()
-            .name("compadres-acceptor".into())
-            .spawn(move || {
-                while !shutdown2.load(Ordering::SeqCst) {
-                    match acceptor.accept() {
-                        Ok(conn) => {
-                            let app3 = Arc::clone(&app2);
-                            let shutdown3 = Arc::clone(&shutdown2);
-                            let _ = std::thread::Builder::new()
-                                .name("compadres-reader".into())
-                                .spawn(move || reader_loop(&app3, Arc::new(conn), &shutdown3));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn acceptor");
-        Ok(CompadresServer {
-            app,
-            addr: Some(addr),
-            shutdown,
-            accept_handle: Some(accept_handle),
-            reactor: None,
-            _keepalive: keepalive,
-        })
-    }
-
-    /// Spawns a server that only serves in-process loopback connections.
-    ///
-    /// # Errors
-    ///
-    /// Composition or memory failures.
-    pub fn spawn_loopback(registry: Arc<ObjectRegistry>) -> Result<CompadresServer, OrbError> {
-        let app = Arc::new(Self::build_app(registry)?);
-        let keepalive = vec![app.connect("ThePoa")?, app.connect("ServerTransport")?];
-        Ok(CompadresServer {
-            app,
-            addr: None,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            accept_handle: None,
-            reactor: None,
-            _keepalive: keepalive,
-        })
-    }
-
-    /// The TCP address, when serving TCP.
+    /// The TCP address clients connect to (always `Some`).
     pub fn addr(&self) -> Option<SocketAddr> {
-        self.addr
+        Some(self.reactor.addr())
     }
 
     /// A stringified `corbaloc` reference for `key` at this server
-    /// (the CORBA `object_to_string` flow). `None` when not serving TCP.
+    /// (the CORBA `object_to_string` flow).
     pub fn object_ref(&self, key: &[u8]) -> Option<String> {
-        self.addr
-            .map(|a| crate::ior::ObjectRef::for_addr(a, key.to_vec()).to_string())
+        Some(crate::ior::ObjectRef::for_addr(self.reactor.addr(), key.to_vec()).to_string())
     }
 
     /// The underlying component application (for instrumentation).
@@ -795,64 +668,15 @@ impl CompadresServer {
         &self.app
     }
 
-    /// Creates an in-process connection served by a dedicated reader
-    /// thread feeding the POA component.
-    pub fn attach_loopback(&self) -> LoopbackConn {
-        let (client_end, server_end) = loopback_pair();
-        let app = Arc::clone(&self.app);
-        let shutdown = Arc::clone(&self.shutdown);
-        let _ = std::thread::Builder::new()
-            .name("compadres-loopback-reader".into())
-            .spawn(move || reader_loop(&app, Arc::new(server_end), &shutdown));
-        client_end
-    }
-
     /// Stops accepting and serving.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(reactor) = &self.reactor {
-            reactor.shutdown();
-        }
-        if self.accept_handle.is_some() {
-            if let Some(addr) = self.addr {
-                // Unblock the threaded acceptor's blocking accept().
-                let _ = std::net::TcpStream::connect(addr);
-            }
-        }
+        self.reactor.shutdown();
     }
 }
 
-impl Drop for CompadresServer {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Reads frames off a connection and injects them into the POA in-port —
-/// the role the acceptor's listening thread plays in the paper's server.
-///
-/// A request carrying a [`crate::giop::TRACE_CONTEXT_SLOT`] is adopted
-/// into the server's journal before injection, so the POA pipeline's
-/// spans become children of the client's wire span and the remaining
-/// budget keeps counting down on the server's clock.
-fn reader_loop(app: &App, conn: Arc<dyn Connection>, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let frame = match conn.recv_frame() {
-            Ok(f) => f,
-            Err(_) => break,
-        };
-        if inject_frame(app, &conn, FrameBuf::from_vec(frame)).is_err() {
-            break;
-        }
-    }
-}
-
-/// Injects one already-framed GIOP message into the POA in-port. Both
-/// server I/O models funnel through here: the per-connection reader
-/// threads and the reactor's worker pool.
+/// Injects one already-framed GIOP message into the POA in-port — the
+/// role the acceptor's listening thread plays in the paper's server,
+/// played here by the reactor's workers.
 ///
 /// A request carrying a [`crate::giop::TRACE_CONTEXT_SLOT`] is adopted
 /// into the server's journal before injection, so the POA pipeline's
@@ -892,15 +716,16 @@ fn inject_frame(
     injected
 }
 
-/// Convenience: a connected loopback echo pair (server + client).
+/// Convenience: an echo server on `127.0.0.1:0` plus a client connected
+/// to it over TCP loopback — the paper's Fig. 11 setup ("single machine
+/// connected via loopback network").
 ///
 /// # Errors
 ///
-/// Composition or memory failures.
+/// Bind, connection, composition or memory failures.
 pub fn loopback_echo_pair() -> Result<(CompadresServer, CompadresClient), OrbError> {
-    let server = CompadresServer::spawn_loopback(ObjectRegistry::with_echo())?;
-    let conn = server.attach_loopback();
-    let client = CompadresClient::from_conn(Arc::new(conn))?;
+    let server = CompadresServer::serve(ObjectRegistry::with_echo(), ReactorConfig::default())?;
+    let client = CompadresClient::tcp(server.reactor.addr())?;
     Ok((server, client))
 }
 
@@ -978,7 +803,7 @@ mod tests {
         let after = server.app().activations_of("ServerProcessing").unwrap();
         assert_eq!(after - before, 2, "RequestProcessing created per request");
         // The reply reaches the client slightly before the server-side
-        // reader thread finishes releasing the request scope; poll.
+        // worker finishes releasing the request scope; poll.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         while server.app().is_active("ServerProcessing").unwrap() {
             assert!(

@@ -11,16 +11,25 @@
 //! `u32 id, sequence<octet>` per entry. Placing the section at the tail
 //! keeps the wire compatible in both directions: a pre-context decoder
 //! reads its fields and never looks at the trailing bytes, and
-//! [`decode`] treats a missing or malformed section as simply "no
+//! [`decode_view`] treats a missing or malformed section as simply "no
 //! contexts" — it never fails a frame over it. An unrecognised slot id
 //! round-trips unharmed through a server that echoes contexts.
 //!
 //! The one slot defined today is [`TRACE_CONTEXT_SLOT`], carrying the
 //! causal-tracing context of DESIGN.md §5g.
+//!
+//! ## One codec
+//!
+//! Frames are encoded into pool-leased segment chains
+//! ([`encode_request_chain`], [`ReplyMessage::encode_chain`]) and decoded
+//! in place over a frame's segments ([`decode_view`]); a contiguous
+//! buffer is the one-part case (`decode_view(&[&frame])`). The owned
+//! [`Message`] types are a conversion ([`MessageView::to_message`]), not
+//! a second decoder.
 
 use std::borrow::Cow;
 
-use crate::cdr::{CdrChainEncoder, CdrDecoder, CdrEncoder, CdrError, CdrSliceDecoder, Endian};
+use crate::cdr::{CdrDecoder, CdrEncoder, CdrError, CdrSink, Endian};
 use rtplatform::bufchain::{BufChain, FrameBuf, SegPool};
 
 /// The 4-byte GIOP magic.
@@ -191,66 +200,9 @@ pub enum Message {
     Error,
 }
 
-fn write_header(enc: &mut CdrEncoder, msg_type: MsgType) {
-    enc.write_u8(GIOP_MAGIC[0]);
-    enc.write_u8(GIOP_MAGIC[1]);
-    enc.write_u8(GIOP_MAGIC[2]);
-    enc.write_u8(GIOP_MAGIC[3]);
-    enc.write_u8(GIOP_VERSION.0);
-    enc.write_u8(GIOP_VERSION.1);
-    enc.write_u8(enc.endian().flag_bit());
-    enc.write_u8(msg_type.code());
-    enc.write_u32(0); // message size, patched later
-}
-
-fn patch_size(bytes: &mut [u8], endian: Endian) {
-    let size = (bytes.len() - HEADER_LEN) as u32;
-    let be = match endian {
-        Endian::Big => size.to_be_bytes(),
-        Endian::Little => size.to_le_bytes(),
-    };
-    bytes[8..12].copy_from_slice(&be);
-}
-
-/// Appends the service-context tail. An empty list writes nothing, so
-/// context-free frames stay byte-identical to the pre-context format.
-fn write_service_context(enc: &mut CdrEncoder, ctx: &[(u32, Vec<u8>)]) {
-    if ctx.is_empty() {
-        return;
-    }
-    enc.write_u32(ctx.len() as u32);
-    for (id, data) in ctx {
-        enc.write_u32(*id);
-        enc.write_octets(data);
-    }
-}
-
-/// Leniently reads the trailing service-context section. Absence or any
-/// malformation yields an empty list — the section is advisory and must
-/// never fail a frame that decoded fine without it.
-fn read_service_context(dec: &mut CdrDecoder<'_>) -> Vec<(u32, Vec<u8>)> {
-    if dec.remaining() == 0 {
-        return Vec::new();
-    }
-    let Ok(count) = dec.read_u32() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let Ok(id) = dec.read_u32() else {
-            return Vec::new();
-        };
-        let Ok(data) = dec.read_octets() else {
-            return Vec::new();
-        };
-        out.push((id, data));
-    }
-    out
-}
-
-/// Builds the fixed 12-byte header with a known body size — the
-/// headroom-framing path: the body is encoded first into a chain, then
-/// this header is prepended, so nothing is patched in place.
+/// Builds the fixed 12-byte header. A frame's body is encoded first
+/// into a chain and this header prepended into its headroom, so nothing
+/// is patched in place; bodiless messages are this header alone.
 fn header_bytes(endian: Endian, msg_type: MsgType, size: u32) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..4].copy_from_slice(&GIOP_MAGIC);
@@ -265,8 +217,42 @@ fn header_bytes(endian: Endian, msg_type: MsgType, size: u32) -> [u8; HEADER_LEN
     h
 }
 
-/// Chain-encoder twin of [`write_service_context`].
-fn write_service_context_chain(enc: &mut CdrChainEncoder<'_>, ctx: &[(u32, Vec<u8>)]) {
+/// Validates a 12-byte header and returns its byte order, message type
+/// and declared body size — the one place the fixed header is parsed.
+///
+/// # Errors
+///
+/// [`GiopError`] on bad magic, version or message type.
+pub fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(Endian, MsgType, usize), GiopError> {
+    let magic = [h[0], h[1], h[2], h[3]];
+    if magic != GIOP_MAGIC {
+        return Err(GiopError::BadMagic(magic));
+    }
+    if (h[4], h[5]) != GIOP_VERSION {
+        return Err(GiopError::BadVersion(h[4], h[5]));
+    }
+    let endian = Endian::from_flag(h[6]);
+    let msg_type = MsgType::from_code(h[7]).ok_or(GiopError::BadMsgType(h[7]))?;
+    let size = [h[8], h[9], h[10], h[11]];
+    let declared = match endian {
+        Endian::Big => u32::from_be_bytes(size),
+        Endian::Little => u32::from_le_bytes(size),
+    };
+    Ok((endian, msg_type, declared as usize))
+}
+
+/// Reads the declared message size from a 12-byte header.
+///
+/// # Errors
+///
+/// [`GiopError`] if the header is malformed.
+pub fn body_size(header: &[u8; HEADER_LEN]) -> Result<usize, GiopError> {
+    parse_header(header).map(|(_, _, declared)| declared)
+}
+
+/// Appends the service-context tail. An empty list writes nothing, so
+/// context-free frames stay byte-identical to the pre-context format.
+fn write_service_context<S: CdrSink>(enc: &mut CdrEncoder<S>, ctx: &[(u32, Vec<u8>)]) {
     if ctx.is_empty() {
         return;
     }
@@ -277,9 +263,10 @@ fn write_service_context_chain(enc: &mut CdrChainEncoder<'_>, ctx: &[(u32, Vec<u
     }
 }
 
-/// Lenient service-context reader over fragmented frames — same
-/// semantics as [`read_service_context`], zero-copy payload views.
-fn read_service_context_views<'a>(dec: &mut CdrSliceDecoder<'a>) -> Vec<(u32, Cow<'a, [u8]>)> {
+/// Leniently reads the trailing service-context section. Absence or any
+/// malformation yields an empty list — the section is advisory and must
+/// never fail a frame that decoded fine without it.
+fn read_service_context<'a>(dec: &mut CdrDecoder<'a>) -> Vec<(u32, Cow<'a, [u8]>)> {
     if dec.remaining() == 0 {
         return Vec::new();
     }
@@ -327,78 +314,41 @@ pub fn decode_trace_slot(data: &[u8]) -> Option<(u32, u16, u64)> {
     Some((trace_id, parent as u16, budget))
 }
 
-/// Lean scan of a request frame for its [`TRACE_CONTEXT_SLOT`]: skips
-/// the object key, operation and body without copying them. Returns
-/// `None` for non-requests, frames without the slot, or anything
-/// malformed — it never panics on arbitrary bytes.
-pub fn peek_trace(frame: &[u8]) -> Option<(u32, u16, u64)> {
-    if frame.len() < HEADER_LEN || frame[..4] != GIOP_MAGIC {
-        return None;
-    }
-    if (frame[4], frame[5]) != GIOP_VERSION
-        || MsgType::from_code(frame[7]) != Some(MsgType::Request)
-    {
-        return None;
-    }
-    let endian = Endian::from_flag(frame[6]);
-    let mut hdr = CdrDecoder::new(&frame[8..12], endian);
-    let declared = hdr.read_u32().ok()? as usize;
-    let body = &frame[HEADER_LEN..];
-    if body.len() < declared {
-        return None;
-    }
-    let mut dec = CdrDecoder::new(&body[..declared], endian);
-    dec.read_u32().ok()?; // request_id
-    dec.read_bool().ok()?; // response_expected
-    dec.skip_octets().ok()?; // object_key
-    dec.skip_octets().ok()?; // operation (string shares the layout)
-    dec.skip_octets().ok()?; // body
-    if dec.remaining() == 0 {
-        return None;
-    }
-    let count = dec.read_u32().ok()?;
-    for _ in 0..count {
-        let id = dec.read_u32().ok()?;
-        if id == TRACE_CONTEXT_SLOT {
-            let len = dec.read_u32().ok()? as usize;
-            if len > dec.remaining() {
-                return None;
-            }
-            let start = dec.position();
-            return decode_trace_slot(&body[start..start + len]);
-        }
-        dec.skip_octets().ok()?;
-    }
-    None
+/// The decoded [`TRACE_CONTEXT_SLOT`] of a context list, if any.
+fn find_trace<D: AsRef<[u8]>>(ctx: &[(u32, D)]) -> Option<(u32, u16, u64)> {
+    ctx.iter()
+        .find(|(id, _)| *id == TRACE_CONTEXT_SLOT)
+        .and_then(|(_, data)| decode_trace_slot(data.as_ref()))
+}
+
+/// Copies a borrowed context list into owned form.
+fn own_contexts(ctx: &[(u32, Cow<'_, [u8]>)]) -> Vec<(u32, Vec<u8>)> {
+    ctx.iter().map(|(id, d)| (*id, d.to_vec())).collect()
+}
+
+/// Encodes one frame: `body` marshals straight into pool-leased
+/// segments, then the header goes into the chain's headroom.
+fn encode_frame(
+    endian: Endian,
+    pool: &SegPool,
+    msg_type: MsgType,
+    body: impl FnOnce(&mut CdrEncoder<BufChain>),
+) -> FrameBuf {
+    let mut enc = CdrEncoder::over(BufChain::with_headroom(pool, HEADER_LEN), endian);
+    body(&mut enc);
+    let mut chain = enc.into_sink();
+    let size = chain.body_len() as u32;
+    chain.prepend(&header_bytes(endian, msg_type, size));
+    chain.into_frame()
 }
 
 impl RequestMessage {
-    /// Encodes the full GIOP frame (header + request header + body).
-    pub fn encode(&self, endian: Endian) -> Vec<u8> {
-        let mut enc = CdrEncoder::new(endian);
-        write_header(&mut enc, MsgType::Request);
-        enc.write_u32(self.request_id);
-        enc.write_bool(self.response_expected);
-        enc.write_octets(&self.object_key);
-        enc.write_string(&self.operation);
-        enc.write_octets(&self.body);
-        write_service_context(&mut enc, &self.service_context);
-        let mut bytes = enc.into_bytes();
-        patch_size(&mut bytes, endian);
-        bytes
-    }
-
     /// The decoded [`TRACE_CONTEXT_SLOT`] carried by this request, if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        self.service_context
-            .iter()
-            .find(|(id, _)| *id == TRACE_CONTEXT_SLOT)
-            .and_then(|(_, data)| decode_trace_slot(data))
+        find_trace(&self.service_context)
     }
 
-    /// Zero-copy encode: the body goes straight into pool-leased
-    /// segments and the header is prepended into headroom. The frame
-    /// bytes are identical to [`RequestMessage::encode`].
+    /// Encodes the full GIOP frame (see [`encode_request_chain`]).
     pub fn encode_chain(&self, endian: Endian, pool: &SegPool) -> FrameBuf {
         encode_request_chain(
             self.request_id,
@@ -427,146 +377,44 @@ pub fn encode_request_chain(
     endian: Endian,
     pool: &SegPool,
 ) -> FrameBuf {
-    let mut chain = BufChain::with_headroom(pool, HEADER_LEN);
-    {
-        let mut enc = CdrChainEncoder::new(&mut chain, endian);
+    encode_frame(endian, pool, MsgType::Request, |enc| {
         enc.write_u32(request_id);
         enc.write_bool(response_expected);
         enc.write_octets(object_key);
         enc.write_string(operation);
         enc.write_octets(body);
-        write_service_context_chain(&mut enc, service_context);
-    }
-    let size = chain.body_len() as u32;
-    chain.prepend(&header_bytes(endian, MsgType::Request, size));
-    chain.into_frame()
+        write_service_context(enc, service_context);
+    })
 }
 
 impl ReplyMessage {
-    /// Encodes the full GIOP frame (header + reply header + body).
-    pub fn encode(&self, endian: Endian) -> Vec<u8> {
-        let mut enc = CdrEncoder::new(endian);
-        write_header(&mut enc, MsgType::Reply);
-        enc.write_u32(self.request_id);
-        enc.write_u32(self.status.code());
-        enc.write_octets(&self.body);
-        write_service_context(&mut enc, &self.service_context);
-        let mut bytes = enc.into_bytes();
-        patch_size(&mut bytes, endian);
-        bytes
-    }
-
     /// The decoded [`TRACE_CONTEXT_SLOT`] echoed in this reply, if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        self.service_context
-            .iter()
-            .find(|(id, _)| *id == TRACE_CONTEXT_SLOT)
-            .and_then(|(_, data)| decode_trace_slot(data))
+        find_trace(&self.service_context)
     }
 
-    /// Zero-copy encode: byte-identical to [`ReplyMessage::encode`],
-    /// without the `Vec` assembly and size patch.
+    /// Encodes the full GIOP frame (header + reply header + body) into
+    /// pool-leased segments.
     pub fn encode_chain(&self, endian: Endian, pool: &SegPool) -> FrameBuf {
-        let mut chain = BufChain::with_headroom(pool, HEADER_LEN);
-        {
-            let mut enc = CdrChainEncoder::new(&mut chain, endian);
+        encode_frame(endian, pool, MsgType::Reply, |enc| {
             enc.write_u32(self.request_id);
             enc.write_u32(self.status.code());
             enc.write_octets(&self.body);
-            write_service_context_chain(&mut enc, &self.service_context);
-        }
-        let size = chain.body_len() as u32;
-        chain.prepend(&header_bytes(endian, MsgType::Reply, size));
-        chain.into_frame()
+            write_service_context(enc, &self.service_context);
+        })
     }
 }
 
 /// Encodes a `CloseConnection` frame.
-pub fn encode_close(endian: Endian) -> Vec<u8> {
-    let mut enc = CdrEncoder::new(endian);
-    write_header(&mut enc, MsgType::CloseConnection);
-    let mut bytes = enc.into_bytes();
-    patch_size(&mut bytes, endian);
-    bytes
+pub fn encode_close(endian: Endian) -> [u8; HEADER_LEN] {
+    header_bytes(endian, MsgType::CloseConnection, 0)
 }
 
 /// Encodes a `MessageError` frame — sent back when an incoming frame
 /// fails to parse, so a (possibly fault-injected) peer learns its message
 /// was garbage instead of waiting for a reply that will never come.
-pub fn encode_error(endian: Endian) -> Vec<u8> {
-    let mut enc = CdrEncoder::new(endian);
-    write_header(&mut enc, MsgType::MessageError);
-    let mut bytes = enc.into_bytes();
-    patch_size(&mut bytes, endian);
-    bytes
-}
-
-/// Decodes a complete GIOP frame.
-///
-/// # Errors
-///
-/// [`GiopError`] on any protocol violation.
-pub fn decode(frame: &[u8]) -> Result<Message, GiopError> {
-    if frame.len() < HEADER_LEN {
-        return Err(GiopError::Cdr(CdrError::Truncated {
-            needed: HEADER_LEN,
-            remaining: frame.len(),
-        }));
-    }
-    let magic = [frame[0], frame[1], frame[2], frame[3]];
-    if magic != GIOP_MAGIC {
-        return Err(GiopError::BadMagic(magic));
-    }
-    if (frame[4], frame[5]) != GIOP_VERSION {
-        return Err(GiopError::BadVersion(frame[4], frame[5]));
-    }
-    let endian = Endian::from_flag(frame[6]);
-    let msg_type = MsgType::from_code(frame[7]).ok_or(GiopError::BadMsgType(frame[7]))?;
-    // Declared size (read with the frame's endianness).
-    let mut hdr = CdrDecoder::new(&frame[8..12], endian);
-    let declared = hdr.read_u32()? as usize;
-    let body = &frame[HEADER_LEN..];
-    if body.len() < declared {
-        return Err(GiopError::ShortBody {
-            declared,
-            actual: body.len(),
-        });
-    }
-    // Alignment in GIOP bodies restarts after the header.
-    let mut dec = CdrDecoder::new(&body[..declared], endian);
-    match msg_type {
-        MsgType::Request => {
-            let request_id = dec.read_u32()?;
-            let response_expected = dec.read_bool()?;
-            let object_key = dec.read_octets()?;
-            let operation = dec.read_string()?;
-            let req_body = dec.read_octets()?;
-            let service_context = read_service_context(&mut dec);
-            Ok(Message::Request(RequestMessage {
-                request_id,
-                response_expected,
-                object_key,
-                operation,
-                body: req_body,
-                service_context,
-            }))
-        }
-        MsgType::Reply => {
-            let request_id = dec.read_u32()?;
-            let code = dec.read_u32()?;
-            let status = ReplyStatus::from_code(code).ok_or(GiopError::BadReplyStatus(code))?;
-            let body = dec.read_octets()?;
-            let service_context = read_service_context(&mut dec);
-            Ok(Message::Reply(ReplyMessage {
-                request_id,
-                status,
-                body,
-                service_context,
-            }))
-        }
-        MsgType::CloseConnection => Ok(Message::CloseConnection),
-        MsgType::MessageError => Ok(Message::Error),
-    }
+pub fn encode_error(endian: Endian) -> [u8; HEADER_LEN] {
+    header_bytes(endian, MsgType::MessageError, 0)
 }
 
 /// A request decoded in place: key, operation and body borrow the
@@ -596,28 +444,18 @@ impl RequestView<'_> {
             object_key: self.object_key.to_vec(),
             operation: self.operation.clone().into_owned(),
             body: self.body.to_vec(),
-            service_context: self
-                .service_context
-                .iter()
-                .map(|(id, d)| (*id, d.to_vec()))
-                .collect(),
+            service_context: self.owned_contexts(),
         }
     }
 
     /// Copies the context list into owned form (for reply echoing).
     pub fn owned_contexts(&self) -> Vec<(u32, Vec<u8>)> {
-        self.service_context
-            .iter()
-            .map(|(id, d)| (*id, d.to_vec()))
-            .collect()
+        own_contexts(&self.service_context)
     }
 
     /// The decoded [`TRACE_CONTEXT_SLOT`], if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        self.service_context
-            .iter()
-            .find(|(id, _)| *id == TRACE_CONTEXT_SLOT)
-            .and_then(|(_, data)| decode_trace_slot(data))
+        find_trace(&self.service_context)
     }
 }
 
@@ -641,20 +479,13 @@ impl ReplyView<'_> {
             request_id: self.request_id,
             status: self.status,
             body: self.body.to_vec(),
-            service_context: self
-                .service_context
-                .iter()
-                .map(|(id, d)| (*id, d.to_vec()))
-                .collect(),
+            service_context: own_contexts(&self.service_context),
         }
     }
 
     /// The decoded [`TRACE_CONTEXT_SLOT`], if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        self.service_context
-            .iter()
-            .find(|(id, _)| *id == TRACE_CONTEXT_SLOT)
-            .and_then(|(_, data)| decode_trace_slot(data))
+        find_trace(&self.service_context)
     }
 }
 
@@ -683,65 +514,31 @@ impl MessageView<'_> {
     }
 }
 
-/// Copies `out.len()` bytes at logical offset `off` out of `parts`;
-/// `false` if the parts end too early.
-fn copy_from_parts(parts: &[&[u8]], off: usize, out: &mut [u8]) -> bool {
-    let mut skip = off;
-    let mut done = 0;
-    for p in parts {
-        let b = if skip >= p.len() {
-            skip -= p.len();
-            continue;
-        } else {
-            &p[skip..]
-        };
-        skip = 0;
-        let n = b.len().min(out.len() - done);
-        out[done..done + n].copy_from_slice(&b[..n]);
-        done += n;
-        if done == out.len() {
-            return true;
-        }
+/// Parses the header of a complete frame held in `parts` and returns a
+/// decoder positioned on its body (alignment restarts after the header).
+fn open_frame<'a>(parts: &'a [&'a [u8]]) -> Result<(MsgType, CdrDecoder<'a>), GiopError> {
+    let mut dec = CdrDecoder::over(parts, Endian::Big);
+    let mut header = [0u8; HEADER_LEN];
+    dec.read_exact(&mut header)?;
+    let (endian, msg_type, declared) = parse_header(&header)?;
+    if dec.remaining() < declared {
+        return Err(GiopError::ShortBody {
+            declared,
+            actual: dec.remaining(),
+        });
     }
-    done == out.len()
+    Ok((msg_type, dec.rebased(endian, declared)))
 }
 
-/// Decodes a complete GIOP frame *in place* over a fragmented buffer
-/// (the regions of a [`FrameBuf`], in wire order): no coalescing copy
-/// is made, and the resulting views borrow the segments. Agrees with
-/// [`decode`] on every frame — a property the wire tests enforce.
+/// Decodes a complete GIOP frame *in place* over its parts (the regions
+/// of a [`FrameBuf`], in wire order; one part for a contiguous buffer):
+/// no coalescing copy is made, and the resulting views borrow the parts.
 ///
 /// # Errors
 ///
 /// [`GiopError`] on any protocol violation.
 pub fn decode_view<'a>(parts: &'a [&'a [u8]]) -> Result<MessageView<'a>, GiopError> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut header = [0u8; HEADER_LEN];
-    if !copy_from_parts(parts, 0, &mut header) {
-        return Err(GiopError::Cdr(CdrError::Truncated {
-            needed: HEADER_LEN,
-            remaining: total,
-        }));
-    }
-    let magic = [header[0], header[1], header[2], header[3]];
-    if magic != GIOP_MAGIC {
-        return Err(GiopError::BadMagic(magic));
-    }
-    if (header[4], header[5]) != GIOP_VERSION {
-        return Err(GiopError::BadVersion(header[4], header[5]));
-    }
-    let endian = Endian::from_flag(header[6]);
-    let msg_type = MsgType::from_code(header[7]).ok_or(GiopError::BadMsgType(header[7]))?;
-    let mut hdr = CdrDecoder::new(&header[8..12], endian);
-    let declared = hdr.read_u32()? as usize;
-    if total - HEADER_LEN < declared {
-        return Err(GiopError::ShortBody {
-            declared,
-            actual: total - HEADER_LEN,
-        });
-    }
-    // Alignment in GIOP bodies restarts after the header.
-    let mut dec = CdrSliceDecoder::sub(parts, endian, HEADER_LEN, declared)?;
+    let (msg_type, mut dec) = open_frame(parts)?;
     match msg_type {
         MsgType::Request => {
             let request_id = dec.read_u32()?;
@@ -749,7 +546,7 @@ pub fn decode_view<'a>(parts: &'a [&'a [u8]]) -> Result<MessageView<'a>, GiopErr
             let object_key = dec.read_octets_view()?;
             let operation = dec.read_string_view()?;
             let body = dec.read_octets_view()?;
-            let service_context = read_service_context_views(&mut dec);
+            let service_context = read_service_context(&mut dec);
             Ok(MessageView::Request(RequestView {
                 request_id,
                 response_expected,
@@ -764,7 +561,7 @@ pub fn decode_view<'a>(parts: &'a [&'a [u8]]) -> Result<MessageView<'a>, GiopErr
             let code = dec.read_u32()?;
             let status = ReplyStatus::from_code(code).ok_or(GiopError::BadReplyStatus(code))?;
             let body = dec.read_octets_view()?;
-            let service_context = read_service_context_views(&mut dec);
+            let service_context = read_service_context(&mut dec);
             Ok(MessageView::Reply(ReplyView {
                 request_id,
                 status,
@@ -777,31 +574,18 @@ pub fn decode_view<'a>(parts: &'a [&'a [u8]]) -> Result<MessageView<'a>, GiopErr
     }
 }
 
-/// [`peek_trace`] over a fragmented frame: same never-panic guarantee,
-/// no coalescing. Used by the reactor path, where a frame may span
-/// segment boundaries.
+/// Lean scan of a request frame for its [`TRACE_CONTEXT_SLOT`]: skips
+/// the object key, operation and body without copying them. Returns
+/// `None` for non-requests, frames without the slot, or anything
+/// malformed — it never panics on arbitrary bytes.
 pub fn peek_trace_parts(parts: &[&[u8]]) -> Option<(u32, u16, u64)> {
-    let mut header = [0u8; HEADER_LEN];
-    if !copy_from_parts(parts, 0, &mut header) || header[..4] != GIOP_MAGIC {
+    let (MsgType::Request, mut dec) = open_frame(parts).ok()? else {
         return None;
-    }
-    if (header[4], header[5]) != GIOP_VERSION
-        || MsgType::from_code(header[7]) != Some(MsgType::Request)
-    {
-        return None;
-    }
-    let endian = Endian::from_flag(header[6]);
-    let mut hdr = CdrDecoder::new(&header[8..12], endian);
-    let declared = hdr.read_u32().ok()? as usize;
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    if total - HEADER_LEN < declared {
-        return None;
-    }
-    let mut dec = CdrSliceDecoder::sub(parts, endian, HEADER_LEN, declared).ok()?;
+    };
     dec.read_u32().ok()?; // request_id
     dec.read_bool().ok()?; // response_expected
     dec.skip_octets().ok()?; // object_key
-    dec.skip_octets().ok()?; // operation
+    dec.skip_octets().ok()?; // operation (string shares the layout)
     dec.skip_octets().ok()?; // body
     if dec.remaining() == 0 {
         return None;
@@ -816,22 +600,6 @@ pub fn peek_trace_parts(parts: &[&[u8]]) -> Option<(u32, u16, u64)> {
         dec.skip_octets().ok()?;
     }
     None
-}
-
-/// Reads the declared message size from a 12-byte header.
-///
-/// # Errors
-///
-/// [`GiopError`] if the header is malformed.
-pub fn body_size(header: &[u8; HEADER_LEN]) -> Result<usize, GiopError> {
-    if header[..4] != GIOP_MAGIC {
-        return Err(GiopError::BadMagic([
-            header[0], header[1], header[2], header[3],
-        ]));
-    }
-    let endian = Endian::from_flag(header[6]);
-    let mut dec = CdrDecoder::new(&header[8..12], endian);
-    Ok(dec.read_u32()? as usize)
 }
 
 #[cfg(test)]
@@ -849,11 +617,25 @@ mod tests {
         }
     }
 
+    /// 16-byte segments: the 12-byte headroom leaves 4 body bytes in the
+    /// first segment, forcing many boundary crossings.
+    fn pool() -> SegPool {
+        SegPool::new(64, 16)
+    }
+
+    fn encode(req: &RequestMessage, endian: Endian) -> Vec<u8> {
+        req.encode_chain(endian, &pool()).to_vec()
+    }
+
+    fn decode(frame: &[u8]) -> Result<Message, GiopError> {
+        decode_view(&[frame]).map(|v| v.to_message())
+    }
+
     #[test]
     fn request_roundtrip_both_endians() {
         for endian in [Endian::Big, Endian::Little] {
             let req = sample_request();
-            let frame = req.encode(endian);
+            let frame = encode(&req, endian);
             assert_eq!(&frame[..4], b"GIOP");
             match decode(&frame).unwrap() {
                 Message::Request(r) => assert_eq!(r, req),
@@ -870,7 +652,7 @@ mod tests {
             body: vec![0xAA; 64],
             service_context: Vec::new(),
         };
-        let frame = reply.encode(Endian::Big);
+        let frame = reply.encode_chain(Endian::Big, &pool()).to_vec();
         match decode(&frame).unwrap() {
             Message::Reply(r) => assert_eq!(r, reply),
             other => panic!("expected reply, got {other:?}"),
@@ -879,7 +661,7 @@ mod tests {
 
     #[test]
     fn declared_size_matches_frame() {
-        let frame = sample_request().encode(Endian::Big);
+        let frame = encode(&sample_request(), Endian::Big);
         let mut header = [0u8; HEADER_LEN];
         header.copy_from_slice(&frame[..HEADER_LEN]);
         assert_eq!(body_size(&header).unwrap(), frame.len() - HEADER_LEN);
@@ -888,7 +670,7 @@ mod tests {
     #[test]
     fn cross_endian_decoding() {
         // Encode little, decode without being told: the flags byte governs.
-        let frame = sample_request().encode(Endian::Little);
+        let frame = encode(&sample_request(), Endian::Little);
         match decode(&frame).unwrap() {
             Message::Request(r) => assert_eq!(r.operation, "echo"),
             other => panic!("unexpected {other:?}"),
@@ -896,41 +678,59 @@ mod tests {
     }
 
     #[test]
-    fn close_connection_roundtrip() {
-        let frame = encode_close(Endian::Big);
-        assert_eq!(decode(&frame).unwrap(), Message::CloseConnection);
-    }
-
-    #[test]
-    fn message_error_roundtrip() {
+    fn bodiless_messages_are_a_bare_header() {
         for endian in [Endian::Big, Endian::Little] {
-            let frame = encode_error(endian);
-            assert_eq!(frame.len(), HEADER_LEN, "MessageError has no body");
-            assert_eq!(decode(&frame).unwrap(), Message::Error);
+            let close = encode_close(endian);
+            assert_eq!(decode(&close).unwrap(), Message::CloseConnection);
+            let error = encode_error(endian);
+            assert_eq!(decode(&error).unwrap(), Message::Error);
+            assert_eq!(body_size(&error).unwrap(), 0, "MessageError has no body");
         }
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let mut frame = sample_request().encode(Endian::Big);
-        frame[0] = b'X';
-        assert!(matches!(decode(&frame), Err(GiopError::BadMagic(_))));
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let mut frame = sample_request().encode(Endian::Big);
-        frame[4] = 9;
-        assert!(matches!(decode(&frame), Err(GiopError::BadVersion(9, 0))));
-    }
-
-    #[test]
-    fn short_body_rejected() {
-        let frame = sample_request().encode(Endian::Big);
-        let truncated = &frame[..frame.len() - 3];
+    fn malformed_headers_rejected() {
+        let frame = encode(&sample_request(), Endian::Big);
+        let header = |f: &[u8]| -> [u8; HEADER_LEN] { f[..HEADER_LEN].try_into().unwrap() };
+        let mut bad = frame.clone();
+        bad[0] = b'X';
+        assert!(matches!(decode(&bad), Err(GiopError::BadMagic(_))));
         assert!(matches!(
-            decode(truncated),
+            body_size(&header(&bad)),
+            Err(GiopError::BadMagic(_))
+        ));
+        let mut bad = frame.clone();
+        bad[4] = 9;
+        assert!(matches!(decode(&bad), Err(GiopError::BadVersion(9, 0))));
+        assert!(matches!(
+            body_size(&header(&bad)),
+            Err(GiopError::BadVersion(9, 0))
+        ));
+        let mut bad = frame.clone();
+        bad[7] = 4;
+        assert!(matches!(decode(&bad), Err(GiopError::BadMsgType(4))));
+        assert!(matches!(
+            body_size(&header(&bad)),
+            Err(GiopError::BadMsgType(4))
+        ));
+        assert_eq!(peek_trace_parts(&[&bad]), None);
+    }
+
+    #[test]
+    fn short_frames_rejected() {
+        let frame = encode(&sample_request(), Endian::Big);
+        assert!(matches!(
+            decode(&frame[..frame.len() - 3]),
             Err(GiopError::ShortBody { .. })
+        ));
+        // A header cut short, however it is fragmented.
+        let parts: [&[u8]; 2] = [&frame[..5], &[]];
+        assert!(matches!(
+            decode_view(&parts),
+            Err(GiopError::Cdr(CdrError::Truncated {
+                needed: HEADER_LEN,
+                remaining: 5
+            }))
         ));
     }
 
@@ -942,7 +742,7 @@ mod tests {
                 (TRACE_CONTEXT_SLOT, encode_trace_slot(0xAB, 42, 1_000_000)),
                 (0xDEAD_BEEF, vec![9, 9, 9]), // unknown slot: opaque octets
             ];
-            let frame = req.encode(endian);
+            let frame = encode(&req, endian);
             match decode(&frame).unwrap() {
                 Message::Request(r) => {
                     assert_eq!(r, req, "unknown slots round-trip unharmed");
@@ -954,11 +754,10 @@ mod tests {
     }
 
     #[test]
-    fn context_free_frame_is_byte_identical_to_legacy() {
-        // An empty context list writes no tail at all, so old and new
-        // encoders produce the same bytes for the same message.
-        let req = sample_request();
-        let frame = req.encode(Endian::Big);
+    fn context_free_frame_has_no_tail() {
+        // An empty context list writes no tail at all, so a context-free
+        // frame is exactly the pre-context wire format.
+        let frame = encode(&sample_request(), Endian::Big);
         let mut dec = CdrDecoder::new(&frame[HEADER_LEN..], Endian::Big);
         dec.read_u32().unwrap(); // request_id
         dec.read_bool().unwrap();
@@ -976,7 +775,7 @@ mod tests {
             body: vec![1],
             service_context: vec![(TRACE_CONTEXT_SLOT, encode_trace_slot(5, 6, 7))],
         };
-        let frame = reply.encode(Endian::Little);
+        let frame = reply.encode_chain(Endian::Little, &pool()).to_vec();
         match decode(&frame).unwrap() {
             Message::Reply(r) => assert_eq!(r.trace_context(), Some((5, 6, 7))),
             other => panic!("expected reply, got {other:?}"),
@@ -989,11 +788,12 @@ mod tests {
         // must still decode, with an empty context list.
         let mut req = sample_request();
         req.service_context = vec![(TRACE_CONTEXT_SLOT, encode_trace_slot(1, 2, 3))];
-        let full = req.encode(Endian::Big);
-        let bare_len = sample_request().encode(Endian::Big).len();
+        let full = encode(&req, Endian::Big);
+        let bare_len = encode(&sample_request(), Endian::Big).len();
         for cut in bare_len..full.len() {
             let mut frame = full[..cut].to_vec();
-            patch_size(&mut frame, Endian::Big);
+            let size = (cut - HEADER_LEN) as u32;
+            frame[..HEADER_LEN].copy_from_slice(&header_bytes(Endian::Big, MsgType::Request, size));
             match decode(&frame) {
                 Ok(Message::Request(r)) => {
                     assert_eq!(r.operation, "echo");
@@ -1012,58 +812,57 @@ mod tests {
                 (1, vec![0xFF; 8]),
                 (TRACE_CONTEXT_SLOT, encode_trace_slot(0xC0FFEE, 9, 250_000)),
             ];
-            let frame = req.encode(endian);
-            assert_eq!(peek_trace(&frame), Some((0xC0FFEE, 9, 250_000)));
+            let frame = encode(&req, endian);
+            assert_eq!(peek_trace_parts(&[&frame]), Some((0xC0FFEE, 9, 250_000)));
         }
         // No slot, non-request, and garbage frames all yield None.
-        assert_eq!(peek_trace(&sample_request().encode(Endian::Big)), None);
+        let bare = encode(&sample_request(), Endian::Big);
+        assert_eq!(peek_trace_parts(&[&bare]), None);
         let reply = ReplyMessage {
             request_id: 1,
             status: ReplyStatus::NoException,
             body: vec![],
             service_context: vec![(TRACE_CONTEXT_SLOT, encode_trace_slot(1, 1, 1))],
         };
-        assert_eq!(peek_trace(&reply.encode(Endian::Big)), None);
-        assert_eq!(peek_trace(b"not a giop frame at all"), None);
+        let reply = reply.encode_chain(Endian::Big, &pool()).to_vec();
+        assert_eq!(peek_trace_parts(&[&reply]), None);
+        assert_eq!(peek_trace_parts(&[b"not a giop frame at all"]), None);
     }
 
     #[test]
-    fn peek_trace_never_panics_on_mutated_frames() {
+    fn peek_and_decode_never_panic_on_mutated_frames() {
         let mut req = sample_request();
         req.service_context = vec![(TRACE_CONTEXT_SLOT, encode_trace_slot(7, 7, 7))];
-        let frame = req.encode(Endian::Big);
+        let frame = encode(&req, Endian::Big);
         // Single-byte corruptions over the whole frame.
         for i in 0..frame.len() {
             for delta in [1u8, 0x80, 0xFF] {
                 let mut f = frame.clone();
                 f[i] = f[i].wrapping_add(delta);
-                let _ = peek_trace(&f);
+                let _ = peek_trace_parts(&[&f]);
                 let _ = decode(&f);
             }
         }
         // Truncations at every length.
         for cut in 0..frame.len() {
-            let _ = peek_trace(&frame[..cut]);
+            let _ = peek_trace_parts(&[&frame[..cut]]);
+            let _ = decode(&frame[..cut]);
         }
     }
 
     #[test]
-    fn encode_chain_is_byte_identical_to_encode() {
-        // 16-byte segments: the 12-byte headroom leaves 4 body bytes in
-        // the first segment, forcing many boundary crossings.
-        let pool = SegPool::new(64, 16);
+    fn segment_size_does_not_change_the_bytes() {
+        let small = pool();
+        let large = SegPool::new(4, 4096);
         for endian in [Endian::Big, Endian::Little] {
             let mut req = sample_request();
             req.service_context = vec![
                 (TRACE_CONTEXT_SLOT, encode_trace_slot(0xAB, 42, 1_000_000)),
                 (0xDEAD_BEEF, vec![9, 9, 9]),
             ];
-            assert_eq!(req.encode_chain(endian, &pool).to_vec(), req.encode(endian));
-            let bare = sample_request();
-            assert_eq!(
-                bare.encode_chain(endian, &pool).to_vec(),
-                bare.encode(endian)
-            );
+            let chained = req.encode_chain(endian, &small);
+            assert!(chained.as_single().is_none(), "frame spans segments");
+            assert_eq!(chained.to_vec(), req.encode_chain(endian, &large).to_vec());
             let reply = ReplyMessage {
                 request_id: 7,
                 status: ReplyStatus::SystemException,
@@ -1071,37 +870,34 @@ mod tests {
                 service_context: vec![(TRACE_CONTEXT_SLOT, encode_trace_slot(1, 2, 3))],
             };
             assert_eq!(
-                reply.encode_chain(endian, &pool).to_vec(),
-                reply.encode(endian)
+                reply.encode_chain(endian, &small).to_vec(),
+                reply.encode_chain(endian, &large).to_vec()
             );
         }
-        assert_eq!(pool.available(), 64, "all segments recycled");
+        assert_eq!(small.available(), 64, "all segments recycled");
     }
 
     #[test]
-    fn decode_view_agrees_with_decode_on_fragmented_frames() {
+    fn fragmented_frames_decode_like_contiguous_ones() {
         let mut req = sample_request();
         req.service_context = vec![(TRACE_CONTEXT_SLOT, encode_trace_slot(0xC0, 1, 77))];
         for endian in [Endian::Big, Endian::Little] {
-            let frame = req.encode(endian);
+            let frame = encode(&req, endian);
             // Every single split point, including through the header.
             for cut in 0..=frame.len() {
                 let parts = [&frame[..cut], &frame[cut..]];
                 match decode_view(&parts).unwrap() {
-                    MessageView::Request(v) => {
-                        assert_eq!(Message::Request(v.to_message()), decode(&frame).unwrap());
-                        assert_eq!(v.trace_context(), Some((0xC0, 1, 77)));
-                    }
+                    MessageView::Request(v) => assert_eq!(v.to_message(), req, "cut {cut}"),
                     other => panic!("cut {cut}: {other:?}"),
                 }
-                assert_eq!(peek_trace_parts(&parts), peek_trace(&frame), "cut {cut}");
+                assert_eq!(peek_trace_parts(&parts), Some((0xC0, 1, 77)), "cut {cut}");
             }
         }
     }
 
     #[test]
     fn decode_view_borrows_on_contiguous_frames() {
-        let frame = sample_request().encode(Endian::Big);
+        let frame = encode(&sample_request(), Endian::Big);
         let parts = [&frame[..]];
         match decode_view(&parts).unwrap() {
             MessageView::Request(v) => {
@@ -1114,30 +910,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_view_rejects_what_decode_rejects() {
-        let frame = sample_request().encode(Endian::Big);
-        let mut bad = frame.clone();
-        bad[0] = b'X';
-        let parts = [&bad[..]];
-        assert!(matches!(decode_view(&parts), Err(GiopError::BadMagic(_))));
-        let short = &frame[..frame.len() - 3];
-        let parts = [short];
-        assert!(matches!(
-            decode_view(&parts),
-            Err(GiopError::ShortBody { .. })
-        ));
-        let parts: [&[u8]; 2] = [&frame[..5], &[]];
-        assert!(matches!(
-            decode_view(&parts),
-            Err(GiopError::Cdr(CdrError::Truncated { .. }))
-        ));
-    }
-
-    #[test]
     fn oneway_request() {
         let mut req = sample_request();
         req.response_expected = false;
-        let frame = req.encode(Endian::Big);
+        let frame = encode(&req, Endian::Big);
         match decode(&frame).unwrap() {
             Message::Request(r) => assert!(!r.response_expected),
             other => panic!("unexpected {other:?}"),

@@ -4,17 +4,26 @@
 //! a simple Real-Time CORBA ORB built twice over the same substrate —
 //!
 //! * [`zen`] — **ZenOrb**, a hand-coded ORB standing in for RTZen: direct
-//!   function calls, manually managed scoped memory;
+//!   function calls, manually managed scoped memory, one server thread
+//!   per connection;
 //! * [`corb`] — the **Compadres ORB**, assembled from Compadres components
-//!   with the paper's scope structure (client 3 levels, server 4 levels).
+//!   with the paper's scope structure (client 3 levels, server 4 levels),
+//!   its server on the event-driven [`reactor`].
 //!
-//! Shared substrate: [`cdr`] marshalling (the computationally intensive
-//! part the paper highlights), [`giop`] message framing, [`transport`]
-//! (in-process loopback and TCP), and [`service`] servant dispatch.
+//! Shared substrate — one implementation of each: [`cdr`] marshalling
+//! (the computationally intensive part the paper highlights; one encoder
+//! generic over its byte sink, one decoder over borrowed parts), [`giop`]
+//! message framing (chain encode, in-place decode; owned messages are a
+//! conversion), [`transport`] (TCP, plus an in-process [`Connection`]
+//! test double), and [`service`] servant dispatch. Servers and clients
+//! are built with [`ServerBuilder`] / [`ClientBuilder`].
+//!
+//! [`Connection`]: transport::Connection
 //!
 //! ```
 //! use rtcorba::corb;
 //!
+//! // An echo server on 127.0.0.1:0 and a client over TCP loopback.
 //! let (_server, client) = corb::loopback_echo_pair()?;
 //! assert_eq!(client.invoke(b"echo", "echo", &[1, 2, 3])?, vec![1, 2, 3]);
 //! # Ok::<(), rtcorba::OrbError>(())
@@ -36,13 +45,12 @@ pub mod shard;
 pub mod transport;
 pub mod zen;
 
-pub use builder::{ClientBuilder, ServerBuilder, Transport};
+pub use builder::{ClientBuilder, ServerBuilder};
 
 /// How an invocation should be performed, shared by
 /// [`corb::CompadresClient::invoke_with`] and
-/// [`zen::ZenClient::invoke_with`]. The legacy `invoke` /
-/// `invoke_oneway` / `invoke_with_budget` entry points are thin
-/// wrappers over presets of this struct.
+/// [`zen::ZenClient::invoke_with`]. `invoke` / `invoke_oneway` /
+/// `invoke_with_budget` are thin wrappers over presets of this struct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InvokeOptions {
     /// Fire-and-forget: the request is marshalled and put on the wire

@@ -2,12 +2,12 @@
 //! every GIOP connection, a small fixed worker pool executing request
 //! handlers (DESIGN.md §5h).
 //!
-//! The thread-per-connection servers ([`crate::zen::ZenServer`],
-//! [`crate::corb::CompadresServer`]) are faithful to the paper's echo
-//! demo but burn one OS thread (and its stack) per client — a hard wall
-//! well before 10k concurrent connections. This module replaces the
-//! server-side I/O model while leaving the protocol, dispatch and
-//! memory-architecture layers untouched:
+//! A thread-per-connection server ([`crate::zen::ZenServer`], the
+//! paper's RTZen comparator) is faithful to the paper's echo demo but
+//! burns one OS thread (and its stack) per client — a hard wall well
+//! before 10k concurrent connections. This module is the I/O model of
+//! [`crate::corb::CompadresServer`]; the protocol, dispatch and
+//! memory-architecture layers sit above it unchanged:
 //!
 //! * a **reactor thread** owns the listening socket and every accepted
 //!   connection (all nonblocking), waits on an
@@ -24,8 +24,8 @@
 //! * workers reply through a [`ReactorConn`] (a [`Connection`] whose
 //!   `send_frame` enqueues bytes on the connection's outbox and nudges
 //!   the reactor through an eventfd [`rtplatform::poll::Waker`]), which
-//!   means the existing handler pipelines — spans, fault replies,
-//!   service-context echoing — run unchanged.
+//!   means the handler pipeline — spans, fault replies,
+//!   service-context echoing — sees an ordinary [`Connection`].
 //!
 //! Observability (all on the server's [`Observer`]): `reactor_connections`
 //! gauge (+ high-water mark), `reactor_queue_depth` gauge, the
@@ -716,15 +716,20 @@ fn drop_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::giop::{decode, Message, RequestMessage};
+    use crate::giop::{decode_view, MessageView};
     use crate::transport::TcpConn;
+
+    fn pool() -> SegPool {
+        SegPool::new(4, 256)
+    }
 
     /// A handler that echoes the request body back in a reply frame,
     /// decoding in place over the delivered segment chain.
     fn echo_handler() -> FrameFn {
-        Arc::new(|conn, frame| {
+        let pool = pool();
+        Arc::new(move |conn, frame| {
             let parts = frame.slices();
-            if let Ok(giop::MessageView::Request(req)) = giop::decode_view(&parts) {
+            if let Ok(MessageView::Request(req)) = decode_view(&parts) {
                 if req.response_expected {
                     let reply = giop::ReplyMessage {
                         request_id: req.request_id,
@@ -732,22 +737,32 @@ mod tests {
                         service_context: req.owned_contexts(),
                         body: req.body.into_owned(),
                     };
-                    let _ = conn.send_frame(&reply.encode(Endian::native()));
+                    let _ = conn.send_chain(&reply.encode_chain(Endian::native(), &pool));
                 }
             }
         })
     }
 
-    fn request(id: u32, body: Vec<u8>) -> Vec<u8> {
-        RequestMessage {
-            request_id: id,
-            response_expected: true,
-            object_key: b"echo".to_vec(),
-            operation: "echo".to_string(),
+    fn request(id: u32, body: &[u8]) -> FrameBuf {
+        giop::encode_request_chain(
+            id,
+            true,
+            b"echo",
+            "echo",
             body,
-            service_context: Vec::new(),
+            &[],
+            Endian::native(),
+            &pool(),
+        )
+    }
+
+    /// Receives one frame and returns its reply id and body.
+    fn recv_reply(conn: &TcpConn) -> (u32, Vec<u8>) {
+        let frame = conn.recv_frame().unwrap();
+        match decode_view(&[&frame]).unwrap() {
+            MessageView::Reply(r) => (r.request_id, r.body.into_owned()),
+            other => panic!("unexpected {other:?}"),
         }
-        .encode(Endian::native())
     }
 
     #[test]
@@ -755,14 +770,8 @@ mod tests {
         let srv = ReactorServer::spawn(echo_handler(), Observer::new(), ReactorConfig::default())
             .unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
-        conn.send_frame(&request(1, vec![1, 2, 3])).unwrap();
-        match decode(&conn.recv_frame().unwrap()).unwrap() {
-            Message::Reply(r) => {
-                assert_eq!(r.request_id, 1);
-                assert_eq!(r.body, vec![1, 2, 3]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        conn.send_chain(&request(1, &[1, 2, 3])).unwrap();
+        assert_eq!(recv_reply(&conn), (1, vec![1, 2, 3]));
     }
 
     #[test]
@@ -772,14 +781,10 @@ mod tests {
         let conn = TcpConn::connect(srv.addr()).unwrap();
         // Fire 50 requests before reading a single reply.
         for i in 0..50u32 {
-            conn.send_frame(&request(i, i.to_be_bytes().to_vec()))
-                .unwrap();
+            conn.send_chain(&request(i, &i.to_be_bytes())).unwrap();
         }
         for i in 0..50u32 {
-            match decode(&conn.recv_frame().unwrap()).unwrap() {
-                Message::Reply(r) => assert_eq!(r.request_id, i, "FIFO per connection"),
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(recv_reply(&conn).0, i, "FIFO per connection");
         }
     }
 
@@ -792,13 +797,10 @@ mod tests {
             .map(|_| TcpConn::connect(srv.addr()).unwrap())
             .collect();
         for (i, c) in conns.iter().enumerate() {
-            c.send_frame(&request(i as u32, vec![i as u8; 32])).unwrap();
+            c.send_chain(&request(i as u32, &[i as u8; 32])).unwrap();
         }
         for (i, c) in conns.iter().enumerate() {
-            match decode(&c.recv_frame().unwrap()).unwrap() {
-                Message::Reply(r) => assert_eq!(r.body, vec![i as u8; 32]),
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(recv_reply(c).1, vec![i as u8; 32]);
         }
         let g = obs.gauge("reactor_connections");
         assert!(obs.gauge_hwm(g) >= 64, "gauge saw all connections");
@@ -810,8 +812,9 @@ mod tests {
             .unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
         conn.send_frame(b"this is not giop at all.....").unwrap();
-        match decode(&conn.recv_frame().unwrap()) {
-            Ok(Message::Error) => {}
+        let frame = conn.recv_frame().unwrap();
+        match decode_view(&[&frame]) {
+            Ok(MessageView::Error) => {}
             other => panic!("expected MessageError, got {other:?}"),
         }
         assert!(matches!(
@@ -825,7 +828,7 @@ mod tests {
         let srv = ReactorServer::spawn(echo_handler(), Observer::new(), ReactorConfig::default())
             .unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
-        conn.send_frame(&request(9, vec![9])).unwrap();
+        conn.send_chain(&request(9, &[9])).unwrap();
         let _ = conn.recv_frame().unwrap();
         srv.shutdown();
         assert!(conn.recv_frame().is_err(), "severed on shutdown");

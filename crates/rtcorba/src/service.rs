@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rtplatform::sync::RwLock;
 
-use crate::giop::{ReplyMessage, ReplyStatus, RequestMessage, RequestView};
+use crate::giop::{ReplyMessage, ReplyStatus, RequestView};
 
 /// A CORBA-style servant: invoked by operation name with marshalled
 /// arguments, returning a marshalled result.
@@ -90,61 +90,24 @@ impl ObjectRegistry {
     }
 
     /// Full request-processing step: locates the servant, invokes it and
-    /// builds the reply message (including exception replies). The
-    /// request's service contexts are echoed into every reply, so
-    /// tracing clients can correlate even exception paths.
-    pub fn dispatch(&self, req: &RequestMessage) -> ReplyMessage {
-        self.dispatch_raw(
-            req.request_id,
-            &req.object_key,
-            &req.operation,
-            &req.body,
-            || req.service_context.clone(),
-        )
-    }
-
-    /// [`dispatch`](Self::dispatch) over an in-place request view: the
-    /// key, operation and body are used where they lie in the frame's
-    /// segments; the only copy made is the echoed context list.
+    /// builds the reply message (including exception replies). The key,
+    /// operation and body are used where they lie in the frame's
+    /// segments; the only copy made is the request's service contexts,
+    /// echoed into every reply so tracing clients can correlate even
+    /// exception paths.
     pub fn dispatch_view(&self, req: &RequestView<'_>) -> ReplyMessage {
-        self.dispatch_raw(
-            req.request_id,
-            &req.object_key,
-            &req.operation,
-            &req.body,
-            || req.owned_contexts(),
-        )
-    }
-
-    fn dispatch_raw(
-        &self,
-        request_id: u32,
-        object_key: &[u8],
-        operation: &str,
-        body: &[u8],
-        contexts: impl Fn() -> Vec<(u32, Vec<u8>)>,
-    ) -> ReplyMessage {
-        match self.lookup(object_key) {
-            None => ReplyMessage {
-                request_id,
-                status: ReplyStatus::ObjectNotExist,
-                body: Vec::new(),
-                service_context: contexts(),
+        let (status, body) = match self.lookup(&req.object_key) {
+            None => (ReplyStatus::ObjectNotExist, Vec::new()),
+            Some(servant) => match servant.invoke(&req.operation, &req.body) {
+                Ok(body) => (ReplyStatus::NoException, body),
+                Err(msg) => (ReplyStatus::SystemException, msg.into_bytes()),
             },
-            Some(servant) => match servant.invoke(operation, body) {
-                Ok(body) => ReplyMessage {
-                    request_id,
-                    status: ReplyStatus::NoException,
-                    body,
-                    service_context: contexts(),
-                },
-                Err(msg) => ReplyMessage {
-                    request_id,
-                    status: ReplyStatus::SystemException,
-                    body: msg.into_bytes(),
-                    service_context: contexts(),
-                },
-            },
+        };
+        ReplyMessage {
+            request_id: req.request_id,
+            status,
+            body,
+            service_context: req.owned_contexts(),
         }
     }
 }
@@ -152,14 +115,15 @@ impl ObjectRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
-    fn request(key: &[u8], op: &str, body: &[u8]) -> RequestMessage {
-        RequestMessage {
+    fn request<'a>(key: &'a [u8], op: &'a str, body: &'a [u8]) -> RequestView<'a> {
+        RequestView {
             request_id: 9,
             response_expected: true,
-            object_key: key.to_vec(),
-            operation: op.to_string(),
-            body: body.to_vec(),
+            object_key: Cow::Borrowed(key),
+            operation: Cow::Borrowed(op),
+            body: Cow::Borrowed(body),
             service_context: Vec::new(),
         }
     }
@@ -168,17 +132,17 @@ mod tests {
     fn dispatch_echoes_service_context() {
         let reg = ObjectRegistry::with_echo();
         let mut req = request(b"echo", "echo", &[1]);
-        req.service_context = vec![(0x5452_4143, vec![1, 2, 3])];
+        req.service_context = vec![(0x5452_4143, Cow::Borrowed(&[1, 2, 3][..]))];
         assert_eq!(
-            reg.dispatch(&req).service_context,
-            req.service_context,
+            reg.dispatch_view(&req).service_context,
+            req.owned_contexts(),
             "normal reply echoes contexts"
         );
         let mut bad = request(b"nope", "echo", &[]);
-        bad.service_context = vec![(7, vec![9])];
+        bad.service_context = vec![(7, Cow::Borrowed(&[9][..]))];
         assert_eq!(
-            reg.dispatch(&bad).service_context,
-            bad.service_context,
+            reg.dispatch_view(&bad).service_context,
+            bad.owned_contexts(),
             "exception replies echo contexts too"
         );
     }
@@ -194,7 +158,7 @@ mod tests {
     #[test]
     fn dispatch_routes_to_servant() {
         let reg = ObjectRegistry::with_echo();
-        let reply = reg.dispatch(&request(b"echo", "echo", &[7, 7]));
+        let reply = reg.dispatch_view(&request(b"echo", "echo", &[7, 7]));
         assert_eq!(reply.status, ReplyStatus::NoException);
         assert_eq!(reply.body, vec![7, 7]);
         assert_eq!(reply.request_id, 9);
@@ -203,14 +167,14 @@ mod tests {
     #[test]
     fn dispatch_unknown_object() {
         let reg = ObjectRegistry::with_echo();
-        let reply = reg.dispatch(&request(b"nope", "echo", &[]));
+        let reply = reg.dispatch_view(&request(b"nope", "echo", &[]));
         assert_eq!(reply.status, ReplyStatus::ObjectNotExist);
     }
 
     #[test]
     fn dispatch_servant_exception() {
         let reg = ObjectRegistry::with_echo();
-        let reply = reg.dispatch(&request(b"echo", "explode", &[]));
+        let reply = reg.dispatch_view(&request(b"echo", "explode", &[]));
         assert_eq!(reply.status, ReplyStatus::SystemException);
         assert!(String::from_utf8(reply.body)
             .unwrap()

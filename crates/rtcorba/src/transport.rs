@@ -1,9 +1,11 @@
-//! Transports carrying GIOP frames: in-process loopback and TCP.
+//! Transports carrying GIOP frames: TCP, and an in-process pair.
 //!
 //! The paper's evaluation runs client and server "on a single machine
-//! connected via loopback network" (§3.3). Both transports here frame
-//! messages exactly the same way — a GIOP header announcing the body size
-//! — so the ORB code is transport-agnostic.
+//! connected via loopback network" (§3.3), which is [`TcpConn`] to
+//! `127.0.0.1`. [`LoopbackConn`] is the in-process [`Connection`] that
+//! tests put under a client ORB or a `chaos` wrapper when no server is
+//! wanted. Both frame messages exactly the same way — a GIOP header
+//! announcing the body size — so the ORB code is transport-agnostic.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -409,18 +411,26 @@ impl TcpAcceptor {
 mod tests {
     use super::*;
     use crate::cdr::Endian;
-    use crate::giop::{decode, Message, RequestMessage};
+    use crate::giop::{decode_view, encode_request_chain, MessageView};
+    use rtplatform::bufchain::SegPool;
+
+    /// A request frame marshalled into `seg`-byte segments.
+    fn chain(response_expected: bool, endian: Endian, seg: usize) -> FrameBuf {
+        let pool = SegPool::new(8, seg);
+        encode_request_chain(
+            1,
+            response_expected,
+            b"k",
+            "op",
+            &[5; 100],
+            &[],
+            endian,
+            &pool,
+        )
+    }
 
     fn frame() -> Vec<u8> {
-        RequestMessage {
-            request_id: 1,
-            response_expected: true,
-            object_key: b"k".to_vec(),
-            operation: "op".to_string(),
-            body: vec![5; 100],
-            service_context: Vec::new(),
-        }
-        .encode(Endian::Big)
+        chain(true, Endian::Big, 256).to_vec()
     }
 
     #[test]
@@ -460,8 +470,8 @@ mod tests {
         let client = TcpConn::connect(addr).unwrap();
         client.send_frame(&frame()).unwrap();
         let reply = client.recv_frame().unwrap();
-        match decode(&reply).unwrap() {
-            Message::Request(r) => assert_eq!(r.body.len(), 100),
+        match decode_view(&[&reply]).unwrap() {
+            MessageView::Request(r) => assert_eq!(r.body.len(), 100),
             other => panic!("unexpected {other:?}"),
         }
         server.join().unwrap();
@@ -482,8 +492,6 @@ mod tests {
 
     #[test]
     fn tcp_send_chain_vectored_roundtrip() {
-        use rtplatform::bufchain::SegPool;
-        let pool = SegPool::new(8, 64); // frames span several segments
         let acceptor = TcpAcceptor::bind_loopback().unwrap();
         let addr = acceptor.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -493,39 +501,22 @@ mod tests {
             (a, b)
         });
         let client = TcpConn::connect(addr).unwrap();
-        let msg = RequestMessage {
-            request_id: 1,
-            response_expected: true,
-            object_key: b"k".to_vec(),
-            operation: "op".to_string(),
-            body: vec![5; 100],
-            service_context: Vec::new(),
-        };
-        let chain = msg.encode_chain(Endian::Big, &pool);
+        let chain = chain(true, Endian::Big, 64);
         assert!(chain.as_single().is_none(), "frame must span segments");
         client.send_chain(&chain).unwrap();
         client.send_chain(&chain).unwrap();
         let (a, b) = server.join().unwrap();
-        assert_eq!(a, msg.encode(Endian::Big), "vectored write is exact");
+        assert_eq!(a, chain.to_vec(), "vectored write is exact");
         assert_eq!(b, a, "frame boundaries preserved");
     }
 
     #[test]
     fn loopback_send_chain_matches_send_frame() {
-        use rtplatform::bufchain::SegPool;
-        let pool = SegPool::new(8, 32);
         let (a, b) = loopback_pair();
-        let msg = RequestMessage {
-            request_id: 9,
-            response_expected: false,
-            object_key: b"key".to_vec(),
-            operation: "echo".to_string(),
-            body: vec![7; 50],
-            service_context: Vec::new(),
-        };
-        a.send_chain(&msg.encode_chain(Endian::Little, &pool))
-            .unwrap();
-        assert_eq!(b.recv_frame().unwrap(), msg.encode(Endian::Little));
+        let chain = chain(false, Endian::Little, 32);
+        assert!(chain.as_single().is_none(), "frame must span segments");
+        a.send_chain(&chain).unwrap();
+        assert_eq!(b.recv_frame().unwrap(), chain.to_vec());
     }
 
     #[test]

@@ -15,16 +15,15 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use rtplatform::bufchain::{FrameBuf, SegPool, DEFAULT_SEG_SIZE};
+use rtplatform::bufchain::{SegPool, DEFAULT_SEG_SIZE};
 use rtplatform::sync::Mutex;
 
 use rtmem::{Ctx, MemoryModel, ScopePool, Wedge};
 
 use crate::cdr::Endian;
 use crate::giop::{self, MessageView, ReplyStatus};
-use crate::reactor::{FrameFn, ReactorConfig, ReactorServer};
 use crate::service::ObjectRegistry;
-use crate::transport::{loopback_pair, Connection, LoopbackConn, TcpAcceptor, TcpConn};
+use crate::transport::{Connection, TcpAcceptor, TcpConn};
 use crate::{InvokeOptions, OrbError};
 
 const TRANSPORT_SCOPE: usize = 64 << 10;
@@ -96,39 +95,13 @@ impl ZenClient {
         ZenClient::from_conn(Arc::new(conn))
     }
 
-    /// Connects over TCP.
-    ///
-    /// # Errors
-    ///
-    /// Connection or memory-architecture failures.
-    #[deprecated(note = "use rtcorba::ClientBuilder::new().connect_zen(addr)")]
-    pub fn connect_tcp(addr: SocketAddr) -> Result<ZenClient, OrbError> {
-        ZenClient::tcp(addr)
-    }
-
-    /// Connects over TCP under a [`rtplatform::fault::FaultPolicy`]:
-    /// connect/send/recv deadlines bound every later invocation, so a
-    /// silent peer surfaces as a deadline miss instead of a wedged
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// Connection or memory-architecture failures.
-    #[deprecated(note = "use rtcorba::ClientBuilder::new().fault_policy(policy).connect_zen(addr)")]
-    pub fn connect_tcp_with(
-        addr: SocketAddr,
-        policy: &rtplatform::fault::FaultPolicy,
-    ) -> Result<ZenClient, OrbError> {
-        ZenClient::tcp_with(addr, policy)
-    }
-
     /// Connects to the ORB endpoint named by a stringified `corbaloc`
     /// object reference (the CORBA `string_to_object` flow).
     ///
     /// # Errors
     ///
-    /// Reference parse/resolution failures, then the same as
-    /// [`ZenClient::connect_tcp`].
+    /// Reference parse/resolution failures, then connection or
+    /// memory-architecture failures.
     pub fn connect_ref(reference: &str) -> Result<(ZenClient, Vec<u8>), OrbError> {
         let obj = crate::ior::ObjectRef::parse(reference)?;
         let addr = obj.socket_addr()?;
@@ -243,13 +216,13 @@ impl ZenClient {
     }
 }
 
-/// Handle to a running hand-coded server ORB.
+/// Handle to a running hand-coded server ORB: an acceptor thread plus
+/// one `zen-transport` thread per client — the paper's RTZen comparator
+/// architecture.
 pub struct ZenServer {
-    addr: Option<SocketAddr>,
+    addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
-    reactor: Option<ReactorServer>,
-    loopback_feeder: Arc<ServerCore>,
 }
 
 impl std::fmt::Debug for ZenServer {
@@ -258,8 +231,8 @@ impl std::fmt::Debug for ZenServer {
     }
 }
 
-/// The server-side memory architecture and dispatch logic, shared by the
-/// acceptor thread and loopback attachments.
+/// The server-side memory architecture and dispatch logic, shared by
+/// every connection's transport thread.
 struct ServerCore {
     model: MemoryModel,
     registry: Arc<ObjectRegistry>,
@@ -348,68 +321,15 @@ impl ServerCore {
         });
         let _ = self.model.destroy_scoped(transport_scope);
     }
-
-    /// Serves one already-framed message on the reactor path: POA scope →
-    /// per-request processing scope. The per-*connection* transport scope
-    /// of [`serve_connection`] has no owner here (connections outlive any
-    /// single worker call), so the reactor path collapses to the two
-    /// scopes whose lifetimes match its units of work.
-    ///
-    /// The frame arrives as a segment chain carved straight out of the
-    /// reactor's receive buffers — it is decoded in place over the
-    /// borrowed segments, never coalesced.
-    fn serve_frame(&self, conn: &Arc<dyn Connection>, frame: &FrameBuf) {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut ctx = Ctx::no_heap(&self.model);
-        let _ = ctx.enter(self.poa_scope, |ctx| {
-            let Ok(lease) = self.request_pool.acquire() else {
-                return;
-            };
-            let request_region = lease.region();
-            let _ = ctx.enter(request_region, |_ctx| {
-                let parts = frame.slices();
-                match giop::decode_view(&parts) {
-                    Ok(MessageView::Request(req)) => {
-                        let reply = self.registry.dispatch_view(&req);
-                        if req.response_expected {
-                            let _ =
-                                conn.send_chain(&reply.encode_chain(self.endian, &self.seg_pool));
-                        }
-                    }
-                    Ok(MessageView::CloseConnection) => conn.close(),
-                    Ok(_) => {}
-                    Err(_) => {
-                        let _ = conn.send_frame(&giop::encode_error(self.endian));
-                        conn.close();
-                    }
-                }
-            });
-        });
-    }
 }
 
 impl ZenServer {
-    /// Spawns a TCP server with its acceptor thread.
-    ///
-    /// # Errors
-    ///
-    /// Bind or memory-architecture failures.
-    #[deprecated(note = "use rtcorba::ServerBuilder::new(registry).threaded().serve_zen()")]
-    pub fn spawn_tcp(registry: Arc<ObjectRegistry>) -> Result<ZenServer, OrbError> {
-        Self::serve_threaded(registry)
-    }
-
-    /// The paper-faithful thread-per-connection I/O model: an acceptor
-    /// thread plus one `zen-transport` thread per client — the RTZen
-    /// comparator architecture.
-    pub(crate) fn serve_threaded(registry: Arc<ObjectRegistry>) -> Result<ZenServer, OrbError> {
+    /// Binds `127.0.0.1:0` and spawns the acceptor thread.
+    pub(crate) fn serve(registry: Arc<ObjectRegistry>) -> Result<ZenServer, OrbError> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let core = Arc::new(ServerCore::new(registry, Arc::clone(&shutdown))?);
         let acceptor = TcpAcceptor::bind_loopback()?;
         let addr = acceptor.local_addr()?;
-        let core2 = Arc::clone(&core);
         let shutdown2 = Arc::clone(&shutdown);
         let accept_handle = std::thread::Builder::new()
             .name("zen-acceptor".into())
@@ -417,10 +337,10 @@ impl ZenServer {
                 while !shutdown2.load(Ordering::SeqCst) {
                     match acceptor.accept() {
                         Ok(conn) => {
-                            let core3 = Arc::clone(&core2);
+                            let core2 = Arc::clone(&core);
                             let _ = std::thread::Builder::new()
                                 .name("zen-transport".into())
-                                .spawn(move || core3.serve_connection(Arc::new(conn)));
+                                .spawn(move || core2.serve_connection(Arc::new(conn)));
                         }
                         Err(_) => break,
                     }
@@ -428,97 +348,22 @@ impl ZenServer {
             })
             .expect("spawn acceptor");
         Ok(ZenServer {
-            addr: Some(addr),
+            addr,
             shutdown,
             accept_handle: Some(accept_handle),
-            reactor: None,
-            loopback_feeder: core,
         })
     }
 
-    /// Spawns a TCP server on the event-driven reactor transport.
-    ///
-    /// # Errors
-    ///
-    /// Bind or memory-architecture failures.
-    #[deprecated(note = "use rtcorba::ServerBuilder::new(registry).observer(obs).serve_zen()")]
-    pub fn spawn_tcp_reactor(
-        registry: Arc<ObjectRegistry>,
-        obs: Arc<rtobs::Observer>,
-    ) -> Result<ZenServer, OrbError> {
-        Self::serve_reactor(registry, obs, ReactorConfig::default())
-    }
-
-    /// The event-driven reactor transport (DESIGN.md §5h): connections
-    /// are multiplexed by one poll loop and requests dispatched by a
-    /// worker pool through the same POA-scope frame service as the
-    /// threaded path. The threaded path stays thread-per-connection —
-    /// the paper-faithful RTZen comparator — while this one scales past
-    /// it.
-    pub(crate) fn serve_reactor(
-        registry: Arc<ObjectRegistry>,
-        obs: Arc<rtobs::Observer>,
-        cfg: ReactorConfig,
-    ) -> Result<ZenServer, OrbError> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let core = Arc::new(ServerCore::new(registry, Arc::clone(&shutdown))?);
-        let core2 = Arc::clone(&core);
-        let handler: FrameFn = Arc::new(move |conn, frame| core2.serve_frame(conn, &frame));
-        let reactor = ReactorServer::spawn(handler, obs, cfg)?;
-        let addr = reactor.addr();
-        Ok(ZenServer {
-            addr: Some(addr),
-            shutdown,
-            accept_handle: None,
-            reactor: Some(reactor),
-            loopback_feeder: core,
-        })
-    }
-
-    /// Spawns a server that only serves in-process loopback connections.
-    ///
-    /// # Errors
-    ///
-    /// Memory-architecture failures.
-    pub fn spawn_loopback(registry: Arc<ObjectRegistry>) -> Result<ZenServer, OrbError> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let core = Arc::new(ServerCore::new(registry, Arc::clone(&shutdown))?);
-        Ok(ZenServer {
-            addr: None,
-            shutdown,
-            accept_handle: None,
-            reactor: None,
-            loopback_feeder: core,
-        })
-    }
-
-    /// The TCP address, when serving TCP.
+    /// The TCP address clients connect to (always `Some`).
     pub fn addr(&self) -> Option<SocketAddr> {
-        self.addr
-    }
-
-    /// Creates an in-process connection served by a dedicated thread.
-    pub fn attach_loopback(&self) -> LoopbackConn {
-        let (client_end, server_end) = loopback_pair();
-        let core = Arc::clone(&self.loopback_feeder);
-        let _ = std::thread::Builder::new()
-            .name("zen-loopback-transport".into())
-            .spawn(move || core.serve_connection(Arc::new(server_end)));
-        client_end
+        Some(self.addr)
     }
 
     /// Stops accepting and serving.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(reactor) = &self.reactor {
-            reactor.shutdown();
-        }
-        if self.accept_handle.is_some() {
-            if let Some(addr) = self.addr {
-                // Nudge the blocking acceptor.
-                let _ = std::net::TcpStream::connect(addr);
-            }
-        }
+        // Nudge the blocking acceptor.
+        let _ = std::net::TcpStream::connect(self.addr);
     }
 }
 
@@ -531,15 +376,15 @@ impl Drop for ZenServer {
     }
 }
 
-/// Convenience: a connected loopback echo pair (server + client).
+/// Convenience: an echo server on `127.0.0.1:0` plus a client connected
+/// to it over TCP loopback (the paper's Fig. 11 setup).
 ///
 /// # Errors
 ///
-/// Memory-architecture failures.
+/// Bind, connection or memory-architecture failures.
 pub fn loopback_echo_pair() -> Result<(ZenServer, ZenClient), OrbError> {
-    let server = ZenServer::spawn_loopback(ObjectRegistry::with_echo())?;
-    let conn = server.attach_loopback();
-    let client = ZenClient::from_conn(Arc::new(conn))?;
+    let server = ZenServer::serve(ObjectRegistry::with_echo())?;
+    let client = ZenClient::tcp(server.addr)?;
     Ok((server, client))
 }
 
@@ -562,31 +407,12 @@ mod tests {
     #[test]
     fn tcp_echo_roundtrip() {
         let server = crate::ServerBuilder::new(ObjectRegistry::with_echo())
-            .threaded()
             .serve_zen()
             .unwrap();
         let client = crate::ClientBuilder::new()
             .connect_zen(server.addr().unwrap())
             .unwrap();
         let payload = vec![9u8; 512];
-        assert_eq!(client.invoke(b"echo", "echo", &payload).unwrap(), payload);
-        assert_eq!(
-            client.invoke(b"echo", "reverse", &[1, 2, 3]).unwrap(),
-            vec![3, 2, 1]
-        );
-        server.shutdown();
-    }
-
-    #[test]
-    fn tcp_reactor_echo_roundtrip() {
-        let server = crate::ServerBuilder::new(ObjectRegistry::with_echo())
-            .observer(rtobs::Observer::new())
-            .serve_zen()
-            .unwrap();
-        let client = crate::ClientBuilder::new()
-            .connect_zen(server.addr().unwrap())
-            .unwrap();
-        let payload = vec![7u8; 512];
         assert_eq!(client.invoke(b"echo", "echo", &payload).unwrap(), payload);
         assert_eq!(
             client.invoke(b"echo", "reverse", &[1, 2, 3]).unwrap(),

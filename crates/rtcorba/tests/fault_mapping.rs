@@ -21,6 +21,7 @@ use rtcorba::cdr::Endian;
 use rtcorba::chaos::{FaultPlan, FaultyConn};
 use rtcorba::giop::{self, GiopError, ReplyMessage, ReplyStatus};
 use rtcorba::transport::{loopback_pair, Connection, TcpConn, TransportError};
+use rtplatform::bufchain::SegPool;
 use rtplatform::fault::FaultPolicy;
 
 fn reply_frame() -> Vec<u8> {
@@ -30,7 +31,8 @@ fn reply_frame() -> Vec<u8> {
         body: vec![1, 2, 3, 4, 5, 6, 7, 8],
         service_context: Vec::new(),
     }
-    .encode(Endian::Big)
+    .encode_chain(Endian::Big, &SegPool::new(1, 64))
+    .to_vec()
 }
 
 #[test]
@@ -126,7 +128,7 @@ fn truncated_frame_maps_to_short_body() {
     // the declared GIOP size — surfacing at decode as ShortBody, which
     // the ORB wraps in `TransportError::Protocol` semantics.
     let frame = client.recv_frame().unwrap();
-    match giop::decode(&frame) {
+    match giop::decode_view(&[&frame]) {
         Err(GiopError::ShortBody { declared, actual }) => {
             assert!(actual < declared, "truncation must shorten the body");
         }

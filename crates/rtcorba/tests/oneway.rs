@@ -32,10 +32,7 @@ fn wait_for(counter: &CountingServant, n: u64) {
 #[test]
 fn zen_oneway_reaches_servant_without_reply() {
     let (reg, counter) = registry_with_counter();
-    let server = rtcorba::ServerBuilder::new(reg)
-        .threaded()
-        .serve_zen()
-        .unwrap();
+    let server = rtcorba::ServerBuilder::new(reg).serve_zen().unwrap();
     let client = rtcorba::ClientBuilder::new()
         .connect_zen(server.addr().unwrap())
         .unwrap();
@@ -135,7 +132,8 @@ fn framing_survives_byte_by_byte_writes() {
     // A pathological client that trickles a GIOP request one byte at a
     // time; the server's framed reader must reassemble it correctly.
     use rtcorba::cdr::Endian;
-    use rtcorba::giop::{decode, Message, RequestMessage};
+    use rtcorba::giop::{decode_view, encode_request_chain, MessageView};
+    use rtplatform::bufchain::SegPool;
     use std::io::{Read, Write};
 
     let server = rtcorba::ServerBuilder::new(ObjectRegistry::with_echo())
@@ -143,15 +141,18 @@ fn framing_survives_byte_by_byte_writes() {
         .unwrap();
     let mut raw = std::net::TcpStream::connect(server.addr().unwrap()).unwrap();
     raw.set_nodelay(true).unwrap();
-    let frame = RequestMessage {
-        request_id: 77,
-        response_expected: true,
-        object_key: b"echo".to_vec(),
-        operation: "echo".to_string(),
-        body: vec![0xAB; 33],
-        service_context: Vec::new(),
-    }
-    .encode(Endian::Big);
+    let pool = SegPool::new(1, 256);
+    let frame = encode_request_chain(
+        77,
+        true,
+        b"echo",
+        "echo",
+        &[0xAB; 33],
+        &[],
+        Endian::Big,
+        &pool,
+    )
+    .to_vec();
     for b in &frame {
         raw.write_all(&[*b]).unwrap();
         raw.flush().unwrap();
@@ -163,10 +164,10 @@ fn framing_survives_byte_by_byte_writes() {
     let mut reply = vec![0u8; 12 + body_len];
     reply[..12].copy_from_slice(&header);
     raw.read_exact(&mut reply[12..]).unwrap();
-    match decode(&reply).unwrap() {
-        Message::Reply(r) => {
+    match decode_view(&[&reply]).unwrap() {
+        MessageView::Reply(r) => {
             assert_eq!(r.request_id, 77);
-            assert_eq!(r.body, vec![0xAB; 33]);
+            assert_eq!(r.body[..], [0xAB; 33]);
         }
         other => panic!("unexpected {other:?}"),
     }

@@ -1,28 +1,39 @@
-//! Integration tests for the event-driven reactor transport (DESIGN.md
-//! §5h) against a real TCP socket: partial-frame reassembly across many
-//! readiness events, fault injection reused from `chaos`, and the
-//! server's health after misbehaving peers disconnect mid-frame.
+//! Integration tests for the Compadres server's event-driven reactor
+//! transport against a real TCP socket: partial-frame reassembly across
+//! many readiness events, fault injection reused from `chaos`, the
+//! server's health after misbehaving peers disconnect mid-frame, and the
+//! per-connection inbox valve.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use rtcorba::cdr::Endian;
 use rtcorba::chaos::{FaultPlan, FaultyConn};
+use rtcorba::corb::CompadresServer;
 use rtcorba::giop::{
     self, body_size, encode_trace_slot, GiopError, Message, ReplyStatus, RequestMessage,
     HEADER_LEN, TRACE_CONTEXT_SLOT,
 };
-use rtcorba::service::ObjectRegistry;
+use rtcorba::reactor::ReactorConfig;
+use rtcorba::service::{ObjectRegistry, Servant};
 use rtcorba::transport::{Connection, TcpConn};
-use rtcorba::zen::ZenServer;
+use rtplatform::bufchain::SegPool;
 
-fn reactor_server() -> ZenServer {
+fn reactor_server() -> CompadresServer {
     rtcorba::ServerBuilder::new(ObjectRegistry::with_echo())
-        .observer(rtobs::Observer::new())
-        .serve_zen()
+        .serve()
         .expect("spawn reactor server")
+}
+
+fn encode(req: &RequestMessage) -> Vec<u8> {
+    req.encode_chain(Endian::Big, &SegPool::new(2, 1024))
+        .to_vec()
+}
+
+fn decode(frame: &[u8]) -> Result<Message, GiopError> {
+    giop::decode_view(&[frame]).map(|v| v.to_message())
 }
 
 /// Reads exactly one GIOP frame from a raw stream.
@@ -55,7 +66,7 @@ fn dripped_request_yields_single_complete_reply() {
             (0xBEEF, vec![1, 2, 3, 4, 5]),
         ],
     };
-    let frame = req.encode(Endian::Big);
+    let frame = encode(&req);
 
     let mut stream = TcpStream::connect(server.addr().unwrap()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -69,7 +80,7 @@ fn dripped_request_yields_single_complete_reply() {
     }
 
     let reply_frame = read_frame(&mut stream);
-    match giop::decode(&reply_frame).expect("reply decodes") {
+    match decode(&reply_frame).expect("reply decodes") {
         Message::Reply(reply) => {
             assert_eq!(reply.request_id, 77);
             assert_eq!(reply.status, ReplyStatus::NoException);
@@ -125,9 +136,9 @@ fn truncated_reply_from_reactor_maps_to_short_body() {
         body: vec![7; 64],
         service_context: Vec::new(),
     };
-    conn.send_frame(&req.encode(Endian::Big)).unwrap();
+    conn.send_frame(&encode(&req)).unwrap();
     let frame = conn.recv_frame().unwrap();
-    match giop::decode(&frame) {
+    match decode(&frame) {
         Err(GiopError::ShortBody { declared, actual }) => {
             assert!(actual < declared, "truncation must shorten the body");
         }
@@ -160,7 +171,7 @@ fn midframe_hangup_leaves_reactor_healthy() {
         body: vec![3; 400],
         service_context: Vec::new(),
     };
-    let frame = req.encode(Endian::Big);
+    let frame = encode(&req);
     {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&frame[..frame.len() / 2]).unwrap();
@@ -176,5 +187,112 @@ fn midframe_hangup_leaves_reactor_healthy() {
     );
     let fresh = rtcorba::ClientBuilder::new().connect_zen(addr).unwrap();
     assert_eq!(fresh.invoke(b"echo", "echo", &[8]).unwrap(), vec![8]);
+    server.shutdown();
+}
+
+/// A servant that reports each entry and then blocks until released.
+struct GateServant {
+    entered: Mutex<mpsc::Sender<()>>,
+    open: Mutex<bool>,
+    released: Condvar,
+}
+
+impl Servant for GateServant {
+    fn invoke(&self, _operation: &str, args: &[u8]) -> Result<Vec<u8>, String> {
+        let _ = self.entered.lock().unwrap().send(());
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.released.wait(open).unwrap();
+        }
+        Ok(args.to_vec())
+    }
+}
+
+/// The per-connection inbox valve: with the one worker held inside the
+/// servant, a connection that pipelines more requests than its inbox
+/// holds has the excess shed and counted — the reactor neither queues
+/// without bound nor wedges, the connection stays usable, and other
+/// connections are served.
+#[test]
+fn full_inbox_sheds_the_excess_and_keeps_serving() {
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let gate = Arc::new(GateServant {
+        entered: Mutex::new(entered_tx),
+        open: Mutex::new(false),
+        released: Condvar::new(),
+    });
+    let registry = ObjectRegistry::with_echo();
+    registry.register(b"gate".to_vec(), Arc::clone(&gate) as Arc<dyn Servant>);
+    let server = rtcorba::ServerBuilder::new(registry)
+        .reactor(ReactorConfig {
+            workers: 1,
+            inbox_capacity: 2,
+            ..ReactorConfig::default()
+        })
+        .serve()
+        .unwrap();
+    let obs = server.app().observer();
+    let shed = obs.counter("reactor_shed_total");
+
+    let request = |id: u32| {
+        encode(&RequestMessage {
+            request_id: id,
+            response_expected: true,
+            object_key: b"gate".to_vec(),
+            operation: "pass".into(),
+            body: id.to_be_bytes().to_vec(),
+            service_context: Vec::new(),
+        })
+    };
+    let mut stream = TcpStream::connect(server.addr().unwrap()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let expect_reply = |stream: &mut TcpStream, id: u32| match decode(&read_frame(stream)) {
+        Ok(Message::Reply(r)) => {
+            assert_eq!(r.request_id, id, "replies stay in request order");
+            assert_eq!(r.status, ReplyStatus::NoException);
+            assert_eq!(r.body, id.to_be_bytes());
+        }
+        other => panic!("expected reply {id}, got {other:?}"),
+    };
+
+    // Hold the one worker inside the servant, its connection's inbox
+    // empty behind it.
+    stream.write_all(&request(0)).unwrap();
+    entered_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the worker reached the servant");
+
+    // Eight more, pipelined: the inbox holds two, six are shed.
+    let pipelined: Vec<u8> = (1..=8).flat_map(request).collect();
+    stream.write_all(&pipelined).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while obs.counter_value(shed) < 6 {
+        assert!(
+            Instant::now() < deadline,
+            "only {} frames shed",
+            obs.counter_value(shed)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    *gate.open.lock().unwrap() = true;
+    gate.released.notify_all();
+    for id in 0..=2 {
+        expect_reply(&mut stream, id);
+    }
+    assert_eq!(
+        obs.counter_value(shed),
+        6,
+        "held and queued requests are not shed"
+    );
+
+    // The same connection after the burst: still served.
+    stream.write_all(&request(100)).unwrap();
+    expect_reply(&mut stream, 100);
+
+    let other = rtcorba::ClientBuilder::new()
+        .connect(server.addr().unwrap())
+        .unwrap();
+    assert_eq!(other.invoke(b"echo", "echo", &[4, 2]).unwrap(), vec![4, 2]);
     server.shutdown();
 }

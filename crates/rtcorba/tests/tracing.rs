@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rtcorba::corb::{loopback_echo_pair, CompadresClient, CompadresServer};
+use rtcorba::corb::{loopback_echo_pair, CompadresClient};
 use rtcorba::service::{ObjectRegistry, Servant};
 use rtobs::{EventKind, Observer, SpanForest};
 
@@ -73,10 +73,11 @@ fn assert_cross_orb_tree(client: &CompadresClient, server_obs: &Observer) -> u32
 #[test]
 fn loopback_invocation_stitches_into_one_tree() {
     let (server, client) = loopback_echo_pair().unwrap();
+    let payload = vec![0x5Au8; 256];
     let out = client
-        .invoke_with_budget(b"echo", "echo", &[1, 2, 3], Some(Duration::from_secs(5)))
+        .invoke_with_budget(b"echo", "echo", &payload, Some(Duration::from_secs(5)))
         .unwrap();
-    assert_eq!(out, vec![1, 2, 3]);
+    assert_eq!(out, payload);
     // Server pipeline: Poa → STransport → RequestProcessing = 3 hops.
     await_span_ends(server.app().observer(), 3);
 
@@ -97,26 +98,6 @@ fn loopback_invocation_stitches_into_one_tree() {
     assert_cross_orb_tree(&client, sobs);
 }
 
-#[test]
-fn tcp_invocation_stitches_into_one_tree() {
-    let server = rtcorba::ServerBuilder::new(ObjectRegistry::with_echo())
-        .serve()
-        .unwrap();
-    let client = rtcorba::ClientBuilder::new()
-        .connect(server.addr().unwrap())
-        .unwrap();
-    let payload = vec![0x5Au8; 256];
-    assert_eq!(
-        client
-            .invoke_with_budget(b"echo", "echo", &payload, Some(Duration::from_secs(5)))
-            .unwrap(),
-        payload
-    );
-    await_span_ends(server.app().observer(), 3);
-    assert_cross_orb_tree(&client, server.app().observer());
-    server.shutdown();
-}
-
 /// A servant that sleeps long enough to blow any small budget.
 struct SlowServant(Duration);
 
@@ -134,9 +115,12 @@ fn blown_budget_is_flagged_on_the_server_hop() {
         b"slow".to_vec(),
         Arc::new(SlowServant(Duration::from_millis(25))),
     );
-    let server = CompadresServer::spawn_loopback(Arc::new(registry)).unwrap();
-    let conn = server.attach_loopback();
-    let client = CompadresClient::from_conn(Arc::new(conn)).unwrap();
+    let server = rtcorba::ServerBuilder::new(Arc::new(registry))
+        .serve()
+        .unwrap();
+    let client = rtcorba::ClientBuilder::new()
+        .connect(server.addr().unwrap())
+        .unwrap();
 
     // 2 ms budget against a 25 ms servant: the call still succeeds (the
     // budget is accounting, not policy) but the overrun must be flagged.

@@ -326,13 +326,15 @@ impl<S: Send + 'static> ThreadPool<S> {
     /// between popping a job and marking itself busy.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
-        while std::time::Instant::now() < deadline {
+        loop {
             if self.shared.pending.load(Ordering::SeqCst) == 0 {
                 return true;
             }
+            if std::time::Instant::now() >= deadline {
+                return false;
+            }
             std::thread::yield_now();
         }
-        false
     }
 }
 
@@ -635,8 +637,13 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         let g = Arc::clone(&gate);
         pool.execute(Priority::NORM, move |_, _| {
+            g.wait(); // entered: the worker's batch is this job alone
             g.wait();
         });
+        // Queue the rest only once the worker is inside the blocker:
+        // a batch is popped in priority order, but a job that rode in
+        // the blocker's batch would run before later, higher arrivals.
+        gate.wait();
         for (pr, tag) in [(1u8, "low"), (90, "high"), (40, "mid")] {
             let o = Arc::clone(&order);
             pool.execute(Priority::new(pr), move |_, _| o.lock().push(tag));

@@ -113,10 +113,12 @@ fn cdr_roundtrips_any_value_sequence() {
 #[test]
 fn giop_request_roundtrips() {
     use rtcorba::cdr::Endian;
-    use rtcorba::giop::{decode, Message, RequestMessage};
+    use rtcorba::giop::{decode_view, Message, RequestMessage};
+    use rtplatform::bufchain::SegPool;
     const OP_FIRST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_";
     const OP_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
     let mut rng = SplitMix64::new(0x610);
+    let pool = SegPool::new(8, 64);
     for _case in 0..128 {
         let endian = if rng.chance(0.5) {
             Endian::Little
@@ -131,8 +133,8 @@ fn giop_request_roundtrips() {
             body: rand_bytes(&mut rng, 256),
             service_context: Vec::new(),
         };
-        let frame = req.encode(endian);
-        match decode(&frame).unwrap() {
+        let frame = req.encode_chain(endian, &pool);
+        match decode_view(&frame.slices()).unwrap().to_message() {
             Message::Request(r) => assert_eq!(r, req),
             other => panic!("unexpected {other:?}"),
         }
