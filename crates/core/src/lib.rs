@@ -118,6 +118,7 @@
 mod builder;
 mod component;
 mod error;
+pub mod link;
 pub mod membership;
 mod message;
 mod model;

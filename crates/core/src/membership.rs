@@ -15,12 +15,13 @@
 //!   endpoint name to an address and rebind it during failover (the
 //!   `rtcorba` sharded naming client implements this; [`StaticResolver`]
 //!   is the in-process table for tests and single-binary deployments);
-//! * [`FailoverSender`] — a [`RemotePort`] wrapper that, when membership
-//!   declares the primary down, connects the first reachable replica
-//!   endpoint from the deployment manifest, re-ships any frames queued
-//!   against the dead link, and rebinds the primary name — exactly once
-//!   per episode, guarded by a CAS, so two triggers never produce a
-//!   split-brain double rebind.
+//! * [`FailoverSender`] — a [`RemotePort`] with a standby list: when
+//!   membership declares the primary down it retargets the port's one
+//!   link at the first reachable replica endpoint from the deployment
+//!   manifest (frames queued against the dead primary never leave the
+//!   port; they flush to the replica) and rebinds the primary name —
+//!   exactly once per episode, guarded by a CAS, so two triggers never
+//!   produce a split-brain double rebind.
 //!
 //! Everything is observable: transitions emit `member.*` /
 //! `failover.*` / `naming.rebind` flight-recorder events and completed
@@ -39,11 +40,12 @@ use std::time::{Duration, Instant};
 
 use rtobs::{CounterId, EventKind, Observer};
 use rtplatform::fault::FaultPolicy;
+use rtplatform::poll::Acceptor;
 use rtplatform::sync::Mutex;
 
 use crate::error::{CompadresError, Result};
 use crate::message::Message;
-use crate::remote::RemotePort;
+use crate::remote::{RemotePort, LOOPBACK_ANY};
 use crate::smm::BytesCodec;
 use rtsched::Priority;
 
@@ -183,9 +185,7 @@ impl MembershipLog {
 /// registered in the naming service under the manifest's
 /// `{app}/{node}/#hb` name.
 pub struct HeartbeatResponder {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl HeartbeatResponder {
@@ -204,62 +204,32 @@ impl HeartbeatResponder {
     ///
     /// Listener bind failures.
     pub fn bind_to(addr: Option<SocketAddr>) -> Result<HeartbeatResponder> {
-        let listener = match addr {
-            Some(a) => TcpListener::bind(a).map_err(io_err)?,
-            None => TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?,
-        };
-        let local_addr = listener.local_addr().map_err(io_err)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown2 = Arc::clone(&shutdown);
-        let handle = std::thread::Builder::new()
-            .name("compadres-heartbeat".into())
-            .spawn(move || {
-                while !shutdown2.load(Ordering::SeqCst) {
-                    let Ok((mut stream, _)) = listener.accept() else {
-                        break;
-                    };
-                    if shutdown2.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // Probes are one byte each way over a fresh
-                    // connection; a stalled prober costs at most the
-                    // read timeout, never a wedged listener.
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-                    let mut b = [0u8; 1];
-                    while let Ok(()) = stream.read_exact(&mut b) {
-                        if stream.write_all(&b).is_err() {
-                            break;
-                        }
-                    }
+        let listener = TcpListener::bind(addr.unwrap_or(LOOPBACK_ANY)).map_err(io_err)?;
+        let acceptor = Acceptor::spawn(listener, "compadres-heartbeat", |mut stream| {
+            // Probes are one byte each way over a fresh connection; a
+            // stalled prober costs at most the read timeout, never a
+            // wedged listener.
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
+            let mut b = [0u8; 1];
+            while let Ok(()) = stream.read_exact(&mut b) {
+                if stream.write_all(&b).is_err() {
+                    break;
                 }
-            })
-            .expect("spawn heartbeat responder");
-        Ok(HeartbeatResponder {
-            local_addr,
-            shutdown,
-            handle: Some(handle),
+            }
         })
+        .map_err(io_err)?;
+        Ok(HeartbeatResponder { acceptor })
     }
 
     /// The address probes should connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr()
     }
 
-    /// Stops answering and unblocks the accept loop.
+    /// Stops answering; the thread is joined on drop.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.local_addr);
-    }
-}
-
-impl Drop for HeartbeatResponder {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.acceptor.stop();
     }
 }
 
@@ -534,11 +504,6 @@ struct FailoverObs {
     failovers: CounterId,
 }
 
-struct FailoverInner<M> {
-    port: Arc<RemotePort<M>>,
-    active: String,
-}
-
 /// A sending stub with a standby list: traffic flows to the primary
 /// endpoint until [`FailoverSender::fail_over`] promotes the first
 /// reachable replica from the deployment manifest.
@@ -546,8 +511,8 @@ pub struct FailoverSender<M> {
     primary: String,
     failover_names: Vec<String>,
     resolver: Arc<dyn EndpointResolver>,
-    policy: FaultPolicy,
-    inner: Mutex<FailoverInner<M>>,
+    port: RemotePort<M>,
+    active: Mutex<String>,
     failed_over: AtomicBool,
     failovers: AtomicU64,
     log: MembershipLog,
@@ -570,16 +535,12 @@ impl<M: Message + BytesCodec> FailoverSender<M> {
         log: MembershipLog,
     ) -> Result<FailoverSender<M>> {
         let addr = resolver.resolve(primary)?;
-        let port = Arc::new(RemotePort::<M>::connect_with(addr, policy.clone())?);
         Ok(FailoverSender {
+            port: RemotePort::connect_with(addr, policy)?,
             primary: primary.to_string(),
             failover_names,
             resolver,
-            policy,
-            inner: Mutex::new(FailoverInner {
-                port,
-                active: primary.to_string(),
-            }),
+            active: Mutex::new(primary.to_string()),
             failed_over: AtomicBool::new(false),
             failovers: AtomicU64::new(0),
             log,
@@ -596,7 +557,7 @@ impl<M: Message + BytesCodec> FailoverSender<M> {
             failovers: obs.counter("compadres_failover_total"),
             obs: Arc::clone(obs),
         });
-        self.inner.lock().port.set_observer(obs);
+        self.port.set_observer(obs);
     }
 
     /// Sends via whichever endpoint is currently active. Degradation
@@ -606,13 +567,12 @@ impl<M: Message + BytesCodec> FailoverSender<M> {
     ///
     /// See [`RemotePort::send`].
     pub fn send(&self, msg: &M, priority: impl Into<Priority>) -> Result<()> {
-        let port = Arc::clone(&self.inner.lock().port);
-        port.send(msg, priority)
+        self.port.send(msg, priority)
     }
 
     /// The endpoint name traffic currently flows to.
     pub fn active_endpoint(&self) -> String {
-        self.inner.lock().active.clone()
+        self.active.lock().clone()
     }
 
     /// Completed failovers.
@@ -620,26 +580,31 @@ impl<M: Message + BytesCodec> FailoverSender<M> {
         self.failovers.load(Ordering::Relaxed)
     }
 
-    /// The underlying remote port currently in use.
-    pub fn port(&self) -> Arc<RemotePort<M>> {
-        Arc::clone(&self.inner.lock().port)
-    }
-
-    /// Promotes the first reachable replica: connects it, re-ships any
-    /// frames queued against the dead primary, and rebinds the primary
-    /// name to the replica's address. Guarded to run at most once per
-    /// episode — a second (concurrent or later) trigger returns the
-    /// already-active endpoint without touching the naming service, so
-    /// one kill never produces two rebinds.
+    /// Promotes the first reachable replica: retargets the port at it
+    /// (which flushes any frames queued against the dead primary, in
+    /// order) and rebinds the primary name to the replica's address.
+    /// Guarded to run at most once per episode — a second (concurrent or
+    /// later) trigger returns the already-active endpoint without
+    /// touching the naming service, so one kill never produces two
+    /// rebinds.
     ///
     /// # Errors
     ///
-    /// No replica configured or none reachable (the guard is released
-    /// so a later trigger may retry).
+    /// No replica configured or none reachable, or the rebind failed. In
+    /// each case the episode is not complete and the guard is released,
+    /// so a later trigger retries it.
     pub fn fail_over(&self) -> Result<String> {
         if self.failed_over.swap(true, Ordering::SeqCst) {
             return Ok(self.active_endpoint());
         }
+        let outcome = self.promote_replica();
+        if outcome.is_err() {
+            self.failed_over.store(false, Ordering::SeqCst);
+        }
+        outcome
+    }
+
+    fn promote_replica(&self) -> Result<String> {
         let started = Instant::now();
         self.log
             .append(&self.primary, MemberEventKind::FailoverStart);
@@ -650,27 +615,10 @@ impl<M: Message + BytesCodec> FailoverSender<M> {
             let Ok(addr) = self.resolver.resolve(name) else {
                 continue;
             };
-            let Ok(port) = RemotePort::<M>::connect_with(addr, self.policy.clone()) else {
+            if self.port.retarget(addr).is_err() {
                 continue;
-            };
-            if let Some(o) = self.obs.get() {
-                port.set_observer(&o.obs);
             }
-            let port = Arc::new(port);
-            // Swap the link first, then drain the dead link's resend
-            // queue over the new one so queued traffic survives the
-            // failover in order.
-            let old = {
-                let mut inner = self.inner.lock();
-                let old = std::mem::replace(&mut inner.port, Arc::clone(&port));
-                inner.active = name.clone();
-                old
-            };
-            for frame in old.take_pending() {
-                if port.send_raw_frame(&frame).is_err() {
-                    break;
-                }
-            }
+            *self.active.lock() = name.clone();
             self.resolver.rebind(&self.primary, addr)?;
             self.log.append(&self.primary, MemberEventKind::Rebind);
             self.log
@@ -687,7 +635,6 @@ impl<M: Message + BytesCodec> FailoverSender<M> {
             }
             return Ok(name.clone());
         }
-        self.failed_over.store(false, Ordering::SeqCst);
         Err(CompadresError::Model(format!(
             "failover from {:?}: no reachable replica among {:?}",
             self.primary, self.failover_names
@@ -873,5 +820,128 @@ mod tests {
                 MemberEventKind::FailoverComplete
             ]
         );
+    }
+
+    /// A resolver whose first `rebind` fails, as a naming shard that is
+    /// itself mid-failover would.
+    struct FlakyResolver(Arc<StaticResolver>, AtomicBool);
+
+    impl EndpointResolver for FlakyResolver {
+        fn resolve(&self, name: &str) -> Result<SocketAddr> {
+            self.0.resolve(name)
+        }
+        fn rebind(&self, name: &str, addr: SocketAddr) -> Result<()> {
+            if self.1.swap(false, Ordering::SeqCst) {
+                return Err(CompadresError::Model("naming shard unreachable".into()));
+            }
+            self.0.rebind(name, addr)
+        }
+    }
+
+    type Exported = (PortExporter, mpsc::Receiver<i64>);
+
+    /// A primary and a standby exporter, each on a sink app of its own
+    /// and bound in `table`, and a sender connected through `resolver`.
+    fn failover_rig(
+        table: &StaticResolver,
+        resolver: Arc<dyn EndpointResolver>,
+        policy: FaultPolicy,
+        log: MembershipLog,
+    ) -> ([Exported; 2], FailoverSender<Sample>) {
+        let exporters = ["App/hub/S.In", "App/standby/S.In"].map(|name| {
+            let (app, rx) = sink_app(name);
+            let exporter = PortExporter::bind::<Sample>(&app, "S", "In").unwrap();
+            table.bind(name, exporter.local_addr());
+            (exporter, rx)
+        });
+        let standbys = vec!["App/standby/S.In".to_string()];
+        let sender =
+            FailoverSender::connect("App/hub/S.In", standbys, resolver, policy, log).unwrap();
+        (exporters, sender)
+    }
+
+    #[test]
+    fn failed_rebind_leaves_the_episode_open_for_the_next_trigger() {
+        let table = Arc::new(StaticResolver::new());
+        let resolver = Arc::new(FlakyResolver(Arc::clone(&table), AtomicBool::new(true)));
+        let log = MembershipLog::new();
+        let ([(primary, _), (standby, standby_rx)], sender) = failover_rig(
+            &table,
+            Arc::clone(&resolver) as Arc<dyn EndpointResolver>,
+            FaultPolicy::default(),
+            log.clone(),
+        );
+        let resolved = || resolver.resolve("App/hub/S.In").unwrap();
+        primary.shutdown();
+
+        assert!(sender.fail_over().is_err(), "the rebind failure surfaces");
+        assert_eq!((sender.failovers(), resolved()), (0, primary.local_addr()));
+        // The next trigger finishes the job instead of reporting an
+        // episode that never completed as done; the one after is a no-op.
+        assert_eq!(sender.fail_over().unwrap(), "App/standby/S.In");
+        assert_eq!(sender.fail_over().unwrap(), "App/standby/S.In");
+        assert_eq!((sender.failovers(), resolved()), (1, standby.local_addr()));
+        let logged = |kind| log.snapshot().iter().filter(|e| e.kind == kind).count();
+        assert_eq!(logged(MemberEventKind::Rebind), 1);
+        assert_eq!(logged(MemberEventKind::FailoverComplete), 1);
+        sender.send(&Sample { v: 5 }, Priority::NORM).unwrap();
+        assert_eq!(standby_rx.recv_timeout(Duration::from_secs(5)).unwrap(), 5);
+    }
+
+    #[test]
+    fn failover_flushes_the_queue_to_the_replica_in_order_exactly_once() {
+        let resolver = Arc::new(StaticResolver::new());
+        let policy = FaultPolicy {
+            degrade: rtplatform::fault::DegradeMode::DropOldest,
+            pending_cap: 4,
+            ..FaultPolicy::tight()
+        };
+        let ([(primary, primary_rx), (_standby, standby_rx)], sender) = failover_rig(
+            &resolver,
+            Arc::clone(&resolver) as Arc<dyn EndpointResolver>,
+            policy,
+            MembershipLog::new(),
+        );
+        let port = &sender.port;
+        sender.send(&Sample { v: 1 }, Priority::NORM).unwrap();
+        assert_eq!(primary_rx.recv_timeout(Duration::from_secs(5)).unwrap(), 1);
+
+        // Kill the primary. A write or two can still vanish into the
+        // dead socket before the RST comes back (that is TCP, not the
+        // queue), so send canaries until one is queued: from then on the
+        // link is down and nothing more touches the wire.
+        drop(primary);
+        const CANARY: i64 = -1;
+        for _ in 0..200 {
+            sender.send(&Sample { v: CANARY }, Priority::NORM).unwrap();
+            if port.pending() > 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(port.pending(), 1, "the primary never went away");
+        // Six more against a queue of four: the canary, 10 and 11 are
+        // shed, 12..=15 wait.
+        for v in 10..=15 {
+            sender.send(&Sample { v }, Priority::NORM).unwrap();
+        }
+        let sent_before = port.sent();
+        assert_eq!((port.pending(), port.sheds()), (4, 3));
+
+        assert_eq!(sender.fail_over().unwrap(), "App/standby/S.In");
+        assert_eq!(port.pending(), 0, "failover flushed the queue");
+        sender.send(&Sample { v: 16 }, Priority::NORM).unwrap();
+        let arrived: Vec<i64> = (0..5)
+            .map(|_| standby_rx.recv_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        assert_eq!(arrived, vec![12, 13, 14, 15, 16]);
+        let late = standby_rx.recv_timeout(Duration::from_millis(200));
+        assert!(late.is_err(), "nothing arrives twice");
+        assert!(primary_rx.try_iter().all(|v| v == CANARY));
+        // One port, one set of counters: they carry on across the
+        // failover instead of restarting with a fresh port.
+        assert!(sent_before >= 1);
+        assert_eq!((port.sent(), port.sheds()), (sent_before + 5, 3));
+        assert_eq!(port.reconnects(), 1, "the retarget dial");
     }
 }

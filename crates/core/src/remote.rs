@@ -13,7 +13,8 @@
 //!   messages with [`BytesCodec`] and ships them.
 //!
 //! Wire format per message: `u8` priority, `u32` big-endian payload
-//! length, payload bytes. The message type must implement [`BytesCodec`];
+//! length (at most [`MAX_FRAME`]), payload bytes. The message type must
+//! implement [`BytesCodec`];
 //! type identity is checked at the receiving side against the in-port's
 //! bound Rust type, so a mismatched pairing fails loudly, not silently.
 //!
@@ -35,14 +36,15 @@
 //! ## Fault model
 //!
 //! Both endpoints honour a [`FaultPolicy`] (DESIGN.md §"Fault model").
-//! The sender bounds every blocking operation with the policy's
-//! connect/send deadlines, retries with decorrelated-jitter backoff,
-//! reconnects on a broken pipe, and — once the retry budget is spent —
-//! degrades per [`DegradeMode`]: fail the caller, shed the message, or
-//! queue it (bounded, oldest-out) for resend on reconnect. The receiver
-//! arms the recv deadline on every connection so a peer that stalls
-//! *mid-frame* costs at most one deadline, never a wedged thread; a
-//! deadline at a frame boundary is just an idle link. Retries,
+//! The sender runs on the one resumable [`Link`]: it bounds every dial
+//! and write with the policy's connect/send deadlines, and the link
+//! retries with decorrelated-jitter backoff and redials after a broken
+//! pipe. What the port adds is what happens once the retry budget is
+//! spent — it degrades per [`DegradeMode`]: fail the caller, shed the
+//! message, or queue it (bounded, oldest-out) for resend on reconnect.
+//! The receiver arms the recv deadline on every connection so a peer
+//! that stalls *mid-frame* costs at most one deadline, never a wedged
+//! thread; a deadline at a frame boundary is just an idle link. Retries,
 //! reconnects, sheds and deadline misses are counted in `rtobs` when an
 //! observer is attached ([`RemotePort::set_observer`]; the exporter uses
 //! its app's observer automatically).
@@ -53,13 +55,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
-use rtobs::{CounterId, EventKind, GaugeId, HistId, Observer};
-use rtplatform::fault::{Backoff, DegradeMode, FaultPolicy};
+use rtobs::{CounterId, EventKind, GaugeId, Observer};
+use rtplatform::fault::{DegradeMode, FaultPolicy};
+use rtplatform::poll::Acceptor;
 use rtplatform::sync::Mutex;
 
 use crate::error::{CompadresError, Result};
+use crate::link::{Link, LinkState};
 use crate::message::Message;
 use crate::runtime::App;
 use crate::smm::BytesCodec;
@@ -73,9 +76,18 @@ const TRACE_FLAG: u8 = 0x80;
 /// `u16` parent span, `u16` reserved, `u64` budget ns (big-endian).
 const TRACE_PREAMBLE: usize = 16;
 
+/// Largest length word either side accepts (payload plus trace
+/// preamble): [`RemotePort::send`] refuses to frame more, and the
+/// exporter drops a connection that claims more.
+pub const MAX_FRAME: usize = 64 << 20;
+
 /// Trace context carried by a flagged frame: `(trace_id, parent_span,
 /// budget_ns)` with budget `0` meaning "no deadline".
 type WireTrace = (u32, u16, u64);
+
+/// `127.0.0.1:0`: loopback, port chosen by the kernel.
+pub(crate) const LOOPBACK_ANY: SocketAddr =
+    SocketAddr::new(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST), 0);
 
 fn io_err(e: std::io::Error) -> CompadresError {
     CompadresError::Model(format!("remote link I/O failure: {e}"))
@@ -114,33 +126,39 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Exporter-side observability ids, registered on the app's observer.
-struct ExportObs {
+/// What the exporter and its threads share. The [`Link`] carries the
+/// policy and counts the deadline misses: an exporter has no connection
+/// of its own to retry, so the counting half is all it uses.
+struct ExportShared {
+    app: Arc<App>,
+    instance: String,
+    port: String,
     obs: Arc<Observer>,
     entity: u32,
     rx_frames: CounterId,
     rx_rejected: CounterId,
-    deadline_misses: CounterId,
     conns_live: GaugeId,
+    link: Link,
+    shutdown: AtomicBool,
+    received: AtomicU64,
+    rejected: AtomicU64,
+    /// A clone of every accepted stream, so shutdown can sever it while
+    /// its thread is blocked reading.
+    conns: Mutex<Vec<TcpStream>>,
+    conn_handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// Serves a local in-port to the network: every message received on the
 /// socket is injected into `instance.port` as if a local component had
 /// sent it.
 pub struct PortExporter {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    received: Arc<AtomicU64>,
-    rejected: Arc<AtomicU64>,
-    deadline_misses: Arc<AtomicU64>,
+    acceptor: Acceptor,
+    shared: Arc<ExportShared>,
 }
 
 impl std::fmt::Debug for PortExporter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PortExporter({})", self.local_addr)
+        write!(f, "PortExporter({})", self.local_addr())
     }
 }
 
@@ -187,7 +205,7 @@ fn read_frame<M: BytesCodec>(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Frame
     let traced = first[0] & TRACE_FLAG != 0;
     let priority = Priority::new(first[0] & !TRACE_FLAG);
     let len = u32::from_be_bytes(rest) as usize;
-    if len > 64 << 20 || (traced && len < TRACE_PREAMBLE) {
+    if len > MAX_FRAME || (traced && len < TRACE_PREAMBLE) {
         return FrameRead::Dead; // oversized or malformed claim: drop
     }
     if buf.len() < len {
@@ -258,178 +276,73 @@ impl PortExporter {
     ) -> Result<PortExporter> {
         // Fail fast on unknown ports / wrong types with a probe message.
         let _ = app.port_attrs(instance, port)?;
-        let listener = match addr {
-            Some(a) => TcpListener::bind(a).map_err(io_err)?,
-            None => TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?,
-        };
-        let local_addr = listener.local_addr().map_err(io_err)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let received = Arc::new(AtomicU64::new(0));
-        let rejected = Arc::new(AtomicU64::new(0));
-        let deadline_misses = Arc::new(AtomicU64::new(0));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
+        let listener = TcpListener::bind(addr.unwrap_or(LOOPBACK_ANY)).map_err(io_err)?;
         let observer = Arc::clone(app.observer());
-        let export_obs = Arc::new(ExportObs {
-            entity: observer.register_entity(&format!("export:{instance}.{port}")),
+        let entity_name = format!("export:{instance}.{port}");
+        let link = Link::new(policy);
+        link.set_observer(&observer, &entity_name);
+        let shared = Arc::new(ExportShared {
+            app: Arc::clone(app),
+            instance: instance.to_string(),
+            port: port.to_string(),
+            entity: observer.register_entity(&entity_name),
             rx_frames: observer.counter("remote_rx_frames_total"),
             rx_rejected: observer.counter("remote_rx_rejected_total"),
-            deadline_misses: observer.counter("remote_deadline_misses_total"),
             conns_live: observer.gauge("remote_conns_live"),
             obs: observer,
+            link,
+            shutdown: AtomicBool::new(false),
+            received: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            conns: Mutex::new(Vec::new()),
+            conn_handles: Mutex::new(Vec::new()),
         });
 
-        let app = Arc::clone(app);
-        let instance = instance.to_string();
-        let port = port.to_string();
-        let shutdown2 = Arc::clone(&shutdown);
-        let received2 = Arc::clone(&received);
-        let rejected2 = Arc::clone(&rejected);
-        let misses2 = Arc::clone(&deadline_misses);
-        let conns2 = Arc::clone(&conns);
-        let conn_handles2 = Arc::clone(&conn_handles);
-        let accept_handle = std::thread::Builder::new()
-            .name(format!("compadres-export-{instance}-{port}"))
-            .spawn(move || {
-                while !shutdown2.load(Ordering::SeqCst) {
-                    let Ok((stream, _)) = listener.accept() else {
-                        break;
-                    };
-                    if shutdown2.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // Register the stream so shutdown() can sever it even
-                    // while the connection thread is blocked reading.
-                    if let Ok(clone) = stream.try_clone() {
-                        conns2.lock().push(clone);
-                    }
-                    let app = Arc::clone(&app);
-                    let instance = instance.clone();
-                    let port = port.clone();
-                    let shutdown3 = Arc::clone(&shutdown2);
-                    let received3 = Arc::clone(&received2);
-                    let rejected3 = Arc::clone(&rejected2);
-                    let misses3 = Arc::clone(&misses2);
-                    let eobs = Arc::clone(&export_obs);
-                    let policy = policy.clone();
-                    let handle = std::thread::Builder::new()
-                        .name("compadres-export-conn".into())
-                        .spawn(move || {
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(policy.recv_timeout));
-                            eobs.obs.gauge_add(eobs.conns_live, 1);
-                            let mut stream = stream;
-                            let mut buf = Vec::new();
-                            while !shutdown3.load(Ordering::SeqCst) {
-                                match read_frame::<M>(&mut stream, &mut buf) {
-                                    FrameRead::Frame(priority, trace, msg) => {
-                                        received3.fetch_add(1, Ordering::Relaxed);
-                                        eobs.obs.inc(eobs.rx_frames);
-                                        // Adopt the sender's trace so the
-                                        // injected message continues it;
-                                        // deliver() then mints a child of
-                                        // this span.
-                                        let span = match trace {
-                                            Some((tid, parent, budget)) if eobs.obs.tracing() => {
-                                                let s = eobs.obs.adopt_remote(tid, parent, budget);
-                                                eobs.obs.record_span(
-                                                    EventKind::SpanRemoteRecv,
-                                                    eobs.entity,
-                                                    budget,
-                                                    s,
-                                                );
-                                                s
-                                            }
-                                            _ => rtobs::SpanCtx::NONE,
-                                        };
-                                        let injected = rtobs::span::with_span(span, || {
-                                            app.send_to(&instance, &port, msg, priority)
-                                        });
-                                        if span.is_active() {
-                                            // Close the adopted span: on a
-                                            // synchronous pipeline its
-                                            // duration brackets the local
-                                            // processing, so stitched trees
-                                            // attribute self-time to this
-                                            // side instead of the sender's
-                                            // wire hop.
-                                            let left = eobs.obs.budget_remaining(span);
-                                            eobs.obs.record_span(
-                                                EventKind::SpanEnd,
-                                                eobs.entity,
-                                                left as u64,
-                                                span,
-                                            );
-                                        }
-                                        if injected.is_err() {
-                                            rejected3.fetch_add(1, Ordering::Relaxed);
-                                            eobs.obs.inc(eobs.rx_rejected);
-                                        }
-                                    }
-                                    FrameRead::Idle => {}
-                                    FrameRead::Stalled => {
-                                        misses3.fetch_add(1, Ordering::Relaxed);
-                                        eobs.obs.inc(eobs.deadline_misses);
-                                        eobs.obs.record(
-                                            EventKind::RemoteDeadlineMiss,
-                                            eobs.entity,
-                                            policy.recv_timeout.as_nanos() as u64,
-                                        );
-                                        break;
-                                    }
-                                    FrameRead::Dead => break,
-                                }
-                            }
-                            eobs.obs.gauge_sub(eobs.conns_live, 1);
-                        });
-                    if let Ok(h) = handle {
-                        conn_handles2.lock().push(h);
-                    }
-                }
-            })
-            .expect("spawn exporter");
-        Ok(PortExporter {
-            local_addr,
-            shutdown,
-            accept_handle: Some(accept_handle),
-            conn_handles,
-            conns,
-            received,
-            rejected,
-            deadline_misses,
+        let sh = Arc::clone(&shared);
+        let name = format!("compadres-export-{instance}-{port}");
+        let acceptor = Acceptor::spawn(listener, &name, move |stream| {
+            if let Ok(clone) = stream.try_clone() {
+                sh.conns.lock().push(clone);
+            }
+            let sh2 = Arc::clone(&sh);
+            let handle = std::thread::Builder::new()
+                .name("compadres-export-conn".into())
+                .spawn(move || serve_conn::<M>(&sh2, stream));
+            if let Ok(h) = handle {
+                sh.conn_handles.lock().push(h);
+            }
         })
+        .map_err(io_err)?;
+        Ok(PortExporter { acceptor, shared })
     }
 
     /// The address remote senders should connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr()
     }
 
     /// Messages received over the network so far.
     pub fn received(&self) -> u64 {
-        self.received.load(Ordering::Relaxed)
+        self.shared.received.load(Ordering::Relaxed)
     }
 
     /// Messages that could not be injected locally (e.g. buffer full).
     pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
+        self.shared.rejected.load(Ordering::Relaxed)
     }
 
     /// Connections dropped because a sender stalled mid-frame past the
     /// recv deadline.
     pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
+        self.shared.link.deadline_misses()
     }
 
-    /// Stops accepting new connections, unblocks the in-flight
-    /// `accept()`, and severs every live connection so their threads
-    /// exit promptly (joined in `Drop`) instead of leaking.
+    /// Stops accepting new connections and severs every live one so
+    /// their threads exit promptly (joined in `Drop`) instead of leaking.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept() with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        for s in self.conns.lock().iter() {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.acceptor.stop();
+        for s in self.shared.conns.lock().iter() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -437,38 +350,78 @@ impl PortExporter {
 
 impl Drop for PortExporter {
     fn drop(&mut self) {
+        // The acceptor first: once it is joined no new connection can
+        // slip past the severing below.
+        self.acceptor.join();
         self.shutdown();
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = std::mem::take(&mut *self.conn_handles.lock());
+        let handles: Vec<_> = std::mem::take(&mut *self.shared.conn_handles.lock());
         for h in handles {
             let _ = h.join();
         }
     }
 }
 
-/// Sender-side observability ids (see [`RemotePort::set_observer`]).
-struct RemoteObs {
-    obs: Arc<Observer>,
-    entity: u32,
-    retries: CounterId,
-    reconnects: CounterId,
-    sheds: CounterId,
-    deadline_misses: CounterId,
-    backoff_ns: HistId,
+/// One exporter connection: reads frames until the peer goes away,
+/// stalls mid-frame or the exporter shuts down, injecting each message
+/// into `instance.port`.
+fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, mut stream: TcpStream) {
+    let recv_timeout = sh.link.policy().recv_timeout;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(recv_timeout));
+    sh.obs.gauge_add(sh.conns_live, 1);
+    let mut buf = Vec::new();
+    while !sh.shutdown.load(Ordering::SeqCst) {
+        match read_frame::<M>(&mut stream, &mut buf) {
+            FrameRead::Frame(priority, trace, msg) => {
+                sh.received.fetch_add(1, Ordering::Relaxed);
+                sh.obs.inc(sh.rx_frames);
+                // Adopt the sender's trace so the injected message
+                // continues it; deliver() then mints a child of this
+                // span.
+                let span = match trace {
+                    Some((tid, parent, budget)) if sh.obs.tracing() => {
+                        let s = sh.obs.adopt_remote(tid, parent, budget);
+                        sh.obs
+                            .record_span(EventKind::SpanRemoteRecv, sh.entity, budget, s);
+                        s
+                    }
+                    _ => rtobs::SpanCtx::NONE,
+                };
+                let injected = rtobs::span::with_span(span, || {
+                    sh.app.send_to(&sh.instance, &sh.port, msg, priority)
+                });
+                if span.is_active() {
+                    // Close the adopted span: on a synchronous pipeline
+                    // its duration brackets the local processing, so
+                    // stitched trees attribute self-time to this side
+                    // instead of the sender's wire hop.
+                    let left = sh.obs.budget_remaining(span);
+                    sh.obs
+                        .record_span(EventKind::SpanEnd, sh.entity, left as u64, span);
+                }
+                if injected.is_err() {
+                    sh.rejected.fetch_add(1, Ordering::Relaxed);
+                    sh.obs.inc(sh.rx_rejected);
+                }
+            }
+            FrameRead::Idle => {}
+            FrameRead::Stalled => {
+                sh.link.note_deadline_miss(recv_timeout);
+                break;
+            }
+            FrameRead::Dead => break,
+        }
+    }
+    sh.obs.gauge_sub(sh.conns_live, 1);
 }
 
-/// Mutable link state, held across sends.
+/// What [`RemotePort`] keeps under its one lock: the link's mutable
+/// half, where it points, and the resend queue.
 struct SendState {
-    stream: Option<TcpStream>,
-    backoff: Backoff,
-    /// Resend queue used by [`DegradeMode::DropOldest`].
+    link: LinkState<TcpStream>,
+    addr: SocketAddr,
+    /// Whole wire frames awaiting resend ([`DegradeMode::DropOldest`]).
     pending: VecDeque<Vec<u8>>,
-    /// In `DropOldest` mode, no reconnect is attempted before this
-    /// instant — sends just queue, so the caller never eats a connect
-    /// timeout per message while the link is down.
-    retry_after: Option<Instant>,
 }
 
 /// The sending stub of a remote connection: a typed handle that encodes
@@ -477,15 +430,11 @@ struct SendState {
 /// Fault behaviour is governed by the [`FaultPolicy`] given to
 /// [`connect_with`](RemotePort::connect_with); see the module docs.
 pub struct RemotePort<M> {
-    addr: SocketAddr,
-    policy: FaultPolicy,
+    link: Link,
     state: Mutex<SendState>,
     sent: AtomicU64,
-    retries: AtomicU64,
-    reconnects: AtomicU64,
     sheds: AtomicU64,
-    deadline_misses: AtomicU64,
-    obs: OnceLock<RemoteObs>,
+    sheds_id: OnceLock<CounterId>,
     _marker: std::marker::PhantomData<fn(&M)>,
 }
 
@@ -513,45 +462,35 @@ impl<M: Message + BytesCodec> RemotePort<M> {
     /// bounded by the policy's connect deadline; later reconnects use the
     /// retry budget).
     pub fn connect_with(addr: SocketAddr, policy: FaultPolicy) -> Result<RemotePort<M>> {
-        let stream = Self::dial(addr, &policy).map_err(io_err)?;
+        let link = Link::new(policy);
         // Backoff jitter only decorrelates concurrent clients; deriving
         // the seed from the port keeps runs reproducible enough while
         // separating streams of co-located senders.
-        let backoff = Backoff::new(&policy, 0x9E37_79B9_7F4A_7C15 ^ u64::from(addr.port()));
+        let mut state = link.state(0x9E37_79B9_7F4A_7C15 ^ u64::from(addr.port()));
+        link.retarget(&mut state, || Self::dial(addr, link.policy()))
+            .map_err(io_err)?;
         Ok(RemotePort {
-            addr,
-            policy,
+            link,
             state: Mutex::new(SendState {
-                stream: Some(stream),
-                backoff,
+                link: state,
+                addr,
                 pending: VecDeque::new(),
-                retry_after: None,
             }),
             sent: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            obs: OnceLock::new(),
+            sheds_id: OnceLock::new(),
             _marker: std::marker::PhantomData,
         })
     }
 
-    /// Wires fault metrics into `obs`: counters `remote_retries_total`,
-    /// `remote_reconnects_total`, `remote_sheds_total`,
-    /// `remote_deadline_misses_total`, the `remote_retry_backoff_ns`
-    /// histogram and flight-recorder events under `remote:{addr}`.
+    /// Wires fault metrics into `obs`: the link's counters (see
+    /// [`Link::set_observer`]) plus `remote_sheds_total`, and
+    /// flight-recorder events under `remote:{addr}`.
     /// Call at most once; later calls are ignored.
     pub fn set_observer(&self, obs: &Arc<Observer>) {
-        let _ = self.obs.set(RemoteObs {
-            entity: obs.register_entity(&format!("remote:{}", self.addr)),
-            retries: obs.counter("remote_retries_total"),
-            reconnects: obs.counter("remote_reconnects_total"),
-            sheds: obs.counter("remote_sheds_total"),
-            deadline_misses: obs.counter("remote_deadline_misses_total"),
-            backoff_ns: obs.histogram("remote_retry_backoff_ns"),
-            obs: Arc::clone(obs),
-        });
+        let addr = self.state.lock().addr;
+        self.link.set_observer(obs, &format!("remote:{addr}"));
+        let _ = self.sheds_id.set(obs.counter("remote_sheds_total"));
     }
 
     fn dial(addr: SocketAddr, policy: &FaultPolicy) -> std::io::Result<TcpStream> {
@@ -562,68 +501,21 @@ impl<M: Message + BytesCodec> RemotePort<M> {
     }
 
     fn note_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs.get() {
-            o.obs.inc(o.sheds);
-            o.obs.record(
-                EventKind::RemoteShed,
-                o.entity,
-                self.sheds.load(Ordering::Relaxed),
-            );
-        }
-    }
-
-    /// Counts a failed attempt and returns the backoff delay to wait (or
-    /// schedule) before the next one.
-    fn note_retry(&self, st: &mut SendState) -> std::time::Duration {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        let delay = st.backoff.next_delay();
-        if let Some(o) = self.obs.get() {
-            o.obs.inc(o.retries);
-            o.obs.observe(o.backoff_ns, delay.as_nanos() as u64);
-            o.obs
-                .record(EventKind::RemoteRetry, o.entity, delay.as_nanos() as u64);
-        }
-        delay
-    }
-
-    fn note_reconnect(&self) {
-        let n = self.reconnects.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(o) = self.obs.get() {
-            o.obs.inc(o.reconnects);
-            o.obs.record(EventKind::RemoteReconnect, o.entity, n);
-        }
-    }
-
-    fn note_deadline_miss(&self) {
-        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs.get() {
-            o.obs.inc(o.deadline_misses);
-            o.obs.record(
-                EventKind::RemoteDeadlineMiss,
-                o.entity,
-                self.policy.send_timeout.as_nanos() as u64,
-            );
+        let n = self.sheds.fetch_add(1, Ordering::Relaxed) + 1;
+        if let (Some((obs, entity)), Some(&id)) = (self.link.observer(), self.sheds_id.get()) {
+            obs.inc(id);
+            obs.record(EventKind::RemoteShed, entity, n);
         }
     }
 
     /// Writes a frame given as parts (header + payload) with vectored
     /// I/O, so the wire header never has to be assembled into one `Vec`
-    /// with the payload; on failure the stream is torn down so the next
-    /// attempt reconnects.
-    fn try_write(&self, st: &mut SendState, parts: &[&[u8]]) -> std::io::Result<()> {
-        let Some(stream) = st.stream.as_mut() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "link down",
-            ));
-        };
+    /// with the payload. The link tears the stream down if this fails.
+    fn write(&self, stream: &mut TcpStream, parts: &[&[u8]]) -> std::io::Result<()> {
         let r = write_all_parts(stream, parts).and_then(|()| stream.flush());
-        if let Err(e) = &r {
-            if is_timeout(e) {
-                self.note_deadline_miss();
-            }
-            st.stream = None;
+        if r.as_ref().is_err_and(is_timeout) {
+            self.link
+                .note_deadline_miss(self.link.policy().send_timeout);
         }
         r
     }
@@ -639,7 +531,10 @@ impl<M: Message + BytesCodec> RemotePort<M> {
     ///
     /// # Errors
     ///
-    /// I/O failures after the retry budget is exhausted — only in
+    /// A message that encodes to more than [`MAX_FRAME`] bytes, in every
+    /// mode and before the link is touched: the receiver would drop the
+    /// connection on it every time it was retried. Otherwise I/O
+    /// failures after the retry budget is exhausted — only in
     /// [`DegradeMode::Fail`]; the degraded modes swallow the loss and
     /// count it instead.
     pub fn send(&self, msg: &M, priority: impl Into<Priority>) -> Result<()> {
@@ -648,6 +543,12 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         let span = rtobs::span::current();
         let traced = span.is_active();
         let preamble = if traced { TRACE_PREAMBLE } else { 0 };
+        let len = payload.len() + preamble;
+        if len > MAX_FRAME {
+            return Err(CompadresError::Model(format!(
+                "remote message of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"
+            )));
+        }
         // The wire header (priority byte, length word, optional trace
         // preamble) is built on the stack and sent alongside the payload
         // with a vectored write — the frame is never assembled into one
@@ -655,13 +556,14 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         let mut head = [0u8; 5 + TRACE_PREAMBLE];
         let prio = priority.into().value();
         head[0] = if traced { prio | TRACE_FLAG } else { prio };
-        head[1..5].copy_from_slice(&((payload.len() + preamble) as u32).to_be_bytes());
+        head[1..5].copy_from_slice(&(len as u32).to_be_bytes());
         if traced {
             // Remaining budget, re-derived by the peer against its own
             // clock; 0 = no deadline, overruns propagate as a 1 ns stub
             // so the receiver still flags them.
-            let budget = match self.obs.get() {
-                Some(o) => match o.obs.budget_remaining(span) {
+            let observer = self.link.observer();
+            let budget = match observer {
+                Some((obs, _)) => match obs.budget_remaining(span) {
                     i64::MIN => 0,
                     left if left <= 0 => 1,
                     left => left as u64,
@@ -672,113 +574,91 @@ impl<M: Message + BytesCodec> RemotePort<M> {
             head[9..11].copy_from_slice(&span.span_id.to_be_bytes());
             head[11..13].copy_from_slice(&0u16.to_be_bytes());
             head[13..21].copy_from_slice(&budget.to_be_bytes());
-            if let Some(o) = self.obs.get() {
-                o.obs
-                    .record_span(EventKind::SpanRemoteSend, o.entity, budget, span);
+            if let Some((obs, entity)) = observer {
+                obs.record_span(EventKind::SpanRemoteSend, entity, budget, span);
             }
         }
         let head = &head[..5 + preamble];
+        let policy = self.link.policy();
 
-        let mut st = self.state.lock();
-        if self.policy.degrade == DegradeMode::DropOldest {
-            self.send_queueing(&mut st, head, &payload);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let addr = st.addr;
+        if policy.degrade == DegradeMode::DropOldest {
+            // Never sleeps on backoff. The backlog goes first to keep
+            // the order; a frame that cannot go out now joins it.
+            let write = |s: &mut TcpStream| self.write(s, &[head, &payload]);
+            if self.flush(st)
+                && self
+                    .link
+                    .offer(&mut st.link, || Self::dial(addr, policy), write)
+            {
+                self.sent.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            }
+            // Only a frame that must survive in the resend queue is ever
+            // assembled into one contiguous buffer.
+            st.pending.push_back([head, payload.as_slice()].concat());
+            while st.pending.len() > policy.pending_cap {
+                st.pending.pop_front();
+                self.note_shed();
+            }
             return Ok(());
         }
-        let mut last: Option<std::io::Error> = None;
-        for attempt in 0..=self.policy.max_retries {
-            if attempt > 0 {
-                let delay = self.note_retry(&mut st);
-                std::thread::sleep(delay);
+        let sent = self.link.send(
+            &mut st.link,
+            || Self::dial(addr, policy),
+            |s| self.write(s, &[head, &payload]),
+        );
+        match sent {
+            Ok(()) => {
+                self.sent.fetch_add(1, Ordering::Relaxed);
+                Ok(())
             }
-            if st.stream.is_none() {
-                match Self::dial(self.addr, &self.policy) {
-                    Ok(s) => {
-                        st.stream = Some(s);
-                        self.note_reconnect();
-                    }
-                    Err(e) => {
-                        last = Some(e);
-                        continue;
-                    }
-                }
-            }
-            match self.try_write(&mut st, &[head, &payload]) {
-                Ok(()) => {
-                    st.backoff.reset();
-                    self.sent.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        match self.policy.degrade {
-            DegradeMode::Shed => {
+            Err(_) if policy.degrade == DegradeMode::Shed => {
                 self.note_shed();
                 Ok(())
             }
-            _ => Err(io_err(
-                last.unwrap_or_else(|| std::io::Error::other("send failed")),
-            )),
+            Err(e) => Err(io_err(e)),
         }
     }
 
-    /// `DropOldest` send path: never sleeps on backoff. While the link is
-    /// down messages queue (bounded, oldest shed); a reconnect is
-    /// attempted at most once per backoff window, and queued messages are
-    /// flushed in order before the new one.
-    fn send_queueing(&self, st: &mut SendState, head: &[u8], payload: &[u8]) {
-        let now = Instant::now();
-        let in_backoff = st.retry_after.is_some_and(|at| now < at);
-        if st.stream.is_none() && !in_backoff {
-            match Self::dial(self.addr, &self.policy) {
-                Ok(s) => {
-                    st.stream = Some(s);
-                    st.retry_after = None;
-                    self.note_reconnect();
-                }
-                Err(_) => {
-                    let delay = self.note_retry(st);
-                    st.retry_after = Some(now + delay);
-                }
+    /// Writes queued frames, oldest first, for as long as the link takes
+    /// them (it redials at most once per backoff window). Returns
+    /// whether the queue is now empty.
+    fn flush(&self, st: &mut SendState) -> bool {
+        let SendState {
+            link,
+            addr,
+            pending,
+        } = st;
+        while let Some(frame) = pending.front() {
+            let dial = || Self::dial(*addr, self.link.policy());
+            if !self.link.offer(link, dial, |s| self.write(s, &[frame])) {
+                return false;
             }
-        }
-        if st.stream.is_some() {
-            // Flush the backlog first to preserve ordering.
-            while let Some(queued) = st.pending.front() {
-                if self.try_write_queued(st, queued.clone()).is_err() {
-                    break;
-                }
-                st.pending.pop_front();
-            }
-            if st.stream.is_some() && self.try_write(st, &[head, payload]).is_ok() {
-                st.backoff.reset();
-                self.sent.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // The write failed: fall through to queueing the frame.
-            let delay = self.note_retry(st);
-            st.retry_after = Some(Instant::now() + delay);
-        }
-        // Only a frame that must survive in the resend queue is ever
-        // assembled into one contiguous buffer.
-        let mut frame = Vec::with_capacity(head.len() + payload.len());
-        frame.extend_from_slice(head);
-        frame.extend_from_slice(payload);
-        st.pending.push_back(frame);
-        while st.pending.len() > self.policy.pending_cap {
-            st.pending.pop_front();
-            self.note_shed();
-        }
-    }
-
-    /// Borrow-friendly wrapper: `try_write` needs `&mut SendState` while
-    /// the frame may live inside `st.pending`.
-    fn try_write_queued(&self, st: &mut SendState, frame: Vec<u8>) -> std::io::Result<()> {
-        let r = self.try_write(st, &[&frame]);
-        if r.is_ok() {
+            pending.pop_front();
             self.sent.fetch_add(1, Ordering::Relaxed);
         }
-        r
+        true
+    }
+
+    /// Points this port at another exporter: dials `addr` and, only if
+    /// that succeeds, swaps it in and flushes the resend queue — which
+    /// never left the port — over the new connection, in order. Waits
+    /// for a send in progress, so it is bounded like one.
+    ///
+    /// # Errors
+    ///
+    /// The dial's failure; the port is then unchanged.
+    pub(crate) fn retarget(&self, addr: SocketAddr) -> Result<()> {
+        let mut st = self.state.lock();
+        self.link
+            .retarget(&mut st.link, || Self::dial(addr, self.link.policy()))
+            .map_err(io_err)?;
+        st.addr = addr;
+        self.flush(&mut st);
+        Ok(())
     }
 
     /// Messages actually written to the wire so far.
@@ -788,12 +668,12 @@ impl<M: Message + BytesCodec> RemotePort<M> {
 
     /// Failed attempts that consumed retry budget.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.link.retries()
     }
 
     /// Successful re-establishments after the initial connect.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
+        self.link.reconnects()
     }
 
     /// Messages dropped by the degradation policy.
@@ -803,45 +683,12 @@ impl<M: Message + BytesCodec> RemotePort<M> {
 
     /// Sends that missed the send deadline.
     pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
+        self.link.deadline_misses()
     }
 
     /// Messages queued for resend (`DropOldest` mode only).
     pub fn pending(&self) -> usize {
         self.state.lock().pending.len()
-    }
-
-    /// Whether the link currently holds a live stream (no send has torn
-    /// it down since the last successful connect).
-    pub fn is_connected(&self) -> bool {
-        self.state.lock().stream.is_some()
-    }
-
-    /// Drains the resend queue, returning the raw wire frames in send
-    /// order. Failover uses this to re-ship traffic queued against a
-    /// dead primary over the replica link ([`Self::send_raw_frame`]).
-    pub fn take_pending(&self) -> Vec<Vec<u8>> {
-        self.state.lock().pending.drain(..).collect()
-    }
-
-    /// Ships one already-framed message (as drained by
-    /// [`Self::take_pending`]): a single attempt with at most one
-    /// reconnect, no backoff sleeps — the failover path has already
-    /// decided this link is the live one.
-    ///
-    /// # Errors
-    ///
-    /// Connect or write failures.
-    pub fn send_raw_frame(&self, frame: &[u8]) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.stream.is_none() {
-            let s = Self::dial(self.addr, &self.policy).map_err(io_err)?;
-            st.stream = Some(s);
-            self.note_reconnect();
-        }
-        self.try_write(&mut st, &[frame]).map_err(io_err)?;
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 }
 
@@ -851,7 +698,7 @@ mod tests {
     use crate::builder::AppBuilder;
     use crate::runtime::HandlerCtx;
     use std::sync::mpsc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[derive(Debug, Default, Clone, PartialEq)]
     struct Telemetry {

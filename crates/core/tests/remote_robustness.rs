@@ -7,9 +7,10 @@ use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use compadres_core::remote::{PortExporter, RemotePort};
+use compadres_core::remote::{PortExporter, RemotePort, MAX_FRAME};
 use compadres_core::smm::BytesCodec;
 use compadres_core::{App, AppBuilder, HandlerCtx, Priority};
+use rtplatform::fault::{DegradeMode, FaultPolicy};
 
 #[derive(Debug, Default, Clone, PartialEq)]
 struct Ping {
@@ -24,6 +25,20 @@ impl BytesCodec for Ping {
         Ping {
             n: u32::decode(bytes),
         }
+    }
+}
+
+/// A sender-side message of any size; four bytes of it decode as a
+/// [`Ping`] on the other end.
+#[derive(Debug, Default)]
+struct Blob(Vec<u8>);
+
+impl BytesCodec for Blob {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+    fn decode(bytes: &[u8]) -> Self {
+        Blob(bytes.to_vec())
     }
 }
 
@@ -79,6 +94,39 @@ fn oversized_frame_claim_drops_connection_not_app() {
         1,
         "the hostile frame was never accepted"
     );
+}
+
+/// The sender's side of the same limit: a message the exporter would
+/// drop the connection on is refused up front, so it neither burns the
+/// retry budget killing the link (`Fail`) nor wedges the resend queue
+/// from its head (`DropOldest`).
+#[test]
+fn oversized_message_is_refused_before_it_reaches_the_link() {
+    let (app, rx) = app_with_sink();
+    let exporter = PortExporter::bind::<Ping>(&app, "S", "In").unwrap();
+    let poison = Blob(vec![0; MAX_FRAME + 1]);
+    for degrade in [DegradeMode::Fail, DegradeMode::DropOldest] {
+        let policy = FaultPolicy {
+            degrade,
+            ..FaultPolicy::tight()
+        };
+        let sender = RemotePort::<Blob>::connect_with(exporter.local_addr(), policy).unwrap();
+        assert!(
+            sender.send(&poison, Priority::NORM).is_err(),
+            "{degrade:?} must refuse it"
+        );
+        assert_eq!(
+            (sender.retries(), sender.sheds(), sender.pending()),
+            (0, 0, 0),
+            "{degrade:?}: the link and the queue never saw it"
+        );
+        let n = degrade as u32 + 40;
+        sender
+            .send(&Blob(n.to_le_bytes().to_vec()), Priority::NORM)
+            .unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), n);
+        assert_eq!((sender.sent(), sender.reconnects()), (1, 0));
+    }
 }
 
 #[test]

@@ -168,13 +168,6 @@ fn seeded_sweep(
 fn lin_round(seed: u64) {
     let ring = record::ring_history(seed, 3, 6, 4);
     verify(seed, "MpmcRing", &BoundedFifoSpec { capacity: 4 }, &ring);
-    let buffer = record::buffer_history(seed, 3, 6, 3);
-    verify(
-        seed,
-        "BoundedBuffer",
-        &BoundedFifoSpec { capacity: 3 },
-        &buffer,
-    );
     let fifo = record::fifo_history(seed, 3, 6);
     verify(seed, "PriorityFifo", &PriorityFifoSpec, &fifo);
     let (pool_spec, pool) = record::pool_history(seed, 3, 8, 3);

@@ -13,8 +13,8 @@
 //!    counterexample and printed with its reproducing seed.
 //! 2. **Linearizability checking** ([`history`], [`lin`], [`spec`]):
 //!    a Wing–Gong-style checker over concurrent histories recorded
-//!    from `rtplatform::ring`, `rtsched::{PriorityFifo, BoundedBuffer}`
-//!    and `rtmem::ScopePool`, against small sequential specs.
+//!    from `rtplatform::ring`, `rtsched::PriorityFifo` and
+//!    `rtmem::ScopePool`, against small sequential specs.
 //! 3. **Deterministic interleaving** ([`sched`]): bounded-preemption
 //!    schedule enumeration over the yield points instrumented behind
 //!    `rtplatform`'s `rtcheck-hooks` feature (the parking `Gate`

@@ -1,8 +1,8 @@
 //! Recorded concurrent scenarios for the real runtime structures.
 //!
 //! Each function runs a seeded multi-threaded workload against the
-//! actual implementation — `MpmcRing`, `BoundedBuffer` (reject
-//! policy), `PriorityFifo`, `ScopePool`, `SegPool` — and returns the merged
+//! actual implementation — `MpmcRing`, `PriorityFifo`, `ScopePool`,
+//! `SegPool` — and returns the merged
 //! timestamped history for [`crate::lin::check`]. Workloads are kept
 //! short (the checker is exponential in overlap) and every thread
 //! releases what it holds *within* its recorded sequence, so the
@@ -15,7 +15,7 @@ use rtmem::{MemoryModel, ScopePool};
 use rtplatform::bufchain::SegPool;
 use rtplatform::ring::MpmcRing;
 use rtplatform::rng::SplitMix64;
-use rtsched::{BoundedBuffer, OverflowPolicy, Priority, PriorityFifo};
+use rtsched::{Priority, PriorityFifo};
 
 use crate::history::{merge, Clock, CompleteOp, ThreadLog};
 use crate::spec::{PoolOp, PoolRet, PoolSpec, QueueOp, QueueRet};
@@ -37,17 +37,6 @@ pub fn ring_history(seed: u64, threads: usize, ops: usize, capacity: usize) -> Q
             None => QueueRet::Popped(ring.pop().map(|v| (0, v))),
         },
     )
-}
-
-/// Like [`ring_history`] for a [`BoundedBuffer`] with the reject
-/// policy (the only policy with pure bounded-FIFO sequential
-/// semantics).
-pub fn buffer_history(seed: u64, threads: usize, ops: usize, capacity: usize) -> QueueHistory {
-    let buf = Arc::new(BoundedBuffer::<u64>::new(capacity, OverflowPolicy::Reject));
-    queue_scenario(seed, threads, ops, &[0], move |push| match push {
-        Some((_, v)) => QueueRet::Pushed(matches!(buf.push(v), rtsched::PushOutcome::Enqueued)),
-        None => QueueRet::Popped(buf.try_pop().map(|v| (0, v))),
-    })
 }
 
 /// Like [`ring_history`] for a [`PriorityFifo`], with random

@@ -29,9 +29,8 @@ pub enum QueueRet {
 }
 
 /// Bounded single-band FIFO that rejects pushes when full — the model
-/// of [`rtplatform::ring::MpmcRing`] and of a
-/// `BoundedBuffer` with [`rtsched::OverflowPolicy::Reject`].
-/// Priorities are carried but ignored (use one constant band).
+/// of [`rtplatform::ring::MpmcRing`]. Priorities are carried but
+/// ignored (use one constant band).
 #[derive(Debug)]
 pub struct BoundedFifoSpec {
     /// Logical capacity: a push into a full queue must report `false`.

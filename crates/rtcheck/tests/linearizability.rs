@@ -1,6 +1,6 @@
 //! Linearizability of the lock-free runtime structures, with negative
 //! controls: the checker must accept histories recorded from the real
-//! ring/buffer/queue/pool and must reject histories from deliberately
+//! ring/queue/pool and must reject histories from deliberately
 //! broken variants (LIFO order, duplicate delivery, double lease).
 
 use std::sync::Mutex;
@@ -25,17 +25,6 @@ fn mpmc_ring_histories_are_linearizable() {
         let h = record::ring_history(seed, 3, 6, 4);
         assert!(
             check(&BoundedFifoSpec { capacity: 4 }, &h),
-            "seed {seed}: {h:#?}"
-        );
-    }
-}
-
-#[test]
-fn bounded_buffer_histories_are_linearizable() {
-    for seed in 0..rounds() {
-        let h = record::buffer_history(seed, 3, 6, 3);
-        assert!(
-            check(&BoundedFifoSpec { capacity: 3 }, &h),
             "seed {seed}: {h:#?}"
         );
     }

@@ -138,20 +138,6 @@ impl ClientBuilder {
             None => ZenClient::tcp(addr),
         }
     }
-
-    /// Builds a ZenOrb client over an established connection. The fault
-    /// policy, if set, only arms the recv deadline (ZenOrb takes the
-    /// connection as-is).
-    ///
-    /// # Errors
-    ///
-    /// Memory-architecture failures.
-    pub fn over_zen(self, conn: Arc<dyn Connection>) -> Result<ZenClient, OrbError> {
-        if let Some(policy) = &self.policy {
-            conn.set_deadline(Some(policy.recv_timeout))?;
-        }
-        ZenClient::from_conn(conn)
-    }
 }
 
 #[cfg(test)]
@@ -160,9 +146,9 @@ mod tests {
     use crate::transport::TcpConn;
 
     #[test]
-    fn clients_over_an_established_connection() {
-        // `over` / `over_zen` take any `Connection`: here a raw TCP conn
-        // to a Zen server and a Compadres server respectively.
+    fn either_client_talks_to_either_server() {
+        // `over` takes any `Connection`: here a raw TCP conn to a Zen
+        // server; `connect_zen` dials the Compadres server itself.
         let zen = ServerBuilder::new(ObjectRegistry::with_echo())
             .serve_zen()
             .unwrap();
@@ -173,8 +159,9 @@ mod tests {
         let corb = ServerBuilder::new(ObjectRegistry::with_echo())
             .serve()
             .unwrap();
-        let conn = Arc::new(TcpConn::connect(corb.addr().unwrap()).unwrap());
-        let client = ClientBuilder::new().over_zen(conn).unwrap();
+        let client = ClientBuilder::new()
+            .connect_zen(corb.addr().unwrap())
+            .unwrap();
         assert_eq!(client.invoke(b"echo", "echo", &[9]).unwrap(), vec![9]);
     }
 }

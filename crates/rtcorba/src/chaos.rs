@@ -7,14 +7,15 @@
 //!   delays, truncates or disconnects on the receive path. One random
 //!   draw per delivered frame, so a fixed seed over a fixed frame
 //!   sequence replays the exact same fault schedule.
-//! * [`ReconnectingConn`] — the client-side fault-tolerance layer: lazily
-//!   (re)establishes the underlying connection through a factory, retries
-//!   sends under a [`FaultPolicy`] with decorrelated-jitter backoff, arms
-//!   recv deadlines, and poisons the connection on any recv failure (a
-//!   late reply on a kept connection would desynchronise request ids).
-//!   Wire an [`Observer`] in to get `remote_retries_total`,
-//!   `remote_reconnects_total`, `remote_deadline_misses_total` and the
-//!   `remote_retry_backoff_ns` histogram plus flight-recorder events.
+//! * [`ReconnectingConn`] — the client-side fault-tolerance layer: a
+//!   [`Connection`] over the one resumable [`Link`], which lazily
+//!   (re)establishes the underlying connection through a factory and
+//!   retries sends under a [`FaultPolicy`] with decorrelated-jitter
+//!   backoff. What this type adds is the receive side: it arms recv
+//!   deadlines and poisons the connection on any recv failure (a late
+//!   reply on a kept connection would desynchronise request ids). Wire
+//!   an [`Observer`] in to get the link's counters and flight-recorder
+//!   events ([`Link::set_observer`]).
 //!
 //! Stack them factory-side — `ReconnectingConn` over a factory returning
 //! `FaultyConn(TcpConn)` — to soak an ORB under seeded chaos
@@ -24,8 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rtobs::{CounterId, EventKind, HistId, Observer};
-use rtplatform::fault::{Backoff, FaultPolicy};
+use compadres_core::link::{Link, LinkState};
+use rtobs::Observer;
+use rtplatform::fault::FaultPolicy;
 use rtplatform::rng::SplitMix64;
 use rtplatform::sync::Mutex;
 
@@ -229,27 +231,6 @@ impl Connection for FaultyConn {
 // Reconnection / retry layer
 // ---------------------------------------------------------------------
 
-/// Builds (or rebuilds) the underlying connection on demand.
-pub type ConnFactory =
-    dyn Fn() -> Result<Arc<dyn Connection>, TransportError> + Send + Sync + 'static;
-
-struct LinkObs {
-    obs: Arc<Observer>,
-    entity: u32,
-    retries: CounterId,
-    reconnects: CounterId,
-    deadline_misses: CounterId,
-    backoff_ns: HistId,
-}
-
-struct LinkState {
-    conn: Option<Arc<dyn Connection>>,
-    backoff: Backoff,
-    /// Successful factory calls so far; the first is the initial connect,
-    /// every later one is a reconnect.
-    established: u64,
-}
-
 /// A self-healing [`Connection`]: connects lazily through its factory,
 /// retries failed sends/connects under the [`FaultPolicy`] (bounded
 /// attempts, decorrelated-jitter backoff), and drops the underlying
@@ -259,13 +240,9 @@ struct LinkState {
 /// Compadres client pipeline is synchronous); concurrent senders
 /// serialise on an internal lock, including backoff sleeps.
 pub struct ReconnectingConn {
-    factory: Box<ConnFactory>,
-    policy: FaultPolicy,
-    state: Mutex<LinkState>,
-    obs: Mutex<Option<LinkObs>>,
-    retries: AtomicU64,
-    reconnects: AtomicU64,
-    deadline_misses: AtomicU64,
+    factory: Box<dyn Fn() -> Result<Arc<dyn Connection>, TransportError> + Send + Sync>,
+    link: Link,
+    state: Mutex<LinkState<Arc<dyn Connection>>>,
 }
 
 impl std::fmt::Debug for ReconnectingConn {
@@ -282,167 +259,86 @@ impl ReconnectingConn {
         seed: u64,
         factory: impl Fn() -> Result<Arc<dyn Connection>, TransportError> + Send + Sync + 'static,
     ) -> ReconnectingConn {
+        let link = Link::new(policy);
         ReconnectingConn {
-            state: Mutex::new(LinkState {
-                conn: None,
-                backoff: Backoff::new(&policy, seed),
-                established: 0,
-            }),
+            state: Mutex::new(link.state(seed)),
+            link,
             factory: Box::new(factory),
-            policy,
-            obs: Mutex::new(None),
-            retries: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
         }
     }
 
-    /// Wires fault metrics into `obs`: counters `remote_retries_total`,
-    /// `remote_reconnects_total`, `remote_deadline_misses_total`, the
-    /// `remote_retry_backoff_ns` histogram, and flight-recorder events
-    /// under the entity `remote:{name}`.
+    /// Wires the link's fault metrics into `obs` (see
+    /// [`Link::set_observer`]), with flight-recorder events under the
+    /// entity `remote:{name}`.
     pub fn set_observer(&self, obs: &Arc<Observer>, name: &str) {
-        *self.obs.lock() = Some(LinkObs {
-            obs: Arc::clone(obs),
-            entity: obs.register_entity(&format!("remote:{name}")),
-            retries: obs.counter("remote_retries_total"),
-            reconnects: obs.counter("remote_reconnects_total"),
-            deadline_misses: obs.counter("remote_deadline_misses_total"),
-            backoff_ns: obs.histogram("remote_retry_backoff_ns"),
-        });
+        self.link.set_observer(obs, &format!("remote:{name}"));
     }
 
     /// Failed attempts that were retried.
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.link.retries()
     }
 
     /// Connections re-established after the initial one.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
+        self.link.reconnects()
     }
 
     /// Recv deadlines missed.
     pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
+        self.link.deadline_misses()
     }
 
-    fn note_retry(&self, st: &mut LinkState) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        let delay = st.backoff.next_delay();
-        if let Some(o) = &*self.obs.lock() {
-            o.obs.inc(o.retries);
-            o.obs.observe(o.backoff_ns, delay.as_nanos() as u64);
-            o.obs
-                .record(EventKind::RemoteRetry, o.entity, delay.as_nanos() as u64);
-        }
-        std::thread::sleep(delay);
-    }
-
-    fn current_or_connect(
-        &self,
-        st: &mut LinkState,
-    ) -> Result<Arc<dyn Connection>, TransportError> {
-        if let Some(c) = &st.conn {
-            return Ok(Arc::clone(c));
-        }
+    fn dial(&self) -> Result<Arc<dyn Connection>, TransportError> {
         let conn = (self.factory)()?;
-        conn.set_deadline(Some(self.policy.recv_timeout))?;
-        st.established += 1;
-        if st.established > 1 {
-            let n = self.reconnects.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(o) = &*self.obs.lock() {
-                o.obs.inc(o.reconnects);
-                o.obs.record(EventKind::RemoteReconnect, o.entity, n);
-            }
-        }
-        st.conn = Some(Arc::clone(&conn));
+        conn.set_deadline(Some(self.link.policy().recv_timeout))?;
         Ok(conn)
-    }
-
-    /// Drops the current connection (if it is still `conn`), so the next
-    /// operation reconnects.
-    fn poison(&self, conn: &Arc<dyn Connection>) {
-        let mut st = self.state.lock();
-        if let Some(cur) = &st.conn {
-            if Arc::ptr_eq(cur, conn) {
-                cur.close();
-                st.conn = None;
-            }
-        }
     }
 }
 
 impl Connection for ReconnectingConn {
     fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
-        let mut st = self.state.lock();
-        let mut last = TransportError::Closed;
-        for attempt in 0..=self.policy.max_retries {
-            if attempt > 0 {
-                self.note_retry(&mut st);
-            }
-            let conn = match self.current_or_connect(&mut st) {
-                Ok(c) => c,
-                Err(e) => {
-                    last = e;
-                    continue;
-                }
-            };
-            match conn.send_frame(frame) {
-                Ok(()) => {
-                    st.backoff.reset();
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Broken pipe (or send deadline): reconnect-and-retry.
-                    conn.close();
-                    st.conn = None;
-                    last = e;
-                }
-            }
-        }
-        Err(last)
+        self.link.send(
+            &mut self.state.lock(),
+            || self.dial(),
+            // Broken pipe (or send deadline): the link drops its handle
+            // and redials; close the connection for a receiver that may
+            // still hold one.
+            |conn| conn.send_frame(frame).inspect_err(|_| conn.close()),
+        )
     }
 
     fn recv_frame(&self) -> Result<Vec<u8>, TransportError> {
         // Clone out of the lock so a blocking recv doesn't hold it.
-        let conn = self.state.lock().conn.clone();
+        let conn = self.state.lock().conn().cloned();
         let Some(conn) = conn else {
             return Err(TransportError::Closed);
         };
-        match conn.recv_frame() {
-            Ok(f) => Ok(f),
-            Err(e) => {
-                if matches!(e, TransportError::Deadline) {
-                    self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &*self.obs.lock() {
-                        o.obs.inc(o.deadline_misses);
-                        o.obs.record(
-                            EventKind::RemoteDeadlineMiss,
-                            o.entity,
-                            self.policy.recv_timeout.as_nanos() as u64,
-                        );
-                    }
-                }
-                // Any recv failure poisons the connection: a late reply
-                // surfacing on a kept connection would be matched against
-                // the wrong request.
-                self.poison(&conn);
-                Err(e)
+        conn.recv_frame().inspect_err(|e| {
+            if matches!(e, TransportError::Deadline) {
+                self.link
+                    .note_deadline_miss(self.link.policy().recv_timeout);
             }
-        }
+            // Any recv failure poisons the connection (if it is still
+            // the current one): a late reply surfacing on a kept
+            // connection would be matched against the wrong request.
+            let mut st = self.state.lock();
+            if st.conn().is_some_and(|cur| Arc::ptr_eq(cur, &conn)) {
+                conn.close();
+                st.tear_down();
+            }
+        })
     }
 
     fn set_deadline(&self, recv: Option<Duration>) -> Result<(), TransportError> {
-        if let Some(c) = &self.state.lock().conn {
+        if let Some(c) = self.state.lock().conn() {
             c.set_deadline(recv)?;
         }
         Ok(())
     }
 
     fn close(&self) {
-        let mut st = self.state.lock();
-        if let Some(c) = st.conn.take() {
+        if let Some(c) = self.state.lock().tear_down() {
             c.close();
         }
     }

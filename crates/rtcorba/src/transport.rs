@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -364,55 +364,13 @@ fn read_exact_or_closed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Transpo
     }
 }
 
-/// A TCP acceptor bound to an ephemeral loopback port.
-pub struct TcpAcceptor {
-    listener: TcpListener,
-}
-
-impl std::fmt::Debug for TcpAcceptor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TcpAcceptor({:?})", self.listener.local_addr())
-    }
-}
-
-impl TcpAcceptor {
-    /// Binds to `127.0.0.1` on an ephemeral port.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn bind_loopback() -> Result<TcpAcceptor, TransportError> {
-        Ok(TcpAcceptor {
-            listener: TcpListener::bind(("127.0.0.1", 0))?,
-        })
-    }
-
-    /// The bound address clients should connect to.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
-        Ok(self.listener.local_addr()?)
-    }
-
-    /// Accepts one connection (blocking).
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept failures.
-    pub fn accept(&self) -> Result<TcpConn, TransportError> {
-        let (stream, _) = self.listener.accept()?;
-        TcpConn::new(stream)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cdr::Endian;
     use crate::giop::{decode_view, encode_request_chain, MessageView};
     use rtplatform::bufchain::SegPool;
+    use std::net::TcpListener;
 
     /// A request frame marshalled into `seg`-byte segments.
     fn chain(response_expected: bool, endian: Endian, seg: usize) -> FrameBuf {
@@ -431,6 +389,17 @@ mod tests {
 
     fn frame() -> Vec<u8> {
         chain(true, Endian::Big, 256).to_vec()
+    }
+
+    /// A loopback listener and the address clients reach it at.
+    fn listen() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
+    fn accept(listener: &TcpListener) -> TcpConn {
+        TcpConn::new(listener.accept().unwrap().0).unwrap()
     }
 
     #[test]
@@ -459,10 +428,9 @@ mod tests {
 
     #[test]
     fn tcp_roundtrip_with_framing() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
+            let conn = accept(&listener);
             let incoming = conn.recv_frame().unwrap();
             // Echo it straight back.
             conn.send_frame(&incoming).unwrap();
@@ -479,10 +447,9 @@ mod tests {
 
     #[test]
     fn tcp_close_detected() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
+            let conn = accept(&listener);
             drop(conn); // immediately hang up
         });
         let client = TcpConn::connect(addr).unwrap();
@@ -492,10 +459,9 @@ mod tests {
 
     #[test]
     fn tcp_send_chain_vectored_roundtrip() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
+            let conn = accept(&listener);
             let a = conn.recv_frame().unwrap();
             let b = conn.recv_frame().unwrap();
             (a, b)
@@ -521,10 +487,9 @@ mod tests {
 
     #[test]
     fn multiple_frames_preserve_boundaries() {
-        let acceptor = TcpAcceptor::bind_loopback().unwrap();
-        let addr = acceptor.local_addr().unwrap();
+        let (listener, addr) = listen();
         let server = std::thread::spawn(move || {
-            let conn = acceptor.accept().unwrap();
+            let conn = accept(&listener);
             let mut sizes = Vec::new();
             for _ in 0..3 {
                 sizes.push(conn.recv_frame().unwrap().len());

@@ -10,12 +10,12 @@
 //! but with direct function calls instead of components, ports and SMMs.
 //! Policy checking is omitted, as in the paper's experiment.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use rtplatform::bufchain::{SegPool, DEFAULT_SEG_SIZE};
+use rtplatform::poll::Acceptor;
 use rtplatform::sync::Mutex;
 
 use rtmem::{Ctx, MemoryModel, ScopePool, Wedge};
@@ -23,7 +23,7 @@ use rtmem::{Ctx, MemoryModel, ScopePool, Wedge};
 use crate::cdr::Endian;
 use crate::giop::{self, MessageView, ReplyStatus};
 use crate::service::ObjectRegistry;
-use crate::transport::{Connection, TcpAcceptor, TcpConn};
+use crate::transport::{Connection, TcpConn, TransportError};
 use crate::{InvokeOptions, OrbError};
 
 const TRANSPORT_SCOPE: usize = 64 << 10;
@@ -220,14 +220,13 @@ impl ZenClient {
 /// one `zen-transport` thread per client — the paper's RTZen comparator
 /// architecture.
 pub struct ZenServer {
-    addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl std::fmt::Debug for ZenServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ZenServer({:?})", self.addr)
+        write!(f, "ZenServer({:?})", self.acceptor.local_addr())
     }
 }
 
@@ -328,51 +327,34 @@ impl ZenServer {
     pub(crate) fn serve(registry: Arc<ObjectRegistry>) -> Result<ZenServer, OrbError> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let core = Arc::new(ServerCore::new(registry, Arc::clone(&shutdown))?);
-        let acceptor = TcpAcceptor::bind_loopback()?;
-        let addr = acceptor.local_addr()?;
-        let shutdown2 = Arc::clone(&shutdown);
-        let accept_handle = std::thread::Builder::new()
-            .name("zen-acceptor".into())
-            .spawn(move || {
-                while !shutdown2.load(Ordering::SeqCst) {
-                    match acceptor.accept() {
-                        Ok(conn) => {
-                            let core2 = Arc::clone(&core);
-                            let _ = std::thread::Builder::new()
-                                .name("zen-transport".into())
-                                .spawn(move || core2.serve_connection(Arc::new(conn)));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn acceptor");
-        Ok(ZenServer {
-            addr,
-            shutdown,
-            accept_handle: Some(accept_handle),
+        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(TransportError::Io)?;
+        let acceptor = Acceptor::spawn(listener, "zen-acceptor", move |stream| {
+            if let Ok(conn) = TcpConn::new(stream) {
+                let core2 = Arc::clone(&core);
+                let _ = std::thread::Builder::new()
+                    .name("zen-transport".into())
+                    .spawn(move || core2.serve_connection(Arc::new(conn)));
+            }
         })
+        .map_err(TransportError::Io)?;
+        Ok(ZenServer { shutdown, acceptor })
     }
 
     /// The TCP address clients connect to (always `Some`).
     pub fn addr(&self) -> Option<SocketAddr> {
-        Some(self.addr)
+        Some(self.acceptor.local_addr())
     }
 
-    /// Stops accepting and serving.
+    /// Stops accepting and serving; the acceptor is joined on drop.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Nudge the blocking acceptor.
-        let _ = std::net::TcpStream::connect(self.addr);
+        self.acceptor.stop();
     }
 }
 
 impl Drop for ZenServer {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -384,7 +366,7 @@ impl Drop for ZenServer {
 /// Bind, connection or memory-architecture failures.
 pub fn loopback_echo_pair() -> Result<(ZenServer, ZenClient), OrbError> {
     let server = ZenServer::serve(ObjectRegistry::with_echo())?;
-    let client = ZenClient::tcp(server.addr)?;
+    let client = ZenClient::tcp(server.acceptor.local_addr())?;
     Ok((server, client))
 }
 

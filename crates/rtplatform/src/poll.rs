@@ -12,6 +12,9 @@
 //!   that drains only part of a socket is re-notified);
 //! * [`Waker`] — an `eventfd` registered with the poller, letting worker
 //!   threads interrupt a parked `wait` from outside the poll loop;
+//! * [`Acceptor`] — a listener thread built from the two: it hands each
+//!   accepted stream to a closure and can always be stopped, because
+//!   stopping it is a wake, not a connection to itself;
 //! * [`raise_nofile_limit`] — lifts `RLIMIT_NOFILE`'s soft limit to the
 //!   hard limit, which multi-thousand-connection load benches need.
 //!
@@ -22,7 +25,9 @@
 #![allow(unsafe_code)]
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 type CInt = i32;
@@ -298,6 +303,102 @@ impl Drop for Waker {
     }
 }
 
+/// A thread that accepts connections on a listener and hands each
+/// stream to a closure, until stopped.
+///
+/// The thread parks in a [`Poller`] on the (non-blocking) listener and a
+/// [`Waker`], so [`stop`](Acceptor::stop) needs no file descriptor, no
+/// route to the listener and no room in its backlog — unlike the usual
+/// trick of connecting to oneself to unblock `accept()`. Accepted
+/// streams are blocking. Dropping the acceptor stops and joins it.
+#[derive(Debug)]
+pub struct Acceptor {
+    local_addr: SocketAddr,
+    stop: Waker,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Spawns a thread called `name` that runs `on_conn` for every
+    /// connection accepted on `listener`, one at a time.
+    ///
+    /// # Errors
+    ///
+    /// Poller, waker or thread creation failures.
+    pub fn spawn(
+        listener: TcpListener,
+        name: &str,
+        mut on_conn: impl FnMut(TcpStream) + Send + 'static,
+    ) -> io::Result<Acceptor> {
+        const LISTENER: u64 = 0;
+        const STOP: u64 = 1;
+        let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        let stop = Waker::new(&poller, STOP)?;
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                let mut events = Vec::new();
+                // The stop waker is never drained, so once woken every
+                // wait reports it: a stop cannot be missed, however
+                // busy the listener.
+                while poller.wait(&mut events, None).is_ok()
+                    && events.iter().all(|e| e.token != STOP)
+                {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            if stream.set_nonblocking(false).is_ok() {
+                                on_conn(stream);
+                            }
+                        }
+                        // The peer gave up between the wakeup and here.
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                io::ErrorKind::WouldBlock
+                                    | io::ErrorKind::ConnectionAborted
+                                    | io::ErrorKind::Interrupted
+                            ) => {}
+                        Err(_) => break,
+                    }
+                }
+            })?;
+        Ok(Acceptor {
+            local_addr,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// The address the listener is bound to.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Tells the thread to stop accepting. Returns at once; connections
+    /// still queued in the backlog are dropped with the listener.
+    pub fn stop(&self) {
+        self.stop.wake();
+    }
+
+    /// Stops the thread and waits for it, and so for the `on_conn` call
+    /// it may be inside: after this no further connection is handed out.
+    pub fn join(&mut self) {
+        self.stop();
+        if let Some(h) = self.thread.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
 /// Raises the soft `RLIMIT_NOFILE` to the hard limit and returns the
 /// resulting soft limit. Ten thousand sockets need ~20k descriptors in
 /// a single-process client+server bench; default soft limits (1024) are
@@ -324,10 +425,12 @@ pub fn raise_nofile_limit() -> io::Result<u64> {
 mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::time::Instant;
+
+    extern "C" {
+        fn listen(fd: CInt, backlog: CInt) -> CInt;
+    }
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -427,6 +530,41 @@ mod tests {
             .unwrap();
         assert_eq!(n, 0, "drained waker stops reporting");
         h.join().unwrap();
+    }
+
+    #[test]
+    fn acceptor_stops_with_the_backlog_full() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        // Shrink the accept queue so a handful of connections fill it.
+        // SAFETY: plain syscall on an fd we own, no pointers.
+        assert_eq!(unsafe { listen(listener.as_raw_fd(), 1) }, 0);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let mut acceptor = Acceptor::spawn(listener, "test-acceptor", move |_stream| {
+            entered_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        })
+        .unwrap();
+        let addr = acceptor.local_addr();
+        // Park the thread inside its handler, then queue connections
+        // behind it until the kernel stops answering: from here on a
+        // connect to the listener — the old way of waking an acceptor —
+        // cannot get through.
+        let _held = TcpStream::connect(addr).unwrap();
+        entered_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let mut queued = Vec::new();
+        while let Ok(s) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+            queued.push(s);
+            assert!(queued.len() < 64, "the backlog never filled");
+        }
+
+        acceptor.stop();
+        release_tx.send(()).unwrap();
+        acceptor.join();
+        assert!(
+            entered_rx.try_recv().is_err(),
+            "a stopped acceptor hands out no more connections"
+        );
     }
 
     #[test]

@@ -35,8 +35,7 @@ struct Slot<T> {
 ///
 /// Capacity is rounded up to a power of two; [`MpmcRing::capacity`]
 /// reports the physical (rounded) size. Callers that need an exact
-/// logical bound (such as `rtsched::BoundedBuffer`) gate admission with
-/// their own credit counter.
+/// logical bound gate admission with their own credit counter.
 pub struct MpmcRing<T> {
     head: CachePadded<AtomicUsize>,
     tail: CachePadded<AtomicUsize>,

@@ -5,9 +5,8 @@
 //!
 //! * [`Priority`] — message/thread priorities (messages are prioritized at
 //!   `send()`, paper Section 2.2);
-//! * [`PriorityFifo`] — priority-ordered FIFO dispatch queues;
-//! * [`BoundedBuffer`] — the per-port bounded message buffer
-//!   (CCL `BufferSize`);
+//! * [`PriorityFifo`] — priority-ordered FIFO dispatch queues (the CCL
+//!   `BufferSize` bound is core's per-port claim, not a queue here);
 //! * [`ThreadPool`] — dynamic min/max thread pools whose workers inherit
 //!   the priority of the message they process;
 //! * [`RtThreadBuilder`] / [`current_priority`] — prioritized threads;
@@ -17,7 +16,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod buffer;
 mod periodic;
 mod pool;
 mod priority;
@@ -25,7 +23,6 @@ mod queue;
 mod thread;
 mod time;
 
-pub use buffer::{BoundedBuffer, OverflowPolicy, PushOutcome};
 pub use periodic::PeriodicTimer;
 pub use pool::{Job, PoolConfig, ThreadPool};
 pub use priority::Priority;

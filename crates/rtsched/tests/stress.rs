@@ -5,9 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rtplatform::rng::SplitMix64;
-use rtsched::{
-    BoundedBuffer, OverflowPolicy, PoolConfig, Priority, PriorityFifo, PushOutcome, ThreadPool,
-};
+use rtsched::{PoolConfig, Priority, PriorityFifo, ThreadPool};
 
 #[test]
 fn pool_survives_thousands_of_jobs_across_priorities() {
@@ -32,99 +30,6 @@ fn pool_survives_thousands_of_jobs_across_priorities() {
     assert_eq!(done.load(Ordering::Relaxed), 5_000);
     assert_eq!(pool.executed(), 5_000);
     assert!(pool.live_threads() <= 6);
-}
-
-#[test]
-fn producer_consumer_through_bounded_buffer() {
-    let buf = Arc::new(BoundedBuffer::new(32, OverflowPolicy::Block));
-    let consumed = Arc::new(AtomicU64::new(0));
-    let mut consumers = Vec::new();
-    for _ in 0..3 {
-        let buf = Arc::clone(&buf);
-        let consumed = Arc::clone(&consumed);
-        consumers.push(std::thread::spawn(move || {
-            while let Some(v) = buf.pop() {
-                consumed.fetch_add(v, Ordering::Relaxed);
-            }
-        }));
-    }
-    let mut producers = Vec::new();
-    for _ in 0..4 {
-        let buf = Arc::clone(&buf);
-        producers.push(std::thread::spawn(move || {
-            for _ in 0..1_000u64 {
-                assert_eq!(buf.push(1), PushOutcome::Enqueued);
-            }
-        }));
-    }
-    for p in producers {
-        p.join().unwrap();
-    }
-    // Drain then close.
-    while !buf.is_empty() {
-        std::thread::yield_now();
-    }
-    buf.close();
-    for c in consumers {
-        c.join().unwrap();
-    }
-    assert_eq!(consumed.load(Ordering::Relaxed), 4_000);
-}
-
-/// N producers × M consumers against a DropOldest buffer while
-/// evictions interleave with pops: every pushed element is either
-/// delivered exactly once or counted evicted — nothing lost, nothing
-/// duplicated.
-#[test]
-fn eviction_interleaving_loses_nothing_duplicates_nothing() {
-    const PRODUCERS: u64 = 4;
-    const PER: u64 = 5_000;
-    let buf = Arc::new(BoundedBuffer::new(16, OverflowPolicy::DropOldest));
-    let delivered = Arc::new(std::sync::Mutex::new(Vec::<u64>::new()));
-    let consumers: Vec<_> = (0..3)
-        .map(|_| {
-            let buf = Arc::clone(&buf);
-            let delivered = Arc::clone(&delivered);
-            std::thread::spawn(move || {
-                let mut local = Vec::new();
-                while let Some(v) = buf.pop() {
-                    local.push(v);
-                }
-                delivered.lock().unwrap().extend(local);
-            })
-        })
-        .collect();
-    let producers: Vec<_> = (0..PRODUCERS)
-        .map(|p| {
-            let buf = Arc::clone(&buf);
-            std::thread::spawn(move || {
-                for i in 0..PER {
-                    let outcome = buf.push(p * PER + i);
-                    assert!(
-                        matches!(outcome, PushOutcome::Enqueued | PushOutcome::EvictedOldest),
-                        "unexpected outcome {outcome:?}"
-                    );
-                }
-            })
-        })
-        .collect();
-    for p in producers {
-        p.join().unwrap();
-    }
-    buf.close();
-    for c in consumers {
-        c.join().unwrap();
-    }
-    let mut seen = delivered.lock().unwrap().clone();
-    let total = seen.len() as u64;
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, total, "an element was delivered twice");
-    assert_eq!(
-        total + buf.evicted(),
-        PRODUCERS * PER,
-        "delivered + evicted must cover every accepted push"
-    );
 }
 
 /// FIFO per priority band survives contended batched dequeue: consumers
@@ -226,11 +131,9 @@ fn single_consumer_sees_exact_band_fifo() {
     assert!(q.is_empty());
 }
 
-/// `close()` must wake every parked waiter — consumers parked on empty
-/// buffers/queues and producers parked on a full Block buffer.
+/// `close()` must wake every consumer parked on an empty queue.
 #[test]
 fn close_wakes_every_parked_waiter() {
-    // Queue side.
     let q: Arc<PriorityFifo<u8>> = Arc::new(PriorityFifo::new());
     let q_waiters: Vec<_> = (0..4)
         .map(|_| {
@@ -238,90 +141,12 @@ fn close_wakes_every_parked_waiter() {
             std::thread::spawn(move || q.pop())
         })
         .collect();
-    // Buffer side: consumers on empty + producers on full.
-    let buf = Arc::new(BoundedBuffer::<u8>::new(1, OverflowPolicy::Block));
-    let b_consumers: Vec<_> = (0..2)
-        .map(|_| {
-            let b = Arc::clone(&buf);
-            std::thread::spawn(move || b.pop())
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(60));
-    buf.push(1);
-    let b_producers: Vec<_> = (0..2)
-        .map(|_| {
-            let b = Arc::clone(&buf);
-            std::thread::spawn(move || b.push(2))
-        })
-        .collect();
     std::thread::sleep(Duration::from_millis(60));
     q.close();
-    buf.close();
     for w in q_waiters {
         assert_eq!(w.join().unwrap(), None);
     }
-    for c in b_consumers {
-        let _ = c.join().unwrap();
-    }
-    for p in b_producers {
-        let outcome = p.join().unwrap();
-        assert!(
-            matches!(outcome, PushOutcome::Closed | PushOutcome::Enqueued),
-            "parked producer neither enqueued nor saw close: {outcome:?}"
-        );
-    }
-    assert!(
-        q.park_transitions() + buf.park_transitions() >= 1,
-        "waiters actually parked"
-    );
-}
-
-/// Whatever mix of pushes and pops, a Reject buffer never holds more
-/// than its capacity and never loses an accepted element. (Formerly a
-/// proptest; now a seeded randomized sweep so the suite builds offline.)
-#[test]
-fn bounded_buffer_accounting() {
-    let mut rng = SplitMix64::new(0xB0F);
-    for _case in 0..64 {
-        let capacity = rng.range_usize(1, 16);
-        let n_ops = rng.range_usize(1, 200);
-        let buf = BoundedBuffer::new(capacity, OverflowPolicy::Reject);
-        let mut model: std::collections::VecDeque<u32> = Default::default();
-        let mut next = 0u32;
-        for _ in 0..n_ops {
-            if rng.chance(0.5) {
-                let outcome = buf.push(next);
-                if model.len() < capacity {
-                    assert_eq!(outcome, PushOutcome::Enqueued);
-                    model.push_back(next);
-                } else {
-                    assert_eq!(outcome, PushOutcome::Rejected);
-                }
-                next += 1;
-            } else {
-                assert_eq!(buf.try_pop(), model.pop_front());
-            }
-            assert_eq!(buf.len(), model.len());
-            assert!(buf.len() <= capacity);
-        }
-    }
-}
-
-/// DropOldest keeps exactly the most recent `capacity` elements.
-#[test]
-fn drop_oldest_keeps_newest() {
-    let mut rng = SplitMix64::new(0xD20);
-    for _case in 0..64 {
-        let capacity = rng.range_usize(1, 8);
-        let n = rng.range_usize(1, 64);
-        let buf = BoundedBuffer::new(capacity, OverflowPolicy::DropOldest);
-        for i in 0..n {
-            buf.push(i);
-        }
-        let kept: Vec<usize> = std::iter::from_fn(|| buf.try_pop()).collect();
-        let expected: Vec<usize> = (n.saturating_sub(capacity)..n).collect();
-        assert_eq!(kept, expected);
-    }
+    assert!(q.park_transitions() >= 1, "waiters actually parked");
 }
 
 /// Latency summaries are order-independent and internally consistent.
