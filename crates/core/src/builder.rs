@@ -3,27 +3,33 @@
 //! This is the synthesis half of the Compadres compiler: where the paper
 //! generates Java glue source, this builder constructs the equivalent
 //! runtime structures directly — memory regions and pools, port buffers,
-//! thread pools and the routing table.
+//! thread pools and the wiring table. Every name in the documents is
+//! resolved here, once; the runtime only indexes what `build` emits.
 
 use std::any::TypeId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
 use rtmem::{MemoryModel, ScopePool};
 use rtobs::Observer;
-use rtplatform::atomic::ParkPolicy;
 use rtplatform::fault::AdmissionPolicy;
-use rtsched::{PoolConfig, Priority, ThreadPool};
+use rtsched::{PoolConfig, ThreadPool};
 
-use crate::component::{Component, ErasedHandler, MessageHandler, TypedHandler};
+use crate::component::{
+    Component, ComponentFactory, ErasedHandler, HandlerFactory, MessageHandler, NullComponent,
+    TypedHandler,
+};
 use crate::error::{CompadresError, Result};
 use crate::message::{AnyPool, Message, MessagePool};
-use crate::model::{Ccl, Cdl, PortDirection, ThreadpoolStrategy};
+use crate::model::{Ccl, Cdl, ComponentKind, PortAttrs, PortDirection, ThreadpoolStrategy};
 use crate::runtime::{
-    new_instance_runtime, App, AppCore, CoreObs, Dispatch, InPortInfo, OutPortInfo,
+    by_port_name, App, AppCore, CoreObs, Dispatch, InPort, InstanceRuntime, OutPort, PortId,
 };
-use crate::validate::{validate, InstanceId, ValidatedApp};
+use crate::validate::{validate, ValidatedApp};
+
+/// Size of the heap region every application gets.
+const HEAP_SIZE: usize = 4 << 20;
 
 /// Lowercases and underscores a CCL name so it can appear inside a
 /// Prometheus-style metric name.
@@ -49,7 +55,7 @@ struct MessageBinding {
 }
 
 struct RegisteredHandler {
-    factory: Arc<dyn Fn() -> Box<dyn ErasedHandler> + Send + Sync>,
+    factory: HandlerFactory,
     message_type_id: TypeId,
 }
 
@@ -64,12 +70,9 @@ pub struct AppBuilder {
     cdl: Cdl,
     ccl: Ccl,
     message_bindings: HashMap<String, MessageBinding>,
-    component_factories: HashMap<String, Arc<dyn Fn() -> Box<dyn Component> + Send + Sync>>,
+    component_factories: HashMap<String, ComponentFactory>,
     handler_factories: HashMap<(String, String), RegisteredHandler>,
-    heap_size: usize,
-    admission: AdmissionPolicy,
     port_admission: HashMap<(String, String), AdmissionPolicy>,
-    park_policy: ParkPolicy,
 }
 
 impl std::fmt::Debug for AppBuilder {
@@ -91,10 +94,7 @@ impl AppBuilder {
             message_bindings: HashMap::new(),
             component_factories: HashMap::new(),
             handler_factories: HashMap::new(),
-            heap_size: 4 << 20,
-            admission: AdmissionPolicy::disabled(),
             port_admission: HashMap::new(),
-            park_policy: ParkPolicy::balanced(),
         }
     }
 
@@ -209,46 +209,21 @@ impl AppBuilder {
         })
     }
 
-    /// Overrides the heap region size (default 4 MiB).
-    pub fn heap_size(mut self, bytes: usize) -> Self {
-        self.heap_size = bytes;
-        self
-    }
-
-    /// Sets the default priority-band admission policy for every async
-    /// in-port buffer. Under overload, occupancy above a band's
-    /// watermark sheds that band ([`CompadresError::Shed`]) while slots
-    /// stay reserved for higher-priority traffic. The default,
-    /// [`AdmissionPolicy::disabled`], admits every band to full
-    /// capacity. Override a single port with
-    /// [`AppBuilder::port_admission`].
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
-    }
-
-    /// Overrides the admission policy of one in-port
-    /// (`instance`.`port`), taking precedence over the app-wide
-    /// [`AppBuilder::admission`] default.
+    /// Sets the priority-band admission policy of one asynchronous
+    /// in-port (`instance`.`port`). Under overload, occupancy above a
+    /// band's watermark sheds that band ([`CompadresError::Shed`]) while
+    /// slots stay reserved for higher-priority traffic. A port without a
+    /// policy admits every band to full capacity
+    /// ([`AdmissionPolicy::disabled`]).
     pub fn port_admission(mut self, instance: &str, port: &str, policy: AdmissionPolicy) -> Self {
         self.port_admission
             .insert((instance.to_string(), port.to_string()), policy);
         self
     }
 
-    /// Tunes the spin/park budget of every dispatch thread pool (how
-    /// long idle workers spin before yielding and then parking). The
-    /// default, [`ParkPolicy::balanced`], matches the historical
-    /// constants; [`ParkPolicy::spin_longer`] trades idle CPU for a
-    /// tighter contended tail.
-    pub fn park_policy(mut self, policy: ParkPolicy) -> Self {
-        self.park_policy = policy;
-        self
-    }
-
     /// Validates the composition and constructs the application: memory
     /// regions and scope pools, message pools in the common-ancestor
-    /// areas, port buffers, thread pools and the routing table.
+    /// areas, port buffers, thread pools and the wiring table.
     ///
     /// # Errors
     ///
@@ -259,7 +234,7 @@ impl AppBuilder {
     ///   Rust message type disagrees with the port's bound type.
     pub fn build(self) -> Result<App> {
         let vapp: ValidatedApp = validate(&self.cdl, &self.ccl)?;
-        let model = MemoryModel::with_sizes(self.heap_size, vapp.rtsj.immortal_size.max(64 << 10));
+        let model = MemoryModel::with_sizes(HEAP_SIZE, vapp.rtsj.immortal_size.max(64 << 10));
 
         // One observability domain for the whole app. The memory model
         // must carry it *before* scope pools are created: pools resolve
@@ -276,214 +251,171 @@ impl AppBuilder {
             );
         }
 
-        // Instance runtimes.
-        let mut instances = Vec::with_capacity(vapp.instances.len());
+        // One runtime record per instance, carrying what activation
+        // needs: ancestors, component factory and the level's scope pool.
+        let null_component: ComponentFactory = Arc::new(|| Box::new(NullComponent));
+        let mut instances: Vec<InstanceRuntime> = Vec::with_capacity(vapp.instances.len());
         let mut by_name = HashMap::new();
         for vi in &vapp.instances {
             by_name.insert(vi.name.clone(), vi.id);
-            instances.push(new_instance_runtime(
-                vi.id,
-                vi.name.clone(),
-                vi.class.clone(),
-                vi.kind,
-                vi.parent,
+            let component = self.component_factories.get(&vi.class);
+            let scope_pool = match vi.kind {
+                ComponentKind::Scoped { level } => scope_pools.get(&level).cloned(),
+                ComponentKind::Immortal => None,
+            };
+            instances.push(InstanceRuntime::new(
+                vapp.ancestry(vi.id),
+                Arc::clone(component.unwrap_or(&null_component)),
+                scope_pool,
             ));
         }
 
-        // In-port infrastructure for connected in-ports. A "Shared" pool is
-        // shared among the ports of one instance; "Dedicated" ports get
-        // their own.
-        let mut in_ports: HashMap<(InstanceId, String), InPortInfo> = HashMap::new();
-        let mut shared_pools: HashMap<InstanceId, (Arc<ThreadPool<rtmem::Ctx>>, usize, usize)> =
-            HashMap::new();
         // Wire every in-port that can receive messages: connected ports
         // must have a handler; unconnected ports are wired too when a
         // handler is registered (they may be fed externally, e.g. through
-        // a remote port exporter or `App::send_to`).
-        let connected_in: std::collections::HashSet<(InstanceId, String)> =
-            vapp.connections.iter().map(|c| c.to.clone()).collect();
-        let mut all_in: Vec<(InstanceId, String)> = Vec::new();
-        for vi in &vapp.instances {
-            for port in vi.port_attrs.keys() {
-                all_in.push((vi.id, port.clone()));
-            }
-        }
-        for key in &all_in {
-            if in_ports.contains_key(key) {
-                continue; // fan-in: one in-port, several connections
-            }
-            let vi = &vapp.instances[key.0 .0];
-            let class = self.cdl.component(&vi.class).expect("validated");
-            let port_def = class.port(&key.1).expect("validated");
-            debug_assert_eq!(port_def.direction, PortDirection::In);
-            let attrs = vi.port_attrs[&key.1];
-            let registered = self
-                .handler_factories
-                .get(&(vi.class.clone(), key.1.clone()));
-            let reg = match (registered, connected_in.contains(key)) {
-                (Some(reg), _) => reg,
-                // Connected ports must have a handler…
-                (None, true) => {
-                    return Err(CompadresError::MissingFactory {
-                        class: vi.class.clone(),
-                        port: Some(key.1.clone()),
-                    })
-                }
-                // …unconnected, unhandled ports stay unwired (warned).
-                (None, false) => continue,
+        // a remote port exporter or `App::send_to`). Fan-in needs nothing
+        // special: several connections name the one in-port.
+        let new_pool = |attrs: PortAttrs, label: &str| {
+            let m = model.clone();
+            let cfg = PoolConfig {
+                min_threads: attrs.min_threads.max(1),
+                max_threads: attrs.max_threads.max(1),
+                ..PoolConfig::default()
             };
-            let binding = self
-                .message_bindings
-                .get(&port_def.message_type)
-                .ok_or_else(|| {
-                    CompadresError::Validation(format!(
-                    "message type {:?} used by {}.{} has no Rust binding; call bind_message_type",
-                    port_def.message_type, vi.name, key.1
-                ))
-                })?;
-            if reg.message_type_id != binding.type_id {
-                return Err(CompadresError::MessageTypeMismatch {
-                    port: format!("{}.{}", vi.name, key.1),
-                    expected: format!("{} (bound to {})", port_def.message_type, binding.rust_type),
-                });
-            }
-
-            let dispatch = if attrs.is_synchronous() {
-                Dispatch::Synchronous
-            } else {
-                let pool = match attrs.strategy {
-                    ThreadpoolStrategy::Dedicated => {
-                        let m = model.clone();
-                        let pool = Arc::new(ThreadPool::new(
-                            PoolConfig {
-                                min_threads: attrs.min_threads.max(1),
-                                max_threads: attrs.max_threads.max(1),
-                                idle_priority: Priority::MIN,
-                                park: self.park_policy,
-                            },
-                            move || rtmem::Ctx::no_heap(&m),
-                        ));
-                        pool.set_observer(&obs, &metric_safe(&format!("{}_{}", vi.name, key.1)));
-                        pool
+            let pool = Arc::new(ThreadPool::new(cfg, move || rtmem::Ctx::no_heap(&m)));
+            pool.set_observer(&obs, &metric_safe(label));
+            pool
+        };
+        let connected_in: HashSet<_> = vapp
+            .connections
+            .iter()
+            .map(|c| (c.to.0, c.to.1.as_str()))
+            .collect();
+        let mut in_ports: Vec<InPort> = Vec::new();
+        for vi in &vapp.instances {
+            let class = self.cdl.component(&vi.class).expect("validated");
+            // A "Shared" pool serves all such ports of one instance;
+            // "Dedicated" ports get their own.
+            let mut shared_pool = None;
+            for (port, &attrs) in &vi.port_attrs {
+                let port_def = class.port(port).expect("validated");
+                debug_assert_eq!(port_def.direction, PortDirection::In);
+                let registered = self
+                    .handler_factories
+                    .get(&(vi.class.clone(), port.clone()));
+                let reg = match (registered, connected_in.contains(&(vi.id, port.as_str()))) {
+                    (Some(reg), _) => reg,
+                    // Connected ports must have a handler…
+                    (None, true) => {
+                        return Err(CompadresError::MissingFactory {
+                            class: vi.class.clone(),
+                            port: Some(port.clone()),
+                        })
                     }
-                    _ => {
-                        // Shared (or default): one pool per instance.
-                        match shared_pools.get(&key.0) {
-                            Some((pool, _, _)) => Arc::clone(pool),
-                            None => {
-                                let m = model.clone();
-                                let pool = Arc::new(ThreadPool::new(
-                                    PoolConfig {
-                                        min_threads: attrs.min_threads.max(1),
-                                        max_threads: attrs.max_threads.max(1),
-                                        idle_priority: Priority::MIN,
-                                        park: self.park_policy,
-                                    },
-                                    move || rtmem::Ctx::no_heap(&m),
-                                ));
-                                pool.set_observer(&obs, &metric_safe(&vi.name));
-                                shared_pools.insert(
-                                    key.0,
-                                    (Arc::clone(&pool), attrs.min_threads, attrs.max_threads),
-                                );
-                                pool
-                            }
+                    // …unconnected, unhandled ports stay unwired (warned).
+                    (None, false) => continue,
+                };
+                let binding = self
+                    .message_bindings
+                    .get(&port_def.message_type)
+                    .ok_or_else(|| {
+                        CompadresError::Validation(format!(
+                            "message type {:?} used by {}.{} has no Rust binding; \
+                             call bind_message_type",
+                            port_def.message_type, vi.name, port
+                        ))
+                    })?;
+                if reg.message_type_id != binding.type_id {
+                    return Err(CompadresError::MessageTypeMismatch {
+                        port: format!("{}.{}", vi.name, port),
+                        expected: format!(
+                            "{} (bound to {})",
+                            port_def.message_type, binding.rust_type
+                        ),
+                    });
+                }
+
+                let qualified = format!("{}.{}", vi.name, port);
+                let metric = metric_safe(&qualified);
+                let dispatch = if attrs.is_synchronous() {
+                    Dispatch::Synchronous
+                } else {
+                    let pool = match attrs.strategy {
+                        ThreadpoolStrategy::Dedicated => new_pool(attrs, &qualified),
+                        _ => {
+                            Arc::clone(shared_pool.get_or_insert_with(|| new_pool(attrs, &vi.name)))
                         }
+                    };
+                    let admission = self.port_admission.get(&(vi.name.clone(), port.clone()));
+                    Dispatch::Async {
+                        pool,
+                        admission: admission.copied().unwrap_or(AdmissionPolicy::disabled()),
                     }
                 };
-                Dispatch::Async {
-                    pool,
-                    inflight: Arc::new(AtomicUsize::new(0)),
-                    buffer_size: attrs.buffer_size,
-                    admission: self
-                        .port_admission
-                        .get(&(vi.name.clone(), key.1.clone()))
-                        .copied()
-                        .unwrap_or(self.admission),
-                }
-            };
-            in_ports.insert(
-                key.clone(),
-                InPortInfo {
+                let wired = &mut instances[vi.id.0].in_ports;
+                wired.push((port.clone(), PortId(in_ports.len())));
+                in_ports.push(InPort {
+                    name: port.clone(),
+                    instance: vi.id,
+                    slot: wired.len() - 1,
+                    handler: Arc::clone(&reg.factory),
                     message_type: port_def.message_type.clone(),
                     type_id: binding.type_id,
                     dispatch,
+                    inflight: AtomicUsize::new(0),
                     attrs,
-                    entity: obs.register_entity(&format!("{}.{}", vi.name, key.1)),
-                    deadline_miss: obs.counter(&format!(
-                        "compadres_deadline_miss_{}_total",
-                        metric_safe(&format!("{}_{}", vi.name, key.1))
-                    )),
-                    shed: obs.counter(&format!(
-                        "compadres_shed_{}_total",
-                        metric_safe(&format!("{}_{}", vi.name, key.1))
-                    )),
-                },
-            );
+                    entity: obs.register_entity(&qualified),
+                    deadline_miss: obs.counter(&format!("compadres_deadline_miss_{metric}_total")),
+                    shed: obs.counter(&format!("compadres_shed_{metric}_total")),
+                    undeliverable: obs.counter(&format!("compadres_undeliverable_{metric}_total")),
+                });
+            }
         }
 
         // Out-port routing + message pools in the common-ancestor area.
-        let mut out_ports: HashMap<(InstanceId, String), OutPortInfo> = HashMap::new();
         for conn in &vapp.connections {
-            let from = conn.from.clone();
-            let entry = out_ports.entry(from.clone());
-            match entry {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().targets.push(conn.to.clone());
-                    e.get_mut().kind.push(conn.kind);
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let binding =
-                        self.message_bindings
-                            .get(&conn.message_type)
-                            .ok_or_else(|| {
-                                CompadresError::Validation(format!(
-                                    "message type {:?} on connection has no Rust binding",
-                                    conn.message_type
-                                ))
-                            })?;
-                    // Pool capacity: enough for every target buffer plus
-                    // slack for in-preparation messages.
-                    let cap: usize = vapp
-                        .connections
-                        .iter()
-                        .filter(|c| c.from == from)
-                        .map(|c| {
-                            vapp.instances[c.to.0 .0]
-                                .port_attrs
-                                .get(&c.to.1)
-                                .map(|a| a.buffer_size)
-                                .unwrap_or(16)
-                        })
-                        .sum::<usize>()
-                        .max(4)
-                        + 2;
-                    let pool = (binding.make_pool)(&conn.message_type, cap);
-                    v.insert(OutPortInfo {
-                        message_type: conn.message_type.clone(),
-                        type_id: binding.type_id,
-                        pool,
-                        targets: vec![conn.to.clone()],
-                        kind: vec![conn.kind],
-                    });
-                }
+            let target = *by_port_name(&instances[conn.to.0 .0].in_ports, &conn.to.1)
+                .expect("connected in-ports are wired");
+            let outs = &mut instances[conn.from.0 .0].out_ports;
+            if let Some((_, out)) = outs.iter_mut().find(|(name, _)| *name == conn.from.1) {
+                out.targets.push(target);
+                continue;
             }
+            let binding = self
+                .message_bindings
+                .get(&conn.message_type)
+                .ok_or_else(|| {
+                    CompadresError::Validation(format!(
+                        "message type {:?} on connection has no Rust binding",
+                        conn.message_type
+                    ))
+                })?;
+            // Pool capacity: enough for every target buffer plus
+            // slack for in-preparation messages.
+            let cap: usize = vapp
+                .connections
+                .iter()
+                .filter(|c| c.from == conn.from)
+                .map(|c| vapp.instances[c.to.0 .0].port_attrs[&c.to.1].buffer_size)
+                .sum::<usize>()
+                .max(4)
+                + 2;
+            outs.push((
+                conn.from.1.clone(),
+                OutPort {
+                    message_type: conn.message_type.clone(),
+                    type_id: binding.type_id,
+                    pool: (binding.make_pool)(&conn.message_type, cap),
+                    targets: vec![target],
+                },
+            ));
         }
 
         let core = AppCore {
             model,
-            name: vapp.name.clone(),
             instances,
             by_name,
-            out_ports,
             in_ports,
-            scope_pools,
-            component_factories: self.component_factories,
-            handler_factories: self
-                .handler_factories
-                .into_iter()
-                .map(|(k, v)| (k, v.factory))
-                .collect(),
             stats: CoreObs::new(obs),
             shutdown: AtomicBool::new(false),
             validated: vapp,

@@ -7,6 +7,7 @@
 
 use std::any::Any;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use crate::error::{CompadresError, Result};
 use crate::message::Message;
@@ -70,6 +71,11 @@ where
 pub(crate) trait ErasedHandler: Send {
     fn process_any(&mut self, msg: &mut (dyn Any + Send), ctx: &mut HandlerCtx<'_>) -> Result<()>;
 }
+
+/// Builds a component object at every activation of an instance.
+pub(crate) type ComponentFactory = Arc<dyn Fn() -> Box<dyn Component> + Send + Sync>;
+/// Builds an in-port's handler at every activation of its instance.
+pub(crate) type HandlerFactory = Arc<dyn Fn() -> Box<dyn ErasedHandler> + Send + Sync>;
 
 pub(crate) struct TypedHandler<M: Message, H: MessageHandler<M>> {
     handler: H,

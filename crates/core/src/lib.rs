@@ -147,7 +147,6 @@ pub use write::{write_ccl, write_cdl};
 // Re-export the priorities users need for send().
 pub use rtsched::Priority;
 
-// Re-export the overload-control knobs the builder accepts, so
+// Re-export the overload-control knob the builder accepts, so
 // applications don't need a direct rtplatform dependency.
-pub use rtplatform::atomic::ParkPolicy;
 pub use rtplatform::fault::AdmissionPolicy;

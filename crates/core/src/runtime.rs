@@ -32,24 +32,27 @@ use rtmem::{MemoryModel, RegionId, ScopeLease, ScopePool, Wedge};
 use rtobs::{span, CounterId, EventKind, HistId, Observer};
 use rtsched::{Priority, ThreadPool};
 
-use crate::component::{Component, ErasedHandler};
+use crate::component::{Component, ComponentFactory, ErasedHandler, HandlerFactory};
 use crate::error::{CompadresError, Result};
 use crate::message::{AnyPool, Envelope, Message, PooledMsg};
-use crate::model::{ComponentKind, LinkKind, PortAttrs};
-use crate::validate::{InstanceId, ValidatedApp};
+use crate::model::{ComponentKind, PortAttrs};
+use crate::validate::{InstanceId, ValidatedApp, ValidatedInstance};
 
 /// Default scope size when a level has no configured pool.
 pub const DEFAULT_SCOPE_SIZE: usize = 64 << 10;
 
-type ComponentFactory = Arc<dyn Fn() -> Box<dyn Component> + Send + Sync>;
-type HandlerFactory = Arc<dyn Fn() -> Box<dyn ErasedHandler> + Send + Sync>;
+/// Index of a wired in-port in [`AppCore::in_ports`], assigned once by
+/// `AppBuilder::build`. Names are resolved to it at the API edge;
+/// dispatch only ever indexes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PortId(pub usize);
 
-pub(crate) struct OutPortInfo {
+pub(crate) struct OutPort {
     pub message_type: String,
     pub type_id: TypeId,
     pub pool: Arc<dyn AnyPool>,
-    pub targets: Vec<(InstanceId, String)>,
-    pub kind: Vec<LinkKind>,
+    /// Connected in-ports, in CCL declaration order.
+    pub targets: Vec<PortId>,
 }
 
 pub(crate) enum Dispatch {
@@ -58,9 +61,7 @@ pub(crate) enum Dispatch {
     /// Buffered, pool-served dispatch.
     Async {
         pool: Arc<ThreadPool<rtmem::Ctx>>,
-        inflight: Arc<AtomicUsize>,
-        buffer_size: usize,
-        /// Per-priority-band admission watermarks: below `buffer_size`,
+        /// Per-priority-band admission watermarks: below the buffer size,
         /// low bands are refused first so the remaining slots stay
         /// reserved for higher-priority traffic. `disabled()` admits
         /// every band to full capacity (the historical behaviour).
@@ -68,10 +69,21 @@ pub(crate) enum Dispatch {
     },
 }
 
-pub(crate) struct InPortInfo {
+/// One wired in-port: everything a delivery needs, resolved at build.
+pub(crate) struct InPort {
+    /// Port name, kept for error values only.
+    pub name: String,
+    pub instance: InstanceId,
+    /// Position of this port's handler in its instance's activation.
+    pub slot: usize,
+    /// Builds the handler at every activation of the instance.
+    pub handler: HandlerFactory,
     pub message_type: String,
     pub type_id: TypeId,
     pub dispatch: Dispatch,
+    /// Buffer occupancy of an asynchronous port: claimed by `deliver`,
+    /// given back when a worker takes the message.
+    pub inflight: AtomicUsize,
     pub attrs: PortAttrs,
     /// Flight-recorder subject for this port ("instance.port").
     pub entity: u32,
@@ -83,24 +95,26 @@ pub(crate) struct InPortInfo {
     /// admission control while the buffer still had headroom reserved
     /// for higher bands.
     pub shed: CounterId,
-}
-
-impl InPortInfo {
-    /// Declared CCL attributes (used by [`App::port_attrs`]).
-    pub(crate) fn attrs(&self) -> PortAttrs {
-        self.attrs
-    }
+    /// Per-port count of accepted messages a worker could not hand to
+    /// the handler (activation or scope entry failed).
+    pub undeliverable: CounterId,
 }
 
 /// Activation state of one component instance.
 struct ActiveScope {
     region: RegionId,
+    /// Scoped regions from the outermost ancestor down to `region`
+    /// (empty for immortal components, which run in the immortal base).
+    /// Fixed for the activation: every holder of this instance also
+    /// holds its ancestors.
+    chain: Arc<[RegionId]>,
     /// Lease back to the level pool (scoped, pooled).
     lease: Option<ScopeLease>,
     /// Wedge keeping the scope alive between messages (scoped only).
     wedge: Option<Wedge>,
     component: Arc<Mutex<Box<dyn Component>>>,
-    handlers: HashMap<String, Arc<Mutex<Box<dyn ErasedHandler>>>>,
+    /// One handler per wired in-port, indexed by [`InPort::slot`].
+    handlers: Vec<Arc<Mutex<Box<dyn ErasedHandler>>>>,
     started: bool,
 }
 
@@ -109,16 +123,52 @@ struct ActivationState {
     holds: usize,
 }
 
+/// Runtime state and resolved wiring of one instance; its name, class,
+/// kind and parent are read from `AppCore::validated`.
 pub(crate) struct InstanceRuntime {
-    pub id: InstanceId,
-    pub name: String,
-    pub class: String,
-    pub kind: ComponentKind,
-    pub parent: Option<InstanceId>,
+    /// Ancestor ids root-first, ending with this instance.
+    pub ancestors: Vec<InstanceId>,
+    pub component: ComponentFactory,
+    /// The scope pool of this instance's level, if one is configured.
+    pub scope_pool: Option<ScopePool>,
+    /// Wired in-ports by name; the position is the port's handler slot.
+    pub in_ports: Vec<(String, PortId)>,
+    /// Connected out-ports by name.
+    pub out_ports: Vec<(String, OutPort)>,
     state: Mutex<ActivationState>,
     started_cv: Condvar,
     pub activations: AtomicU64,
     pub deactivations: AtomicU64,
+}
+
+/// The string edge of a per-instance port table: a component has a
+/// handful of ports, so a scan by `&str` beats building a key.
+pub(crate) fn by_port_name<'t, T>(table: &'t [(String, T)], port: &str) -> Option<&'t T> {
+    let found = table.iter().find(|(name, _)| name == port);
+    found.map(|(_, entry)| entry)
+}
+
+impl InstanceRuntime {
+    pub(crate) fn new(
+        ancestors: Vec<InstanceId>,
+        component: ComponentFactory,
+        scope_pool: Option<ScopePool>,
+    ) -> InstanceRuntime {
+        InstanceRuntime {
+            ancestors,
+            component,
+            scope_pool,
+            in_ports: Vec::new(),
+            out_ports: Vec::new(),
+            state: Mutex::new(ActivationState {
+                active: None,
+                holds: 0,
+            }),
+            started_cv: Condvar::new(),
+            activations: AtomicU64::new(0),
+            deactivations: AtomicU64::new(0),
+        }
+    }
 }
 
 /// Counters exposed by [`App::stats`].
@@ -137,6 +187,9 @@ pub struct AppStats {
     /// Messages shed by priority-band admission control (buffer over
     /// the band's watermark but under capacity).
     pub messages_shed: u64,
+    /// Accepted messages that never reached their handler because the
+    /// target could not be activated or entered on the worker thread.
+    pub messages_undeliverable: u64,
     /// Scoped component activations.
     pub activations: u64,
     /// Scoped component deactivations (scope reclaims).
@@ -218,6 +271,7 @@ pub(crate) struct CoreObs {
     handler_panics: CounterId,
     buffer_rejections: CounterId,
     shed: CounterId,
+    undeliverable: CounterId,
     deadline_miss: CounterId,
     queue_wait: HistId,
     handler_latency: HistId,
@@ -232,6 +286,7 @@ impl CoreObs {
             handler_panics: obs.counter("compadres_handler_panics_total"),
             buffer_rejections: obs.counter("compadres_buffer_rejections_total"),
             shed: obs.counter("compadres_shed_total"),
+            undeliverable: obs.counter("compadres_undeliverable_total"),
             deadline_miss: obs.counter("compadres_deadline_miss_total"),
             queue_wait: obs.histogram("compadres_queue_wait_ns"),
             handler_latency: obs.histogram("compadres_handler_latency_ns"),
@@ -240,16 +295,15 @@ impl CoreObs {
     }
 }
 
+/// The resolved assembly: what `AppBuilder::build` emits and dispatch
+/// indexes. Nothing in it changes after `build()` except the atomics
+/// and the per-instance activation state.
 pub(crate) struct AppCore {
     pub model: MemoryModel,
-    pub name: String,
+    /// Parallel to `validated.instances`.
     pub instances: Vec<InstanceRuntime>,
     pub by_name: HashMap<String, InstanceId>,
-    pub out_ports: HashMap<(InstanceId, String), OutPortInfo>,
-    pub in_ports: HashMap<(InstanceId, String), InPortInfo>,
-    pub scope_pools: HashMap<u32, ScopePool>,
-    pub component_factories: HashMap<String, ComponentFactory>,
-    pub handler_factories: HashMap<(String, String), HandlerFactory>,
+    pub in_ports: Vec<InPort>,
     pub stats: CoreObs,
     pub shutdown: AtomicBool,
     pub validated: ValidatedApp,
@@ -266,26 +320,36 @@ impl AppCore {
             })
     }
 
+    /// Resolves `instance`.`port` to a wired in-port (the string edge of
+    /// [`App::send_to`] and [`App::port_attrs`]).
+    fn in_port(&self, instance: &str, port: &str) -> Result<PortId> {
+        let id = self.instance_id(instance)?;
+        by_port_name(&self.runtime(id).in_ports, port)
+            .copied()
+            .ok_or_else(|| CompadresError::NotFound {
+                kind: "in-port",
+                name: format!("{instance}.{port}"),
+            })
+    }
+
     fn runtime(&self, id: InstanceId) -> &InstanceRuntime {
         &self.instances[id.0]
     }
 
-    /// Ancestor ids root-first, including `id`.
-    fn ancestry(&self, id: InstanceId) -> Vec<InstanceId> {
-        let mut chain = vec![id];
-        let mut cur = self.runtime(id).parent;
-        while let Some(p) = cur {
-            chain.push(p);
-            cur = self.runtime(p).parent;
+    fn declared(&self, id: InstanceId) -> &ValidatedInstance {
+        &self.validated.instances[id.0]
+    }
+
+    fn disconnected(&self, id: InstanceId) -> CompadresError {
+        CompadresError::Disconnected {
+            instance: self.declared(id).name.clone(),
         }
-        chain.reverse();
-        chain
     }
 
     /// Holds (and if needed activates) `id` and all its ancestors.
     /// Every successful call must be paired with [`AppCore::release_chain`].
     fn hold_chain(self: &Arc<Self>, id: InstanceId) -> Result<()> {
-        let chain = self.ancestry(id);
+        let chain = &self.runtime(id).ancestors;
         for (i, &inst) in chain.iter().enumerate() {
             if let Err(e) = self.hold_one(inst) {
                 // Roll back the holds we already took.
@@ -299,8 +363,7 @@ impl AppCore {
     }
 
     fn release_chain(self: &Arc<Self>, id: InstanceId) {
-        let chain = self.ancestry(id);
-        for &inst in chain.iter().rev() {
+        for &inst in self.runtime(id).ancestors.iter().rev() {
             self.release_one(inst);
         }
     }
@@ -336,10 +399,12 @@ impl AppCore {
         rt.activations.fetch_add(1, Ordering::Relaxed);
 
         // Run start() outside the state lock so it may send messages.
-        let start_result = self.run_in_instance(inst, None, |ctx| {
-            let mut comp = component.lock();
-            catch_unwind(AssertUnwindSafe(|| comp.start(ctx)))
-        });
+        let mut ctx = rtmem::Ctx::no_heap(&self.model);
+        let start_result =
+            self.run_in_instance(&mut ctx, inst, rtsched::current_priority(), |ctx| {
+                let mut comp = component.lock();
+                catch_unwind(AssertUnwindSafe(|| comp.start(ctx)))
+            });
         match start_result {
             Ok(Ok(Ok(()))) => {}
             Ok(Ok(Err(_))) => {
@@ -374,22 +439,19 @@ impl AppCore {
     /// handlers. The caller holds the instance's state lock.
     fn materialize(&self, inst: InstanceId) -> Result<ActiveScope> {
         let rt = self.runtime(inst);
-        let vinst = &self.validated.instances[inst.0];
-        let (region, lease, wedge) = match rt.kind {
-            ComponentKind::Immortal => (self.model.immortal(), None, None),
-            ComponentKind::Scoped { level } => {
-                let parent_region = match rt.parent {
+        let decl = self.declared(inst);
+        let (region, chain, lease, wedge) = match decl.kind {
+            ComponentKind::Immortal => (self.model.immortal(), Vec::new(), None, None),
+            ComponentKind::Scoped { .. } => {
+                let (parent_region, mut chain) = match decl.parent {
                     Some(p) => {
                         let pg = self.runtime(p).state.lock();
-                        pg.active.as_ref().map(|a| a.region).ok_or(
-                            CompadresError::Disconnected {
-                                instance: self.runtime(p).name.clone(),
-                            },
-                        )?
+                        let parent = pg.active.as_ref().ok_or_else(|| self.disconnected(p))?;
+                        (parent.region, parent.chain.to_vec())
                     }
-                    None => self.model.immortal(),
+                    None => (self.model.immortal(), Vec::new()),
                 };
-                let (region, lease) = match self.scope_pools.get(&level) {
+                let (region, lease) = match &rt.scope_pool {
                     Some(pool) => {
                         let lease = pool.acquire()?;
                         (lease.region(), Some(lease))
@@ -397,38 +459,32 @@ impl AppCore {
                     None => (self.model.create_scoped(DEFAULT_SCOPE_SIZE)?, None),
                 };
                 let wedge = Wedge::pin_under(&self.model, region, parent_region)?;
-                (region, lease, Some(wedge))
+                chain.push(region);
+                (region, chain, lease, Some(wedge))
             }
         };
-        let component = match self.component_factories.get(&rt.class) {
-            Some(f) => f(),
-            None => Box::new(crate::component::NullComponent),
-        };
-        let mut handlers = HashMap::new();
-        for port in vinst.port_attrs.keys() {
-            if let Some(f) = self
-                .handler_factories
-                .get(&(rt.class.clone(), port.clone()))
-            {
-                handlers.insert(port.clone(), Arc::new(Mutex::new(f())));
-            }
-        }
+        let handlers = rt
+            .in_ports
+            .iter()
+            .map(|&(_, port)| Arc::new(Mutex::new((self.in_ports[port.0].handler)())));
         Ok(ActiveScope {
             region,
+            chain: chain.into(),
             lease,
             wedge,
-            component: Arc::new(Mutex::new(component)),
-            handlers,
+            component: Arc::new(Mutex::new((rt.component)())),
+            handlers: handlers.collect(),
             started: false,
         })
     }
 
     fn release_one(self: &Arc<Self>, inst: InstanceId) {
         let rt = self.runtime(inst);
+        let decl = self.declared(inst);
         let mut g = rt.state.lock();
-        debug_assert!(g.holds > 0, "unbalanced release on {}", rt.name);
+        debug_assert!(g.holds > 0, "unbalanced release on {}", decl.name);
         g.holds = g.holds.saturating_sub(1);
-        if g.holds == 0 && rt.kind.is_scoped() {
+        if g.holds == 0 && decl.kind.is_scoped() {
             if let Some(active) = g.active.take() {
                 drop(g);
                 self.deactivate(inst, active);
@@ -436,8 +492,7 @@ impl AppCore {
         }
     }
 
-    fn deactivate(self: &Arc<Self>, inst: InstanceId, active: ActiveScope) {
-        let rt = self.runtime(inst);
+    fn deactivate(&self, inst: InstanceId, active: ActiveScope) {
         // Stop the component, then drop handlers and the component object,
         // then release the wedge (reclaiming the scope) and the lease.
         {
@@ -448,89 +503,40 @@ impl AppCore {
         drop(active.component);
         drop(active.wedge); // reclaims the region if nothing else pins it
         drop(active.lease); // returns the region to its pool
-        rt.deactivations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Region chain (outermost scoped region first) for an *active*
-    /// instance. Immortal components contribute no entry (they run in the
-    /// immortal base).
-    fn region_chain(&self, id: InstanceId) -> Result<Vec<RegionId>> {
-        let mut chain = Vec::new();
-        for inst in self.ancestry(id) {
-            let rt = self.runtime(inst);
-            if rt.kind.is_scoped() {
-                let g = rt.state.lock();
-                let region =
-                    g.active
-                        .as_ref()
-                        .map(|a| a.region)
-                        .ok_or(CompadresError::Disconnected {
-                            instance: rt.name.clone(),
-                        })?;
-                chain.push(region);
-            }
-        }
-        Ok(chain)
+        self.runtime(inst)
+            .deactivations
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Positions `ctx` inside `id`'s memory area (entering ancestors as
     /// needed, backing out to a common ancestor first — the handoff
-    /// pattern) and runs `f` there with a [`HandlerCtx`].
+    /// pattern) and runs `f` there with a [`HandlerCtx`]. `id` must be
+    /// held by the caller.
     fn run_in_instance<R>(
-        self: &Arc<Self>,
-        id: InstanceId,
-        priority: Option<Priority>,
-        f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
-    ) -> Result<R> {
-        let chain = self.region_chain(id)?;
-        let core = Arc::clone(self);
-        let priority = priority.unwrap_or_else(rtsched::current_priority);
-        let mut ctx_storage = rtmem::Ctx::no_heap(&self.model);
-        let ctx = &mut ctx_storage;
-        Self::run_in_chain(ctx, &self.model, &chain, move |ctx| {
-            let mut hctx = HandlerCtx {
-                core: &core,
-                mem: ctx,
-                instance: id,
-                priority,
-            };
-            f(&mut hctx)
-        })
-    }
-
-    /// Like `run_in_instance` but reuses the caller's memory context
-    /// (synchronous dispatch path).
-    fn run_in_instance_with<R>(
         self: &Arc<Self>,
         ctx: &mut rtmem::Ctx,
         id: InstanceId,
         priority: Priority,
         f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
     ) -> Result<R> {
-        let chain = self.region_chain(id)?;
-        let core = Arc::clone(self);
-        Self::run_in_chain(ctx, &self.model, &chain, move |ctx| {
-            let mut hctx = HandlerCtx {
-                core: &core,
+        let chain = {
+            let g = self.runtime(id).state.lock();
+            let active = g.active.as_ref().ok_or_else(|| self.disconnected(id))?;
+            Arc::clone(&active.chain)
+        };
+        let f = |ctx: &mut rtmem::Ctx| {
+            f(&mut HandlerCtx {
+                core: self,
                 mem: ctx,
                 instance: id,
                 priority,
-            };
-            f(&mut hctx)
-        })
-    }
-
-    fn run_in_chain<R>(
-        ctx: &mut rtmem::Ctx,
-        model: &MemoryModel,
-        chain: &[RegionId],
-        f: impl FnOnce(&mut rtmem::Ctx) -> R,
-    ) -> Result<R> {
+            })
+        };
         // Find the deepest chain region already on the caller's stack and
         // jump there (executeInArea), then enter the rest.
         let out = match chain.iter().rposition(|r| ctx.stack().contains(r)) {
             Some(i) => ctx.execute_in(chain[i], |ctx| ctx.enter_chain(&chain[i + 1..], f))?,
-            None => ctx.execute_in(model.immortal(), |ctx| ctx.enter_chain(chain, f))?,
+            None => ctx.execute_in(self.model.immortal(), |ctx| ctx.enter_chain(&chain, f))?,
         };
         Ok(out?)
     }
@@ -540,25 +546,19 @@ impl AppCore {
     pub(crate) fn deliver(
         self: &Arc<Self>,
         sender_ctx: Option<&mut rtmem::Ctx>,
-        to: (InstanceId, String),
+        to: PortId,
         mut env: Envelope,
     ) -> Result<()> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(CompadresError::ShutDown);
         }
-        let info = self
-            .in_ports
-            .get(&to)
-            .ok_or_else(|| CompadresError::NotFound {
-                kind: "in-port",
-                name: format!("{}.{}", self.runtime(to.0).name, to.1),
-            })?;
+        let port = &self.in_ports[to.0];
         let obs = &self.stats.obs;
         if obs.enabled() {
             env.enqueued_ns = obs.now_ns();
             obs.record_at(
                 EventKind::PortEnqueue,
-                info.entity,
+                port.entity,
                 u64::from(env.priority.value()),
                 env.enqueued_ns,
             );
@@ -574,75 +574,75 @@ impl AppCore {
                 };
                 obs.record_span(
                     EventKind::SpanEnqueue,
-                    info.entity,
+                    port.entity,
                     env.span.deadline_ns,
                     env.span,
                 );
             }
         }
-        match &info.dispatch {
-            Dispatch::Synchronous => {
-                let priority = env.priority;
-                match sender_ctx {
-                    Some(ctx) => self.process_envelope(ctx, to, env, priority, false),
-                    None => {
-                        let mut ctx = rtmem::Ctx::no_heap(&self.model);
-                        self.process_envelope(&mut ctx, to, env, priority, false)
-                    }
+        let priority = env.priority;
+        match &port.dispatch {
+            Dispatch::Synchronous => match sender_ctx {
+                Some(ctx) => self.process_envelope(ctx, port, env, priority, false),
+                None => {
+                    let mut ctx = rtmem::Ctx::no_heap(&self.model);
+                    self.process_envelope(&mut ctx, port, env, priority, false)
                 }
-            }
-            Dispatch::Async {
-                pool,
-                inflight,
-                buffer_size,
-                admission,
-            } => {
+            },
+            Dispatch::Async { pool, admission } => {
                 // Bounded admission: the port buffer (CCL BufferSize),
                 // narrowed per priority band by the admission policy so
                 // overload sheds low bands while slots stay reserved for
                 // high-priority traffic.
+                let buffer_size = port.attrs.buffer_size;
                 let limit = admission
-                    .watermark(env.priority.value(), *buffer_size)
-                    .min(*buffer_size);
-                let occupied = inflight.fetch_add(1, Ordering::SeqCst);
+                    .watermark(priority.value(), buffer_size)
+                    .min(buffer_size);
+                let occupied = port.inflight.fetch_add(1, Ordering::SeqCst);
                 if occupied >= limit {
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    let priority = env.priority.value();
-                    if limit < *buffer_size {
+                    port.inflight.fetch_sub(1, Ordering::SeqCst);
+                    if limit < buffer_size {
                         // Band watermark, not capacity: this is a shed.
-                        self.stats.obs.inc(self.stats.shed);
-                        self.stats.obs.inc(info.shed);
-                        self.stats.obs.record(
+                        obs.inc(self.stats.shed);
+                        obs.inc(port.shed);
+                        obs.record(
                             EventKind::PortShed,
-                            info.entity,
-                            u64::from(priority),
+                            port.entity,
+                            u64::from(priority.value()),
                         );
                         return Err(CompadresError::Shed {
-                            instance: self.runtime(to.0).name.clone(),
-                            port: to.1.clone(),
-                            priority,
+                            instance: self.declared(port.instance).name.clone(),
+                            port: port.name.clone(),
+                            priority: priority.value(),
                         });
                     }
-                    self.stats.obs.inc(self.stats.buffer_rejections);
-                    self.stats
-                        .obs
-                        .record(EventKind::BufferDrop, info.entity, occupied as u64);
+                    obs.inc(self.stats.buffer_rejections);
+                    obs.record(EventKind::BufferDrop, port.entity, occupied as u64);
                     return Err(CompadresError::BufferFull {
-                        instance: self.runtime(to.0).name.clone(),
-                        port: to.1.clone(),
+                        instance: self.declared(port.instance).name.clone(),
+                        port: port.name.clone(),
                     });
                 }
                 let core = Arc::clone(self);
-                let priority = env.priority;
-                let inflight2 = Arc::clone(inflight);
                 let mut env_cell = Some(env);
                 let accepted = pool.execute(priority, move |ctx, prio| {
                     let env = env_cell.take().expect("job runs once");
-                    inflight2.fetch_sub(1, Ordering::SeqCst);
-                    let _ = core.process_envelope(ctx, to, env, prio, true);
+                    let port = &core.in_ports[to.0];
+                    port.inflight.fetch_sub(1, Ordering::SeqCst);
+                    if core.process_envelope(ctx, port, env, prio, true).is_err() {
+                        // The sender is long gone and the envelope is
+                        // recycled: the counters and the journal are the
+                        // only trace this message leaves.
+                        let s = &core.stats;
+                        s.obs.inc(s.undeliverable);
+                        s.obs.inc(port.undeliverable);
+                        let occupied = port.inflight.load(Ordering::Relaxed);
+                        s.obs
+                            .record(EventKind::BufferDrop, port.entity, occupied as u64);
+                    }
                 });
                 if !accepted {
-                    inflight.fetch_sub(1, Ordering::SeqCst);
+                    port.inflight.fetch_sub(1, Ordering::SeqCst);
                     return Err(CompadresError::ShutDown);
                 }
                 Ok(())
@@ -657,17 +657,14 @@ impl AppCore {
     fn process_envelope(
         self: &Arc<Self>,
         ctx: &mut rtmem::Ctx,
-        to: (InstanceId, String),
+        port: &InPort,
         env: Envelope,
         priority: Priority,
         queued: bool,
     ) -> Result<()> {
         // Dequeue edge of the trace: how long the envelope waited between
         // admission and a worker (or the sender's thread) picking it up.
-        let (entity, port_miss) = self
-            .in_ports
-            .get(&to)
-            .map_or((0, None), |i| (i.entity, Some(i.deadline_miss)));
+        let entity = port.entity;
         let span_ctx = env.span;
         if self.stats.obs.enabled() {
             let wait_ns = self.stats.obs.now_ns().saturating_sub(env.enqueued_ns);
@@ -681,24 +678,17 @@ impl AppCore {
                     .record_span(EventKind::SpanDequeue, entity, wait_ns, span_ctx);
             }
         }
-        self.hold_chain(to.0)?;
-        let result = (|| -> Result<()> {
+        self.hold_chain(port.instance)?;
+        let result = (|| {
             let handler = {
-                let rt = self.runtime(to.0);
-                let g = rt.state.lock();
-                let active = g.active.as_ref().ok_or(CompadresError::Disconnected {
-                    instance: rt.name.clone(),
-                })?;
-                active
-                    .handlers
-                    .get(&to.1)
-                    .cloned()
-                    .ok_or(CompadresError::MissingFactory {
-                        class: rt.class.clone(),
-                        port: Some(to.1.clone()),
-                    })?
+                let g = self.runtime(port.instance).state.lock();
+                let active = g
+                    .active
+                    .as_ref()
+                    .ok_or_else(|| self.disconnected(port.instance))?;
+                Arc::clone(&active.handlers[port.slot])
             };
-            self.run_in_instance_with(ctx, to.0, priority, |hctx| {
+            self.run_in_instance(ctx, port.instance, priority, |hctx| {
                 rtsched::with_priority(priority, || {
                     // Install the envelope's trace context for the whole
                     // handler run: sends, remote retries and ORB calls
@@ -738,9 +728,7 @@ impl AppCore {
                                     );
                                     if left != i64::MIN && left < 0 {
                                         s.obs.inc(s.deadline_miss);
-                                        if let Some(pm) = port_miss {
-                                            s.obs.inc(pm);
-                                        }
+                                        s.obs.inc(port.deadline_miss);
                                     }
                                 }
                             }
@@ -755,10 +743,9 @@ impl AppCore {
                         });
                     });
                 });
-            })?;
-            Ok(())
+            })
         })();
-        self.release_chain(to.0);
+        self.release_chain(port.instance);
         result
     }
 }
@@ -785,10 +772,10 @@ impl std::fmt::Debug for HandlerCtx<'_> {
     }
 }
 
-impl HandlerCtx<'_> {
+impl<'a> HandlerCtx<'a> {
     /// Name of the component instance being executed.
     pub fn instance_name(&self) -> &str {
-        &self.core.runtime(self.instance).name
+        &self.core.declared(self.instance).name
     }
 
     /// The memory region this component lives in.
@@ -818,26 +805,22 @@ impl HandlerCtx<'_> {
     ///   bound message type.
     /// * [`CompadresError::MessagePoolExhausted`] — too many outstanding.
     pub fn get_message<M: Message>(&self, port: &str) -> Result<PooledMsg<M>> {
-        let info = self.out_info(port)?;
-        if info.type_id != TypeId::of::<M>() {
-            return Err(CompadresError::MessageTypeMismatch {
-                port: port.to_string(),
-                expected: info.message_type.clone(),
-            });
+        let out = self.out_port(port)?;
+        let mismatch = || CompadresError::MessageTypeMismatch {
+            port: port.to_string(),
+            expected: out.message_type.clone(),
+        };
+        if out.type_id != TypeId::of::<M>() {
+            return Err(mismatch());
         }
-        let payload = info
+        let payload = out
             .pool
             .get_any()
-            .ok_or(CompadresError::MessagePoolExhausted {
-                message_type: info.message_type.clone(),
+            .ok_or_else(|| CompadresError::MessagePoolExhausted {
+                message_type: out.message_type.clone(),
             })?;
-        let boxed = payload
-            .downcast::<M>()
-            .map_err(|_| CompadresError::MessageTypeMismatch {
-                port: port.to_string(),
-                expected: info.message_type.clone(),
-            })?;
-        Ok(PooledMsg::from_erased(boxed, Arc::clone(&info.pool)))
+        let boxed = payload.downcast::<M>().map_err(|_| mismatch())?;
+        Ok(PooledMsg::from_erased(boxed, Arc::clone(&out.pool)))
     }
 
     /// Sends a message through `port` at `priority` — the paper's
@@ -855,31 +838,26 @@ impl HandlerCtx<'_> {
         msg: PooledMsg<M>,
         priority: impl Into<Priority>,
     ) -> Result<()> {
-        let (target, type_ok) = {
-            let info = self.out_info(port)?;
-            if info.targets.len() != 1 {
-                return Err(CompadresError::NotFound {
-                    kind: "single connection for out-port",
-                    name: format!(
-                        "{}.{port} ({} targets)",
-                        self.instance_name(),
-                        info.targets.len()
-                    ),
-                });
-            }
-            (info.targets[0].clone(), info.type_id == TypeId::of::<M>())
+        let out = self.out_port(port)?;
+        let &[target] = out.targets.as_slice() else {
+            return Err(CompadresError::NotFound {
+                kind: "single connection for out-port",
+                name: format!(
+                    "{}.{port} ({} targets)",
+                    self.instance_name(),
+                    out.targets.len()
+                ),
+            });
         };
-        if !type_ok {
-            let expected = self.out_info(port)?.message_type.clone();
+        if out.type_id != TypeId::of::<M>() {
             return Err(CompadresError::MessageTypeMismatch {
                 port: port.to_string(),
-                expected,
+                expected: out.message_type.clone(),
             });
         }
         let env = msg.into_envelope(priority.into());
         self.core.stats.obs.inc(self.core.stats.sent);
-        let core = Arc::clone(self.core);
-        core.deliver(Some(self.mem), target, env)
+        self.core.deliver(Some(self.mem), target, env)
     }
 
     /// Fan-out send: fills one pooled message per connected target by
@@ -895,18 +873,15 @@ impl HandlerCtx<'_> {
         priority: impl Into<Priority>,
     ) -> Result<usize> {
         let priority = priority.into();
-        let targets = self.out_info(port)?.targets.clone();
-        let mut delivered = 0;
-        for target in targets {
+        let targets = &self.out_port(port)?.targets;
+        for &target in targets {
             let mut msg = self.get_message::<M>(port)?;
             *msg = value.clone();
             let env = msg.into_envelope(priority);
             self.core.stats.obs.inc(self.core.stats.sent);
-            let core = Arc::clone(self.core);
-            core.deliver(Some(self.mem), target, env)?;
-            delivered += 1;
+            self.core.deliver(Some(self.mem), target, env)?;
         }
-        Ok(delivered)
+        Ok(targets.len())
     }
 
     /// Requests that the named **child** component be kept alive — the
@@ -920,7 +895,7 @@ impl HandlerCtx<'_> {
     /// this component.
     pub fn connect(&mut self, child: &str) -> Result<ChildHandle> {
         let id = self.core.instance_id(child)?;
-        if self.core.runtime(id).parent != Some(self.instance) {
+        if self.core.declared(id).parent != Some(self.instance) {
             return Err(CompadresError::NotFound {
                 kind: "child component",
                 name: child.to_string(),
@@ -936,17 +911,20 @@ impl HandlerCtx<'_> {
 
     /// Number of messages outstanding in the pool serving `port`.
     pub fn pool_outstanding(&self, port: &str) -> Result<usize> {
-        Ok(self.out_info(port)?.pool.outstanding())
+        Ok(self.out_port(port)?.pool.outstanding())
     }
 
-    fn out_info(&self, port: &str) -> Result<&OutPortInfo> {
-        self.core
-            .out_ports
-            .get(&(self.instance, port.to_string()))
-            .ok_or_else(|| CompadresError::NotFound {
+    /// The string edge of the out-port API: one scan of this instance's
+    /// few connected out-ports. The result borrows the wiring table, not
+    /// `self`, so a send can still hand `self.mem` to the target.
+    fn out_port(&self, port: &str) -> Result<&'a OutPort> {
+        let core: &'a AppCore = self.core;
+        by_port_name(&core.runtime(self.instance).out_ports, port).ok_or_else(|| {
+            CompadresError::NotFound {
                 kind: "out-port",
                 name: format!("{}.{port}", self.instance_name()),
-            })
+            }
+        })
     }
 }
 
@@ -960,14 +938,14 @@ pub struct ChildHandle {
 
 impl std::fmt::Debug for ChildHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ChildHandle({})", self.core.runtime(self.id).name)
+        write!(f, "ChildHandle({})", self.instance_name())
     }
 }
 
 impl ChildHandle {
     /// The kept-alive instance's name.
     pub fn instance_name(&self) -> &str {
-        &self.core.runtime(self.id).name
+        &self.core.declared(self.id).name
     }
 
     /// Releases the child — the paper's `disconnect(handle)`. Its scope is
@@ -1001,7 +979,7 @@ pub struct App {
 impl std::fmt::Debug for App {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("App")
-            .field("name", &self.core.name)
+            .field("name", &self.name())
             .field("instances", &self.core.instances.len())
             .finish()
     }
@@ -1010,7 +988,7 @@ impl std::fmt::Debug for App {
 impl App {
     /// Application name from the CCL.
     pub fn name(&self) -> &str {
-        &self.core.name
+        &self.core.validated.name
     }
 
     /// The memory model backing this application.
@@ -1025,11 +1003,10 @@ impl App {
     ///
     /// Fails if an immortal component cannot be materialized.
     pub fn start(&self) -> Result<()> {
-        for inst in 0..self.core.instances.len() {
-            let id = InstanceId(inst);
-            if !self.core.runtime(id).kind.is_scoped() {
+        for decl in &self.core.validated.instances {
+            if !decl.kind.is_scoped() {
                 // Permanent hold: immortal components never deactivate.
-                self.core.hold_chain(id)?;
+                self.core.hold_chain(decl.id)?;
             }
         }
         Ok(())
@@ -1048,16 +1025,8 @@ impl App {
         value: M,
         priority: impl Into<Priority>,
     ) -> Result<()> {
-        let id = self.core.instance_id(instance)?;
-        let key = (id, port.to_string());
-        let info = self
-            .core
-            .in_ports
-            .get(&key)
-            .ok_or_else(|| CompadresError::NotFound {
-                kind: "in-port",
-                name: format!("{instance}.{port}"),
-            })?;
+        let to = self.core.in_port(instance, port)?;
+        let info = &self.core.in_ports[to.0];
         if info.type_id != TypeId::of::<M>() {
             return Err(CompadresError::MessageTypeMismatch {
                 port: port.to_string(),
@@ -1066,7 +1035,7 @@ impl App {
         }
         let env = Envelope::from_value(value, priority.into());
         self.core.stats.obs.inc(self.core.stats.sent);
-        self.core.deliver(None, key, env)
+        self.core.deliver(None, to, env)
     }
 
     /// Runs `f` in the execution context of `instance` (inside its memory
@@ -1083,7 +1052,9 @@ impl App {
     ) -> Result<R> {
         let id = self.core.instance_id(instance)?;
         self.core.hold_chain(id)?;
-        let out = self.core.run_in_instance(id, None, f);
+        let mut ctx = rtmem::Ctx::no_heap(&self.core.model);
+        let priority = rtsched::current_priority();
+        let out = self.core.run_in_instance(&mut ctx, id, priority, f);
         self.core.release_chain(id);
         out
     }
@@ -1117,15 +1088,8 @@ impl App {
     ///
     /// [`CompadresError::NotFound`] for unknown instances or ports.
     pub fn port_attrs(&self, instance: &str, port: &str) -> Result<PortAttrs> {
-        let id = self.core.instance_id(instance)?;
-        self.core
-            .in_ports
-            .get(&(id, port.to_string()))
-            .map(|i| i.attrs())
-            .ok_or_else(|| CompadresError::NotFound {
-                kind: "in-port",
-                name: format!("{instance}.{port}"),
-            })
+        let pid = self.core.in_port(instance, port)?;
+        Ok(self.core.in_ports[pid.0].attrs)
     }
 
     /// Whether an instance is currently active (materialized in a scope).
@@ -1143,6 +1107,7 @@ impl App {
             handler_panics: s.obs.counter_value(s.handler_panics),
             buffer_rejections: s.obs.counter_value(s.buffer_rejections),
             messages_shed: s.obs.counter_value(s.shed),
+            messages_undeliverable: s.obs.counter_value(s.undeliverable),
             activations: self
                 .core
                 .instances
@@ -1188,7 +1153,12 @@ impl App {
             .snapshot(self.core.model.immortal())
             .expect("immortal exists");
         let mut instances = Vec::with_capacity(self.core.instances.len());
-        for rt in &self.core.instances {
+        for (rt, decl) in self
+            .core
+            .instances
+            .iter()
+            .zip(&self.core.validated.instances)
+        {
             let activations = rt.activations.load(Ordering::Relaxed);
             let region = {
                 let g = rt.state.lock();
@@ -1196,7 +1166,7 @@ impl App {
             };
             let snapshot = region.and_then(|r| self.core.model.snapshot(r).ok());
             instances.push(InstanceMemory {
-                name: rt.name.clone(),
+                name: decl.name.clone(),
                 region,
                 used: snapshot.as_ref().map_or(0, |s| s.used),
                 size: snapshot.as_ref().map_or(0, |s| s.size),
@@ -1223,13 +1193,10 @@ impl App {
     pub fn wait_quiescent(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let ports = || {
-            self.core
-                .in_ports
-                .values()
-                .filter_map(|p| match &p.dispatch {
-                    Dispatch::Async { pool, inflight, .. } => Some((pool, inflight)),
-                    Dispatch::Synchronous => None,
-                })
+            self.core.in_ports.iter().filter_map(|p| match &p.dispatch {
+                Dispatch::Async { pool, .. } => Some((pool, &p.inflight)),
+                Dispatch::Synchronous => None,
+            })
         };
         let finished = || -> u64 { ports().map(|(p, _)| p.executed() + p.panicked()).sum() };
         loop {
@@ -1255,21 +1222,27 @@ impl App {
     /// Stops accepting messages, drains pools and deactivates components.
     pub fn shutdown(&self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        for info in self.core.in_ports.values() {
+        for info in &self.core.in_ports {
             if let Dispatch::Async { pool, .. } = &info.dispatch {
                 pool.shutdown();
             }
         }
         // Deactivate scoped instances that are only alive through leaked
         // holds (children first = reverse declaration order).
-        for rt in self.core.instances.iter().rev() {
+        for (rt, decl) in self
+            .core
+            .instances
+            .iter()
+            .zip(&self.core.validated.instances)
+            .rev()
+        {
             let mut g = rt.state.lock();
-            if rt.kind.is_scoped() {
+            if decl.kind.is_scoped() {
                 // Outstanding holds (e.g. still-live ChildHandles) keep
                 // their counts and decay harmlessly after this teardown.
                 if let Some(active) = g.active.take() {
                     drop(g);
-                    self.core.deactivate(rt.id, active);
+                    self.core.deactivate(decl.id, active);
                     continue;
                 }
             } else if let Some(active) = g.active.take() {
@@ -1285,28 +1258,5 @@ impl Drop for App {
         if !self.core.shutdown.load(Ordering::SeqCst) {
             self.shutdown();
         }
-    }
-}
-
-pub(crate) fn new_instance_runtime(
-    id: InstanceId,
-    name: String,
-    class: String,
-    kind: ComponentKind,
-    parent: Option<InstanceId>,
-) -> InstanceRuntime {
-    InstanceRuntime {
-        id,
-        name,
-        class,
-        kind,
-        parent,
-        state: Mutex::new(ActivationState {
-            active: None,
-            holds: 0,
-        }),
-        started_cv: Condvar::new(),
-        activations: AtomicU64::new(0),
-        deactivations: AtomicU64::new(0),
     }
 }

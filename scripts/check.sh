@@ -42,4 +42,15 @@ for bin in target/release/examples/*; do
     printf '%10d KiB  %s\n' "$(($(stat -c %s "$bin") / 1024))" "$name"
 done | sort -k3
 
+# Production lines per crate: what CHANGES.md and ROADMAP "Net state"
+# quote when a PR claims to have removed code (informational).
+echo "==> production lines per crate (above each file's first #[cfg(test)])"
+for dir in crates/*/; do
+    find "${dir}src" -name '*.rs' -print0 | xargs -0 awk -v crate="$(basename "$dir")" '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { n++ }
+        END { printf "%10d lines  %s\n", n, crate }'
+done
+
 echo "All checks passed."
