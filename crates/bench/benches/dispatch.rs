@@ -11,11 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use compadres_bench::harness::{record, run, summarize, write_json_if_requested, Stats};
-
+use compadres_bench::harness::run;
 use compadres_core::{App, AppBuilder, HandlerCtx, Priority};
-use rtplatform::atomic::ParkPolicy;
-use rtsched::PriorityFifo;
+use rtsched::{LatencyRecorder, PriorityFifo};
 
 #[derive(Debug, Default, Clone)]
 struct Tick {
@@ -100,58 +98,11 @@ const SESSION_WORKERS: usize = 4;
 const SESSION_MSGS_PER_PRODUCER: u64 = 5_000;
 const SESSION_TOTAL: u64 = SESSION_PRODUCERS as u64 * SESSION_MSGS_PER_PRODUCER;
 
-/// One contended dispatch session: 4 producer threads flood the queue,
-/// 4 persistent workers drain it; returns once every message has been
-/// processed. `spawn_workers` builds the worker threads once; `produce`
-/// runs inside each producer thread.
-fn contended_session(
-    name: &str,
-    iters: u32,
-    push: impl Fn(Priority, u64) + Send + Sync + 'static,
-    done: Arc<AtomicU64>,
-) -> Stats {
-    let push = Arc::new(push);
-    let mut samples = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        done.store(0, Ordering::SeqCst);
-        let t = Instant::now();
-        let producers: Vec<_> = (0..SESSION_PRODUCERS)
-            .map(|p| {
-                let push = Arc::clone(&push);
-                std::thread::spawn(move || {
-                    for i in 0..SESSION_MSGS_PER_PRODUCER {
-                        // Mixed priorities to exercise the band scan.
-                        push(Priority::new(10 + ((p as u64 + i) % 4) as u8), i);
-                    }
-                })
-            })
-            .collect();
-        for h in producers {
-            h.join().unwrap();
-        }
-        while done.load(Ordering::SeqCst) < SESSION_TOTAL {
-            std::thread::yield_now();
-        }
-        samples.push(t.elapsed());
-    }
-    let s = summarize(samples);
-    let per_msg = s.p50.as_nanos() as f64 / SESSION_TOTAL as f64;
-    let throughput = SESSION_TOTAL as f64 / s.p50.as_secs_f64();
-    println!(
-        "{name:<44} {per_msg:>9.1} ns/msg  {throughput:>12.0} msg/s  (p50 of {iters} sessions of {SESSION_TOTAL} msgs)"
-    );
-    record(name, &s);
-    s
-}
-
-/// One lock-free contended session per [`ParkPolicy`] preset: the
-/// spin/yield budget before parking is exactly what moves the session
-/// tail (a worker that parks just as a burst lands eats a futex wake),
-/// so each preset gets its own named record and its own baseline in
-/// `BENCH_dispatch.json` rather than one record whose p99 depends on
-/// which policy happened to be the default.
-fn bench_lockfree_session(name: &str, park: ParkPolicy, iters: u32) -> Stats {
-    let q: Arc<PriorityFifo<u64>> = Arc::new(PriorityFifo::with_park_policy(park));
+/// Contended dispatch sessions straight on the lock-free queue: each
+/// session, 4 producer threads flood it while 4 persistent workers
+/// drain it, and the session ends once every message has been popped.
+fn bench_contended_sessions(iters: usize) {
+    let q: Arc<PriorityFifo<u64>> = Arc::new(PriorityFifo::new());
     let done = Arc::new(AtomicU64::new(0));
     let workers: Vec<_> = (0..SESSION_WORKERS)
         .map(|_| {
@@ -170,27 +121,48 @@ fn bench_lockfree_session(name: &str, park: ParkPolicy, iters: u32) -> Stats {
             })
         })
         .collect();
-    let q2 = Arc::clone(&q);
-    let s = contended_session(
-        name,
-        iters,
-        move |prio, item| {
-            q2.push(prio, item);
-        },
-        done,
-    );
+    let mut sessions = LatencyRecorder::with_capacity(iters);
+    for _ in 0..iters {
+        done.store(0, Ordering::SeqCst);
+        let t = Instant::now();
+        let producers: Vec<_> = (0..SESSION_PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for i in 0..SESSION_MSGS_PER_PRODUCER {
+                        // Mixed priorities to exercise the band scan.
+                        q.push(Priority::new(10 + ((p as u64 + i) % 4) as u8), i);
+                    }
+                })
+            })
+            .collect();
+        for h in producers {
+            h.join().unwrap();
+        }
+        while done.load(Ordering::SeqCst) < SESSION_TOTAL {
+            std::thread::yield_now();
+        }
+        sessions.record(t.elapsed());
+    }
     q.close();
     for w in workers {
         w.join().unwrap();
     }
-    s
+    let s = sessions.summary();
+    let per_msg = s.median.as_nanos() as f64 / SESSION_TOTAL as f64;
+    let throughput = SESSION_TOTAL as f64 / s.median.as_secs_f64();
+    println!(
+        "{:<44} {per_msg:>9.1} ns/msg  {throughput:>12.0} msg/s  ({SESSION_TOTAL} msgs per session)",
+        "contended 4p/4w lock-free"
+    );
+    println!("{:<44} {s}", "  per session");
 }
 
 /// Latency side of the queue conversion: a single-producer /
 /// single-worker ping-pong through two `PriorityFifo`s, no app
 /// machinery. Measures the idle-queue handoff cost the spin-then-park
 /// policy is tuned around.
-fn bench_queue_roundtrip(iters: u32) {
+fn bench_queue_roundtrip(iters: usize) {
     let q: Arc<PriorityFifo<u64>> = Arc::new(PriorityFifo::new());
     let r: Arc<PriorityFifo<u64>> = Arc::new(PriorityFifo::new());
     let (q2, r2) = (Arc::clone(&q), Arc::clone(&r));
@@ -238,27 +210,5 @@ fn main() {
     bench_queue_roundtrip(5_000);
 
     println!("== dispatch: contended queue, 4 producers x 4 workers ==");
-    // With <=100 sessions the summarize() p99 index degenerates to the
-    // max, so the gated tail number was whatever the single worst
-    // descheduling blip cost. 120 sessions makes p99 a real percentile.
-    const SESSION_ITERS: u32 = 120;
-    let balanced = bench_lockfree_session(
-        "contended 4p/4w lock-free (balanced)",
-        ParkPolicy::balanced(),
-        SESSION_ITERS,
-    );
-    let spin_longer = bench_lockfree_session(
-        "contended 4p/4w lock-free (spin_longer)",
-        ParkPolicy::spin_longer(),
-        SESSION_ITERS,
-    );
-    bench_lockfree_session(
-        "contended 4p/4w lock-free (park_eagerly)",
-        ParkPolicy::park_eagerly(),
-        SESSION_ITERS,
-    );
-    let tail = balanced.p99.as_secs_f64() / spin_longer.p99.as_secs_f64();
-    println!("spin_longer tail vs balanced: {tail:.2}x lower p99 session time");
-
-    write_json_if_requested();
+    bench_contended_sessions(120);
 }

@@ -18,7 +18,7 @@
 
 use std::hint::black_box;
 
-use compadres_bench::harness::{run_batched, write_json_if_requested};
+use compadres_bench::harness::run_batched;
 use compadres_core::smm::{pass_handoff, pass_serialized, pass_shared};
 use rtcorba::cdr::Endian;
 use rtcorba::giop::{self, MessageView};
@@ -153,6 +153,4 @@ fn main() {
             },
         );
     }
-
-    write_json_if_requested();
 }

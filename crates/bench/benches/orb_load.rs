@@ -24,12 +24,8 @@
 //! small `RLIMIT_NOFILE` hard cap scales the count down with a printed
 //! notice, never silently.
 //!
-//! JSON records (`BENCH_JSON`):
-//! * `orb_load_open_loop/{conns}` — per-request latency at the fixed
-//!   rate (p50/p99 are the headline numbers);
-//! * `orb_load_sustained_interval/{conns}` — nanoseconds per request at
-//!   the maximum sustained rate (lower is better, so the regression
-//!   gate's "p50 must not grow" rule applies unchanged).
+//! Printed per connection count: the per-request latency summary at
+//! the fixed rate, each ramp step, and the maximum sustained rate.
 //!
 //! Environment knobs (CI smoke uses small values on every PR):
 //! `ORB_LOAD_CONNS` (comma list, default `1024,4096,10240`),
@@ -44,13 +40,12 @@ use std::os::fd::AsRawFd;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use compadres_bench::harness::{self, Stats};
 use rtcorba::cdr::Endian;
-
 use rtcorba::giop::{self, MessageView, HEADER_LEN};
 use rtcorba::service::ObjectRegistry;
 use rtplatform::bufchain::SegPool;
 use rtplatform::poll::{Interest, PollEvent, Poller};
+use rtsched::LatencyRecorder;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -68,22 +63,6 @@ fn env_conns() -> Vec<usize> {
                 .collect()
         })
         .unwrap_or_else(|_| vec![1024, 4096, 10240])
-}
-
-fn stats_from_ns(mut ns: Vec<u64>) -> Stats {
-    ns.sort_unstable();
-    let n = ns.len().max(1);
-    let d = Duration::from_nanos;
-    let total: u64 = ns.iter().sum();
-    Stats {
-        iters: ns.len() as u32,
-        mean: d(total / n as u64),
-        p50: d(*ns.get(ns.len() / 2).unwrap_or(&0)),
-        p99: d(*ns.get((ns.len() * 99 / 100).min(n - 1)).unwrap_or(&0)),
-        p999: d(*ns.get((ns.len() * 999 / 1000).min(n - 1)).unwrap_or(&0)),
-        min: d(*ns.first().unwrap_or(&0)),
-        max: d(*ns.last().unwrap_or(&0)),
-    }
 }
 
 /// One driver thread's shard of the load: its connections plus the
@@ -412,14 +391,12 @@ fn main() {
             latencies.len(),
             expected,
         );
-        let s = stats_from_ns(latencies);
-        harness::record(&format!("orb_load_open_loop/{conns}"), &s);
-        println!(
-            "  open-loop latency p50 {:>8.1} us  p99 {:>8.1} us  max {:>8.1} us",
-            s.p50.as_nanos() as f64 / 1e3,
-            s.p99.as_nanos() as f64 / 1e3,
-            s.max.as_nanos() as f64 / 1e3,
-        );
+        let mut rec = LatencyRecorder::with_capacity(latencies.len());
+        for ns in latencies {
+            rec.record(Duration::from_nanos(ns));
+        }
+        // No reply at all is a wedged server: `summary` panics, loudly.
+        println!("  open-loop latency {}", rec.summary());
 
         // Ramp: double the target until it stops being sustained.
         let mut rate = start_rate;
@@ -447,22 +424,8 @@ fn main() {
             .checked_div(sustained)
             .unwrap_or(u64::MAX / 2);
         println!("  max sustained rate ≈ {sustained}/s ({interval} ns/request)");
-        let d = Duration::from_nanos(interval);
-        harness::record(
-            &format!("orb_load_sustained_interval/{conns}"),
-            &Stats {
-                iters: sustained.min(u64::from(u32::MAX)) as u32,
-                mean: d,
-                p50: d,
-                p99: d,
-                p999: d,
-                min: d,
-                max: d,
-            },
-        );
         drop(pool);
         server.shutdown();
         drop(server);
     }
-    harness::write_json_if_requested();
 }

@@ -219,151 +219,44 @@ pub fn us(d: Duration) -> String {
     format!("{:.1}", d.as_nanos() as f64 / 1_000.0)
 }
 
-/// Minimal dependency-free timing harness used by the `benches/`
-/// binaries (`cargo bench` runs them with `harness = false`).
+/// Timing harness of the `benches/` report mains (`cargo bench` runs
+/// them with `harness = false`): the paper's steady-state protocol
+/// ([`rtsched::SteadyState`]) with the case name in front of its
+/// [`rtsched::LatencySummary`].
 pub mod harness {
-    use std::sync::Mutex;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
-    /// Summary of one benchmark case.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Stats {
-        /// Timed iterations.
-        pub iters: u32,
-        /// Mean per-iteration time.
-        pub mean: Duration,
-        /// Median per-iteration time.
-        pub p50: Duration,
-        /// 99th-percentile per-iteration time.
-        pub p99: Duration,
-        /// 99.9th-percentile per-iteration time — the tail the adaptive
-        /// park policy and admission control are judged by.
-        pub p999: Duration,
-        /// Fastest iteration.
-        pub min: Duration,
-        /// Slowest iteration.
-        pub max: Duration,
-    }
+    use rtsched::SteadyState;
 
-    /// Every case recorded by this process, for the machine-readable
-    /// dump ([`write_json_if_requested`]).
-    static RECORDED: Mutex<Vec<(String, Stats)>> = Mutex::new(Vec::new());
-
-    /// Summarizes a sample set into the percentile [`Stats`] the JSON
-    /// dump and the bench gate consume. Public so open-loop harnesses
-    /// (e.g. `benches/capacity.rs`) that collect their own latency
-    /// samples can produce gate-compatible records.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty sample set.
-    pub fn summarize(mut samples: Vec<Duration>) -> Stats {
-        samples.sort();
-        let iters = samples.len() as u32;
-        let total: Duration = samples.iter().sum();
-        Stats {
-            iters,
-            mean: total / iters.max(1),
-            p50: samples[samples.len() / 2],
-            p99: samples[(samples.len() * 99 / 100).min(samples.len() - 1)],
-            p999: samples[(samples.len() * 999 / 1000).min(samples.len() - 1)],
-            min: samples[0],
-            max: samples[samples.len() - 1],
-        }
-    }
-
-    fn print(name: &str, s: &Stats) {
-        println!(
-            "{name:<44} {:>9.2} us/iter  p50 {:>9.2}  p99 {:>9.2}  p99.9 {:>9.2}  min {:>9.2}  max {:>9.2}  ({} iters)",
-            s.mean.as_nanos() as f64 / 1e3,
-            s.p50.as_nanos() as f64 / 1e3,
-            s.p99.as_nanos() as f64 / 1e3,
-            s.p999.as_nanos() as f64 / 1e3,
-            s.min.as_nanos() as f64 / 1e3,
-            s.max.as_nanos() as f64 / 1e3,
-            s.iters
-        );
-    }
-
-    /// Registers a case for the JSON dump. `run`/`run_batched` call
-    /// this automatically; benches that compute derived figures (e.g.
-    /// throughput sessions) may record extra cases directly.
-    pub fn record(name: &str, s: &Stats) {
-        RECORDED.lock().unwrap().push((name.to_string(), *s));
-    }
-
-    /// Writes every recorded case as a JSON array to the path in the
-    /// `BENCH_JSON` environment variable, if set. Call at the end of a
-    /// bench `main`. Fields are integer nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written (benches want loud failure).
-    pub fn write_json_if_requested() {
-        let Ok(path) = std::env::var("BENCH_JSON") else {
-            return;
+    /// Times `f` for `iters` iterations after a 10% warmup and prints
+    /// the summary.
+    pub fn run(name: &str, iters: usize, f: impl FnMut()) {
+        let protocol = SteadyState {
+            warmup: (iters / 10).max(1),
+            observations: iters,
         };
-        let cases = RECORDED.lock().unwrap();
-        let mut out = String::from("[\n");
-        for (i, (name, s)) in cases.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"iters\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                name.replace('"', "'"),
-                s.iters,
-                s.mean.as_nanos(),
-                s.p50.as_nanos(),
-                s.p99.as_nanos(),
-                s.p999.as_nanos(),
-                s.min.as_nanos(),
-                s.max.as_nanos()
-            ));
-        }
-        out.push_str("\n]\n");
-        std::fs::write(&path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("bench JSON written to {path}");
-    }
-
-    /// Times `f` for `iters` iterations after a 10% warmup, printing and
-    /// returning the summary.
-    pub fn run(name: &str, iters: u32, mut f: impl FnMut()) -> Stats {
-        for _ in 0..(iters / 10).max(1) {
-            f();
-        }
-        let mut samples = Vec::with_capacity(iters as usize);
-        for _ in 0..iters.max(1) {
-            let t = Instant::now();
-            f();
-            samples.push(t.elapsed());
-        }
-        let s = summarize(samples);
-        print(name, &s);
-        record(name, &s);
-        s
+        println!("{name:<44} {}", protocol.run_timed(f).summary());
     }
 
     /// Like [`run`] but with untimed per-iteration setup: each iteration
     /// times only `routine(setup())`.
     pub fn run_batched<T>(
         name: &str,
-        iters: u32,
+        iters: usize,
         mut setup: impl FnMut() -> T,
         mut routine: impl FnMut(T),
-    ) -> Stats {
-        routine(setup()); // warmup
-        let mut samples = Vec::with_capacity(iters as usize);
-        for _ in 0..iters.max(1) {
+    ) {
+        let protocol = SteadyState {
+            warmup: 1,
+            observations: iters,
+        };
+        let rec = protocol.run(|| {
             let input = setup();
             let t = Instant::now();
             routine(input);
-            samples.push(t.elapsed());
-        }
-        let s = summarize(samples);
-        print(name, &s);
-        record(name, &s);
-        s
+            t.elapsed()
+        });
+        println!("{name:<44} {}", rec.summary());
     }
 }
 

@@ -93,25 +93,17 @@ fn io_err(e: std::io::Error) -> CompadresError {
     CompadresError::Model(format!("remote link I/O failure: {e}"))
 }
 
-/// Writes every byte of `parts` with vectored writes, resuming across
-/// partial writes; the usual path is one `writev` for header + payload.
-fn write_all_parts(w: &mut impl Write, parts: &[&[u8]]) -> std::io::Result<()> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut written = 0;
-    while written < total {
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(parts.len());
-        let mut skip = written;
-        for p in parts {
-            if skip >= p.len() {
-                skip -= p.len();
-                continue;
-            }
-            slices.push(IoSlice::new(&p[skip..]));
-            skip = 0;
-        }
-        match w.write_vectored(&slices) {
+/// Writes all of `head` then `payload` with vectored writes, resuming
+/// across partial writes; the usual path is one `writev` for both.
+fn write_all_parts(w: &mut impl Write, mut head: &[u8], mut payload: &[u8]) -> std::io::Result<()> {
+    while !head.is_empty() || !payload.is_empty() {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(payload)]) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
+            Ok(n) => {
+                let of_head = n.min(head.len());
+                head = &head[of_head..];
+                payload = &payload[n - of_head..];
+            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -508,11 +500,11 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         }
     }
 
-    /// Writes a frame given as parts (header + payload) with vectored
-    /// I/O, so the wire header never has to be assembled into one `Vec`
-    /// with the payload. The link tears the stream down if this fails.
-    fn write(&self, stream: &mut TcpStream, parts: &[&[u8]]) -> std::io::Result<()> {
-        let r = write_all_parts(stream, parts).and_then(|()| stream.flush());
+    /// Writes a frame given as header + payload with vectored I/O, so
+    /// the wire header never has to be assembled into one `Vec` with the
+    /// payload. The link tears the stream down if this fails.
+    fn write(&self, stream: &mut TcpStream, head: &[u8], payload: &[u8]) -> std::io::Result<()> {
+        let r = write_all_parts(stream, head, payload).and_then(|()| stream.flush());
         if r.as_ref().is_err_and(is_timeout) {
             self.link
                 .note_deadline_miss(self.link.policy().send_timeout);
@@ -587,7 +579,7 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         if policy.degrade == DegradeMode::DropOldest {
             // Never sleeps on backoff. The backlog goes first to keep
             // the order; a frame that cannot go out now joins it.
-            let write = |s: &mut TcpStream| self.write(s, &[head, &payload]);
+            let write = |s: &mut TcpStream| self.write(s, head, &payload);
             if self.flush(st)
                 && self
                     .link
@@ -608,7 +600,7 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         let sent = self.link.send(
             &mut st.link,
             || Self::dial(addr, policy),
-            |s| self.write(s, &[head, &payload]),
+            |s| self.write(s, head, &payload),
         );
         match sent {
             Ok(()) => {
@@ -634,7 +626,7 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         } = st;
         while let Some(frame) = pending.front() {
             let dial = || Self::dial(*addr, self.link.policy());
-            if !self.link.offer(link, dial, |s| self.write(s, &[frame])) {
+            if !self.link.offer(link, dial, |s| self.write(s, frame, &[])) {
                 return false;
             }
             pending.pop_front();

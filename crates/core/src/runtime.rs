@@ -638,7 +638,7 @@ impl AppCore {
                         s.obs.inc(port.undeliverable);
                         let occupied = port.inflight.load(Ordering::Relaxed);
                         s.obs
-                            .record(EventKind::BufferDrop, port.entity, occupied as u64);
+                            .record(EventKind::Undeliverable, port.entity, occupied as u64);
                     }
                 });
                 if !accepted {

@@ -78,14 +78,20 @@ fn a_message_dropped_on_the_worker_is_counted_and_journalled() {
             && metrics.contains("compadres_undeliverable_b_in_total 1"),
         "global or per-port undeliverable counter missing or wrong:\n{metrics}"
     );
+    // "Accepted, then lost" is its own kind: a journal reader must not
+    // mistake it for a full-buffer refusal at admission.
     let obs = app.observer();
-    let drops: Vec<_> = obs
-        .events()
-        .into_iter()
-        .filter(|e| e.kind == EventKind::BufferDrop)
+    let events = obs.events();
+    let lost: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Undeliverable)
         .collect();
-    assert_eq!(drops.len(), 1, "exactly one journal event: {drops:?}");
-    assert_eq!(obs.entity_name(drops[0].subject), "B.In");
+    assert_eq!(lost.len(), 1, "exactly one journal event: {lost:?}");
+    assert_eq!(obs.entity_name(lost[0].subject), "B.In");
+    assert!(
+        events.iter().all(|e| e.kind != EventKind::BufferDrop),
+        "nothing was refused at admission: {events:?}"
+    );
 
     // Once A lets go of the scope the same port delivers again, and the
     // books balance: every accepted message is processed or counted.

@@ -106,13 +106,15 @@ fn concurrent_writers_never_duplicate_or_reorder_seqs() {
             let j = Arc::clone(&j);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                let mut audits = 0u64;
-                while !done.load(Ordering::Acquire) {
+                // At least one audit per round: on a loaded box the
+                // writers can finish before this thread first runs.
+                loop {
                     let bad = audit(&j.snapshot(), WRITERS);
                     assert!(bad.is_empty(), "seed {seed}: {bad:?}");
-                    audits += 1;
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
-                audits
             })
         };
 
@@ -135,8 +137,7 @@ fn concurrent_writers_never_duplicate_or_reorder_seqs() {
             t.join().unwrap();
         }
         done.store(true, Ordering::Release);
-        let audits = auditor.join().unwrap();
-        assert!(audits > 0, "the auditor never got a snapshot in");
+        auditor.join().unwrap();
 
         // (4) conservation: recorded + dropped accounts for every call.
         assert_eq!(

@@ -68,10 +68,22 @@ const WORKER_BATCH: usize = 16;
 /// Most buffer segments gathered into a single vectored write.
 const MAX_IOVECS: usize = 64;
 
-/// Segments pre-allocated in the receive pool. Each is `read_chunk`
+/// Segments pre-allocated in the receive pool. Each is [`READ_CHUNK`]
 /// bytes; exhaustion falls back to heap segments (never blocks the
 /// reactor), it just loses the recycling benefit until frames drop.
 const RECV_POOL_SEGS: usize = 16;
+
+/// Segment size of the receive pool — the most bytes one `read` call
+/// can deliver into a segment.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Largest accepted GIOP body; a header declaring more is a protocol
+/// violation (MessageError + close), not an allocation.
+const MAX_FRAME: usize = 16 << 20;
+
+/// Capacity of the readiness and flush queues between reactor and
+/// workers (connections, not frames).
+const QUEUE_CAPACITY: usize = 4096;
 
 /// Sizing and limits for a [`ReactorServer`].
 #[derive(Debug, Clone, Copy)]
@@ -81,15 +93,6 @@ pub struct ReactorConfig {
     /// CCL provisions 4 level-3 scopes): the pool then never blocks a
     /// worker on scope exhaustion.
     pub workers: usize,
-    /// Largest accepted GIOP body; a header declaring more is a
-    /// protocol violation (MessageError + close), not an allocation.
-    pub max_frame: usize,
-    /// Segment size of the receive buffer pool — the most bytes one
-    /// `read` call can deliver into a segment.
-    pub read_chunk: usize,
-    /// Capacity of the readiness queue between reactor and workers
-    /// (connections, not frames; rounded up to a power of two).
-    pub queue_capacity: usize,
     /// Most complete frames one connection's inbox may hold before the
     /// reactor sheds newly carved frames (`reactor_shed_total`). GIOP
     /// frames carry no priority, so this is a coarse per-connection
@@ -103,9 +106,6 @@ impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             workers: 4,
-            max_frame: 16 << 20,
-            read_chunk: 64 << 10,
-            queue_capacity: 4096,
             inbox_capacity: 1024,
         }
     }
@@ -166,7 +166,7 @@ impl Shared {
         }
         let mut item = Arc::clone(conn);
         // The queue holds connections (not frames) so it only fills when
-        // `queue_capacity` distinct connections all have pending work;
+        // `QUEUE_CAPACITY` distinct connections all have pending work;
         // if that happens, the reactor yields until workers drain —
         // natural backpressure that ultimately flows back over TCP.
         while let Err(back) = self.work.push(item) {
@@ -295,10 +295,10 @@ impl ReactorServer {
 
         let shared = Arc::new(Shared {
             waker,
-            recv_pool: SegPool::new(RECV_POOL_SEGS, cfg.read_chunk.max(HEADER_LEN)),
-            work: MpmcRing::new(cfg.queue_capacity.max(2)),
+            recv_pool: SegPool::new(RECV_POOL_SEGS, READ_CHUNK),
+            work: MpmcRing::new(QUEUE_CAPACITY),
             work_gate: Gate::new(),
-            flush: MpmcRing::new(cfg.queue_capacity.max(2)),
+            flush: MpmcRing::new(QUEUE_CAPACITY),
             flush_overflow: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             conns_gauge: obs.gauge("reactor_connections"),
@@ -578,7 +578,7 @@ fn read_ready(
             break;
         }
         let body = match giop::body_size(&header) {
-            Ok(b) if b <= cfg.max_frame => b,
+            Ok(b) if b <= MAX_FRAME => b,
             _ => {
                 // Bad magic or absurd size: this is not a GIOP stream.
                 // Tell the peer (MessageError), then hang up once the

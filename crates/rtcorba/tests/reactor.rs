@@ -227,7 +227,6 @@ fn full_inbox_sheds_the_excess_and_keeps_serving() {
         .reactor(ReactorConfig {
             workers: 1,
             inbox_capacity: 2,
-            ..ReactorConfig::default()
         })
         .serve()
         .unwrap();

@@ -90,6 +90,10 @@ impl FreeStack {
     }
 
     fn push(&self, idx: u32) {
+        // Counted before it is published: a pop that takes the slot the
+        // instant the CAS lands must not decrement a count that does not
+        // include it yet (`len` would wrap below zero).
+        self.len.fetch_add(1, Ordering::SeqCst);
         loop {
             let cur = self.head.load(Ordering::SeqCst);
             let (tag, top) = unpack(cur);
@@ -105,7 +109,6 @@ impl FreeStack {
                 )
                 .is_ok()
             {
-                self.len.fetch_add(1, Ordering::SeqCst);
                 return;
             }
             std::hint::spin_loop();

@@ -114,6 +114,12 @@ pub enum EventKind {
     /// service. `subject` = member or link entity, `payload` = the
     /// naming shard that served the rebind.
     NamingRebind = 30,
+    /// A message an asynchronous in-port had accepted could not be
+    /// delivered on the worker (target not activatable, handler error):
+    /// accepted, then lost — unlike [`EventKind::BufferDrop`] and
+    /// [`EventKind::PortShed`], which refuse at admission. `subject` =
+    /// port entity, `payload` = buffer occupancy at that instant.
+    Undeliverable = 31,
 }
 
 impl EventKind {
@@ -151,6 +157,7 @@ impl EventKind {
             28 => EventKind::FailoverStart,
             29 => EventKind::FailoverComplete,
             30 => EventKind::NamingRebind,
+            31 => EventKind::Undeliverable,
             _ => return None,
         })
     }
@@ -188,6 +195,7 @@ impl EventKind {
             EventKind::FailoverStart => "failover.start",
             EventKind::FailoverComplete => "failover.complete",
             EventKind::NamingRebind => "naming.rebind",
+            EventKind::Undeliverable => "port.undeliverable",
         }
     }
 }

@@ -35,62 +35,13 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
     }
 }
 
-/// Tunable spin/yield budgets for a [`Backoff`] — how long a waiter
-/// burns cycles before it should fall back to a blocking park.
-///
-/// The defaults (spin 4, yield 8) are the values the contended dispatch
-/// bench settled on for general-purpose queues, but the right trade is
-/// workload-specific: a latency-critical consumer on a dedicated core
-/// wants a longer spin budget (parking costs a syscall pair plus a
-/// wakeup on the producer side — that is where the contended 4p/4w
-/// dispatch *tail* comes from), while an oversubscribed box wants to
-/// park almost immediately. Exposed through `rtsched`'s queue/pool
-/// constructors and `compadres_core::AppBuilder::park_policy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParkPolicy {
-    /// Steps of pure spinning (each step `1 << n` spin hints, capped by
-    /// the step index) before the backoff starts yielding.
-    pub spin_limit: u32,
-    /// Steps of `yield_now` after the spin phase before
-    /// [`Backoff::is_completed`] reports the waiter should park.
-    pub yield_limit: u32,
-}
-
-impl ParkPolicy {
-    /// The default budgets (spin 4, yield 8).
-    pub const fn balanced() -> ParkPolicy {
-        ParkPolicy {
-            spin_limit: 4,
-            yield_limit: 8,
-        }
-    }
-
-    /// A tail-taming preset for contended queues with dedicated
-    /// consumers: a deeper spin/yield budget keeps waiters out of the
-    /// kernel across short producer gaps, trading CPU for the p99.
-    pub const fn spin_longer() -> ParkPolicy {
-        ParkPolicy {
-            spin_limit: 6,
-            yield_limit: 16,
-        }
-    }
-
-    /// An oversubscription preset: park almost immediately, donating
-    /// the timeslice to whichever thread will publish the awaited
-    /// state.
-    pub const fn park_eagerly() -> ParkPolicy {
-        ParkPolicy {
-            spin_limit: 1,
-            yield_limit: 2,
-        }
-    }
-}
-
-impl Default for ParkPolicy {
-    fn default() -> ParkPolicy {
-        ParkPolicy::balanced()
-    }
-}
+/// Last step of pure spinning (step `n` issues `1 << n` spin hints);
+/// later steps of [`Backoff::snooze`] yield instead.
+const SPIN_LIMIT: u32 = 4;
+/// Last step before [`Backoff::is_completed`] tells the waiter to park.
+/// Parking costs a syscall pair plus a wakeup on the producer side, so
+/// the budget covers short producer gaps without entering the kernel.
+const YIELD_LIMIT: u32 = 8;
 
 /// Exponential backoff for optimistic concurrency loops.
 ///
@@ -98,13 +49,10 @@ impl Default for ParkPolicy {
 /// backoff [`is_completed`](Backoff::is_completed) the caller should
 /// stop burning cycles and park on a real blocking primitive instead —
 /// on a single-core box (the CI runner has one) long spins only steal
-/// the timeslice from the thread that would make progress. The budgets
-/// are per-instance ([`ParkPolicy`]); [`Backoff::new`] uses the
-/// defaults.
+/// the timeslice from the thread that would make progress.
 #[derive(Debug)]
 pub struct Backoff {
     step: u32,
-    policy: ParkPolicy,
 }
 
 impl Default for Backoff {
@@ -114,14 +62,9 @@ impl Default for Backoff {
 }
 
 impl Backoff {
-    /// Creates a fresh backoff with the default [`ParkPolicy`].
+    /// Creates a fresh backoff in the cheap-spin phase.
     pub const fn new() -> Backoff {
-        Backoff::with_policy(ParkPolicy::balanced())
-    }
-
-    /// Creates a fresh backoff with explicit spin/yield budgets.
-    pub const fn with_policy(policy: ParkPolicy) -> Backoff {
-        Backoff { step: 0, policy }
+        Backoff { step: 0 }
     }
 
     /// Backs off after a failed CAS in a lock-free loop: pure spinning,
@@ -129,12 +72,12 @@ impl Backoff {
     /// (another thread mid-operation will finish in a bounded number of
     /// instructions).
     pub fn spin(&mut self) {
-        for _ in 0..1u32 << self.step.min(self.policy.spin_limit).min(16) {
+        for _ in 0..1u32 << self.step.min(SPIN_LIMIT) {
             std::hint::spin_loop();
         }
         // Cap below the park threshold: a pure CAS-retry loop must
         // never look park-worthy to `is_completed`.
-        if self.step < self.policy.spin_limit {
+        if self.step < SPIN_LIMIT {
             self.step += 1;
         }
     }
@@ -143,14 +86,14 @@ impl Backoff {
     /// arrive, a consumer to make room): spins first, then yields the
     /// thread.
     pub fn snooze(&mut self) {
-        if self.step <= self.policy.spin_limit {
-            for _ in 0..1u32 << self.step.min(16) {
+        if self.step <= SPIN_LIMIT {
+            for _ in 0..1u32 << self.step {
                 std::hint::spin_loop();
             }
         } else {
             std::thread::yield_now();
         }
-        if self.step <= self.policy.yield_limit {
+        if self.step <= YIELD_LIMIT {
             self.step += 1;
         }
     }
@@ -163,7 +106,7 @@ impl Backoff {
     /// awaited state (measured on the contended dispatch bench, parking
     /// right after the spin phase costs ~3x throughput on one core).
     pub fn is_completed(&self) -> bool {
-        self.step > self.policy.yield_limit
+        self.step > YIELD_LIMIT
     }
 
     /// Whether the pure-spin phase is over (the backoff is yielding).
@@ -171,7 +114,7 @@ impl Backoff {
     /// that was idle on its last wait) can park at this point instead
     /// of burning the yield budget.
     pub fn spin_phase_complete(&self) -> bool {
-        self.step >= self.policy.spin_limit
+        self.step >= SPIN_LIMIT
     }
 
     /// Resets the backoff to the cheap-spin phase.
@@ -229,32 +172,19 @@ mod tests {
     }
 
     #[test]
-    fn park_policy_scales_the_budget() {
-        let mut eager = Backoff::with_policy(ParkPolicy::park_eagerly());
-        let mut patient = Backoff::with_policy(ParkPolicy::spin_longer());
-        let mut eager_steps = 0;
-        while !eager.is_completed() {
-            eager.snooze();
-            eager_steps += 1;
+    fn budget_is_the_constants() {
+        let mut b = Backoff::new();
+        for _ in 0..SPIN_LIMIT {
+            assert!(!b.spin_phase_complete());
+            b.snooze();
         }
-        let mut patient_steps = 0;
-        while !patient.is_completed() {
-            patient.snooze();
-            patient_steps += 1;
-        }
-        assert!(
-            eager_steps < patient_steps,
-            "eager ({eager_steps}) parks before patient ({patient_steps})"
-        );
-        // The spin phase tracks the policy too.
-        let mut b = Backoff::with_policy(ParkPolicy {
-            spin_limit: 2,
-            yield_limit: 4,
-        });
-        b.snooze();
-        b.snooze();
         assert!(b.spin_phase_complete());
-        assert!(!b.is_completed());
+        for _ in SPIN_LIMIT..YIELD_LIMIT {
+            b.snooze();
+        }
+        assert!(!b.is_completed(), "step 8 is still inside the budget");
+        b.snooze();
+        assert!(b.is_completed(), "parks once the step passes 8");
     }
 
     #[test]

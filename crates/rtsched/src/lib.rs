@@ -9,7 +9,8 @@
 //!   `BufferSize` bound is core's per-port claim, not a queue here);
 //! * [`ThreadPool`] — dynamic min/max thread pools whose workers inherit
 //!   the priority of the message they process;
-//! * [`RtThreadBuilder`] / [`current_priority`] — prioritized threads;
+//! * [`current_priority`] / [`with_priority`] — the priority a thread
+//!   is executing at;
 //! * [`LatencyRecorder`] / [`SteadyState`] — the paper's measurement
 //!   protocol (steady state, 10 000 observations, median + jitter).
 
@@ -27,5 +28,5 @@ pub use periodic::PeriodicTimer;
 pub use pool::{Job, PoolConfig, ThreadPool};
 pub use priority::Priority;
 pub use queue::{PriorityFifo, PushRefusal};
-pub use thread::{current_priority, with_priority, RtThreadBuilder};
+pub use thread::{current_priority, with_priority};
 pub use time::{LatencyRecorder, LatencySummary, SteadyState};

@@ -13,7 +13,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rtobs::{CounterId, EventKind, GaugeId, HistId, Observer};
-use rtplatform::atomic::ParkPolicy;
 use rtplatform::sync::Mutex;
 
 use crate::priority::Priority;
@@ -31,11 +30,6 @@ pub struct PoolConfig {
     pub max_threads: usize,
     /// Base priority of idle workers.
     pub idle_priority: Priority,
-    /// Spin/yield budgets workers burn on an empty queue before
-    /// parking. [`ParkPolicy::spin_longer`] tames the contended
-    /// dispatch tail on dedicated cores; [`ParkPolicy::park_eagerly`]
-    /// suits oversubscribed hosts.
-    pub park: ParkPolicy,
 }
 
 impl Default for PoolConfig {
@@ -44,7 +38,6 @@ impl Default for PoolConfig {
             min_threads: 1,
             max_threads: 4,
             idle_priority: Priority::MIN,
-            park: ParkPolicy::balanced(),
         }
     }
 }
@@ -125,7 +118,7 @@ impl<S: Send + 'static> ThreadPool<S> {
         );
         let pool = ThreadPool {
             shared: Arc::new(PoolShared {
-                queue: PriorityFifo::with_park_policy(config.park),
+                queue: PriorityFifo::new(),
                 live: AtomicUsize::new(0),
                 busy: AtomicUsize::new(0),
                 pending: AtomicUsize::new(0),
@@ -482,7 +475,6 @@ mod tests {
                 min_threads: 1,
                 max_threads: 1,
                 idle_priority: Priority::new(5),
-                ..PoolConfig::default()
             },
             || (),
         );

@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use rtobs::{CounterId, Observer};
-use rtplatform::atomic::{Backoff, CachePadded, ParkPolicy};
+use rtplatform::atomic::{Backoff, CachePadded};
 use rtplatform::fault::AdmissionPolicy;
 use rtplatform::park::{Gate, WaitOutcome};
 use rtplatform::ring::MpmcRing;
@@ -124,9 +124,6 @@ pub struct PriorityFifo<T> {
     /// while a busy queue keeps the full yield budget, which on a
     /// loaded single core donates timeslices to the producers.
     idle_hint: AtomicBool,
-    /// Spin/yield budgets for blocking pops; see
-    /// [`PriorityFifo::with_park_policy`].
-    park: ParkPolicy,
     obs: OnceLock<QueueObs>,
 }
 
@@ -148,17 +145,8 @@ impl<T> std::fmt::Debug for PriorityFifo<T> {
 }
 
 impl<T> PriorityFifo<T> {
-    /// Creates an empty queue with the default [`ParkPolicy`].
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_park_policy(ParkPolicy::balanced())
-    }
-
-    /// Creates an empty queue whose blocking pops use `park`'s
-    /// spin/yield budgets before falling back to the gate. A longer
-    /// budget ([`ParkPolicy::spin_longer`]) keeps contended consumers
-    /// out of the kernel and tames the dispatch tail at the cost of
-    /// CPU; a shorter one suits oversubscribed hosts.
-    pub fn with_park_policy(park: ParkPolicy) -> Self {
         PriorityFifo {
             bands: (0..BANDS).map(|_| OnceLock::new()).collect(),
             hint: [
@@ -170,7 +158,6 @@ impl<T> PriorityFifo<T> {
             gate: Gate::new(),
             spins: AtomicU64::new(0),
             idle_hint: AtomicBool::new(false),
-            park,
             obs: OnceLock::new(),
         }
     }
@@ -388,7 +375,7 @@ impl<T> PriorityFifo<T> {
         if let Some(o) = self.obs.get() {
             o.obs.inc(o.spins);
         }
-        let mut backoff = Backoff::with_policy(self.park);
+        let mut backoff = Backoff::new();
         loop {
             if let Some(got) = self.scan_hinted() {
                 return Some(got);

@@ -7,7 +7,6 @@
 //! and handler threads assume them.
 
 use std::cell::Cell;
-use std::thread::JoinHandle;
 
 use crate::priority::Priority;
 
@@ -33,56 +32,6 @@ pub fn with_priority<R>(priority: Priority, f: impl FnOnce() -> R) -> R {
     CURRENT_PRIORITY.with(|p| p.set(priority));
     let _restore = Restore(prev);
     f()
-}
-
-/// Builder for named, prioritized threads — the `RealtimeThread` analog.
-///
-/// # Examples
-///
-/// ```
-/// use rtsched::{RtThreadBuilder, Priority, current_priority};
-///
-/// let handle = RtThreadBuilder::new("worker")
-///     .priority(Priority::new(20))
-///     .spawn(|| current_priority())
-///     .unwrap();
-/// assert_eq!(handle.join().unwrap(), Priority::new(20));
-/// ```
-#[derive(Debug, Clone)]
-pub struct RtThreadBuilder {
-    name: String,
-    priority: Priority,
-}
-
-impl RtThreadBuilder {
-    /// Creates a builder for a thread with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        RtThreadBuilder {
-            name: name.into(),
-            priority: Priority::NORM,
-        }
-    }
-
-    /// Sets the thread's base priority.
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Spawns the thread; `f` runs with [`current_priority`] preset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS spawn failure, if any.
-    pub fn spawn<R: Send + 'static>(
-        self,
-        f: impl FnOnce() -> R + Send + 'static,
-    ) -> std::io::Result<JoinHandle<R>> {
-        let priority = self.priority;
-        std::thread::Builder::new()
-            .name(self.name)
-            .spawn(move || with_priority(priority, f))
-    }
 }
 
 #[cfg(test)]
@@ -112,21 +61,5 @@ mod tests {
             with_priority(Priority::MAX, || panic!("x"));
         });
         assert_eq!(current_priority(), Priority::NORM);
-    }
-
-    #[test]
-    fn builder_sets_name_and_priority() {
-        let h = RtThreadBuilder::new("rt-test")
-            .priority(Priority::new(33))
-            .spawn(|| {
-                (
-                    std::thread::current().name().map(str::to_owned),
-                    current_priority(),
-                )
-            })
-            .unwrap();
-        let (name, prio) = h.join().unwrap();
-        assert_eq!(name.as_deref(), Some("rt-test"));
-        assert_eq!(prio, Priority::new(33));
     }
 }

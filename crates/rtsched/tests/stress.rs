@@ -14,7 +14,6 @@ fn pool_survives_thousands_of_jobs_across_priorities() {
             min_threads: 2,
             max_threads: 6,
             idle_priority: Priority::MIN,
-            ..PoolConfig::default()
         },
         || 0u64,
     );

@@ -9,6 +9,20 @@ run() {
     "$@"
 }
 
+# Stale-reference lint: a script, benchmark record, bench or crate
+# source file that the documents name must exist in the tree.
+echo "==> stale-reference lint (README, DESIGN, EXPERIMENTS, ROADMAP)"
+stale=0
+for ref in $(grep -ohE 'scripts/[A-Za-z0-9_]+\.sh|BENCH[A-Za-z0-9_]*\.json|crates/[A-Za-z0-9_/-]+\.rs|benches/[A-Za-z0-9_]+\.rs' \
+    README.md DESIGN.md EXPERIMENTS.md ROADMAP.md | sort -u); do
+    case "$ref" in
+        benches/*) path="crates/bench/$ref" ;;
+        *) path="$ref" ;;
+    esac
+    [ -e "$path" ] || { echo "stale reference: $ref"; stale=1; }
+done
+[ "$stale" -eq 0 ] || { echo "FAIL: the documents name files that do not exist"; exit 1; }
+
 run cargo build --release --offline --workspace --bins --examples
 run cargo test -q --offline --workspace
 
@@ -51,6 +65,6 @@ for dir in crates/*/; do
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests { n++ }
         END { printf "%10d lines  %s\n", n, crate }'
-done
+done | awk '{ print; total += $1 } END { printf "%10d lines  crates/ total\n", total }'
 
 echo "All checks passed."

@@ -105,14 +105,6 @@ grep -q 'high_shed=0 ' /tmp/soak_overload.log \
 grep -q 'high_deadline_misses=0 ' /tmp/soak_overload.log \
     || { echo "FAIL: high-priority deadline missed under overload"; exit 1; }
 
-# Send-path regression guard: the message-passing benchmark must still
-# run cleanly with the fault layer compiled in. Numbers are reported for
-# the CI log, not asserted — CI boxes are too noisy for latency gates.
-if [ "${SOAK_BENCH:-1}" = "1" ]; then
-    echo "==> msgpass bench (clean network, informational)"
-    cargo bench --offline -p compadres-bench --bench msgpass
-fi
-
 fi # PHASE != multinode
 
 # Multinode phase: the partitioned deployment survives seeded
