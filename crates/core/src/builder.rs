@@ -252,7 +252,7 @@ impl AppBuilder {
         }
 
         // One runtime record per instance, carrying what activation
-        // needs: ancestors, component factory and the level's scope pool.
+        // needs: component factory and the level's scope pool.
         let null_component: ComponentFactory = Arc::new(|| Box::new(NullComponent));
         let mut instances: Vec<InstanceRuntime> = Vec::with_capacity(vapp.instances.len());
         let mut by_name = HashMap::new();
@@ -264,7 +264,6 @@ impl AppBuilder {
                 ComponentKind::Immortal => None,
             };
             instances.push(InstanceRuntime::new(
-                vapp.ancestry(vi.id),
                 Arc::clone(component.unwrap_or(&null_component)),
                 scope_pool,
             ));

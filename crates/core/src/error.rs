@@ -62,11 +62,6 @@ pub enum CompadresError {
         /// The in-port, when a handler factory is missing.
         port: Option<String>,
     },
-    /// A dynamic child handle was used after disconnect.
-    Disconnected {
-        /// The disconnected instance.
-        instance: String,
-    },
 }
 
 impl fmt::Display for CompadresError {
@@ -104,9 +99,6 @@ impl fmt::Display for CompadresError {
                 Some(p) => write!(f, "no handler factory registered for {class}.{p}"),
                 None => write!(f, "no component factory registered for class {class:?}"),
             },
-            CompadresError::Disconnected { instance } => {
-                write!(f, "component instance {instance:?} has been disconnected")
-            }
         }
     }
 }

@@ -45,7 +45,6 @@ impl<T: Default + Send + 'static> Message for T {
 pub(crate) trait AnyPool: Send + Sync {
     fn get_any(&self) -> Option<Box<dyn Any + Send>>;
     fn recycle_any(&self, msg: Box<dyn Any + Send>);
-    fn outstanding(&self) -> usize;
 }
 
 /// A pool of reusable messages of type `M`, logically hosted in the memory
@@ -209,10 +208,6 @@ impl<M: Message> AnyPool for PoolInner<M> {
             self.outstanding.fetch_sub(1, Ordering::SeqCst);
             self.put_back(typed);
         }
-    }
-
-    fn outstanding(&self) -> usize {
-        self.outstanding.load(Ordering::Relaxed)
     }
 }
 

@@ -100,34 +100,75 @@ pub(crate) struct InPort {
     pub undeliverable: CounterId,
 }
 
-/// Activation state of one component instance.
-struct ActiveScope {
+/// One activation of an instance: the single record a delivery runs
+/// against, shared between the instance's state and the holds in
+/// flight. The fields are declared in teardown order (see
+/// [`AppCore::deactivate`]).
+struct Activation {
+    /// One handler per wired in-port, indexed by [`InPort::slot`].
+    handlers: Vec<Mutex<Box<dyn ErasedHandler>>>,
+    component: Mutex<Box<dyn Component>>,
+    /// Wedge keeping the scope alive between messages (scoped only).
+    wedge: Option<Wedge>,
+    /// Lease back to the level pool (scoped, pooled).
+    lease: Option<ScopeLease>,
     region: RegionId,
     /// Scoped regions from the outermost ancestor down to `region`
     /// (empty for immortal components, which run in the immortal base).
-    /// Fixed for the activation: every holder of this instance also
-    /// holds its ancestors.
-    chain: Arc<[RegionId]>,
-    /// Lease back to the level pool (scoped, pooled).
-    lease: Option<ScopeLease>,
-    /// Wedge keeping the scope alive between messages (scoped only).
-    wedge: Option<Wedge>,
-    component: Arc<Mutex<Box<dyn Component>>>,
-    /// One handler per wired in-port, indexed by [`InPort::slot`].
-    handlers: Vec<Arc<Mutex<Box<dyn ErasedHandler>>>>,
-    started: bool,
+    /// Fixed for the activation: it holds its parent, so every region
+    /// named here outlives this record.
+    chain: Vec<RegionId>,
+}
+
+impl Activation {
+    fn stop(&self) {
+        let mut comp = self.component.lock();
+        let _ = catch_unwind(AssertUnwindSafe(|| comp.stop()));
+    }
 }
 
 struct ActivationState {
-    active: Option<ActiveScope>,
+    active: Option<Arc<Activation>>,
+    /// `start()` has returned for `active`; holds are handed out only
+    /// after that.
+    started: bool,
     holds: usize,
+}
+
+/// One counted hold on an instance, given back on drop.
+struct HoldCount<'a> {
+    core: &'a AppCore,
+    id: InstanceId,
+}
+
+impl Drop for HoldCount<'_> {
+    fn drop(&mut self) {
+        self.core.release(self.id);
+    }
+}
+
+/// A held instance: active by construction, so whoever has one reads
+/// the activation without asking whether it is there.
+struct Hold<'a> {
+    /// Declared before `count`, so this clone is gone when the hold is
+    /// given back and the last release owns the only reference to the
+    /// record it tears down.
+    active: Arc<Activation>,
+    count: HoldCount<'a>,
+}
+
+impl Hold<'_> {
+    /// Keeps the hold past this guard; whoever calls this owes one
+    /// [`AppCore::release`].
+    fn keep(self) {
+        drop(self.active);
+        std::mem::forget(self.count);
+    }
 }
 
 /// Runtime state and resolved wiring of one instance; its name, class,
 /// kind and parent are read from `AppCore::validated`.
 pub(crate) struct InstanceRuntime {
-    /// Ancestor ids root-first, ending with this instance.
-    pub ancestors: Vec<InstanceId>,
     pub component: ComponentFactory,
     /// The scope pool of this instance's level, if one is configured.
     pub scope_pool: Option<ScopePool>,
@@ -150,18 +191,17 @@ pub(crate) fn by_port_name<'t, T>(table: &'t [(String, T)], port: &str) -> Optio
 
 impl InstanceRuntime {
     pub(crate) fn new(
-        ancestors: Vec<InstanceId>,
         component: ComponentFactory,
         scope_pool: Option<ScopePool>,
     ) -> InstanceRuntime {
         InstanceRuntime {
-            ancestors,
             component,
             scope_pool,
             in_ports: Vec::new(),
             out_ports: Vec::new(),
             state: Mutex::new(ActivationState {
                 active: None,
+                started: false,
                 holds: 0,
             }),
             started_cv: Condvar::new(),
@@ -340,116 +380,87 @@ impl AppCore {
         &self.validated.instances[id.0]
     }
 
-    fn disconnected(&self, id: InstanceId) -> CompadresError {
-        CompadresError::Disconnected {
-            instance: self.declared(id).name.clone(),
-        }
-    }
-
-    /// Holds (and if needed activates) `id` and all its ancestors.
-    /// Every successful call must be paired with [`AppCore::release_chain`].
-    fn hold_chain(self: &Arc<Self>, id: InstanceId) -> Result<()> {
-        let chain = &self.runtime(id).ancestors;
-        for (i, &inst) in chain.iter().enumerate() {
-            if let Err(e) = self.hold_one(inst) {
-                // Roll back the holds we already took.
-                for &done in chain[..i].iter().rev() {
-                    self.release_one(done);
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    fn release_chain(self: &Arc<Self>, id: InstanceId) {
-        for &inst in self.runtime(id).ancestors.iter().rev() {
-            self.release_one(inst);
-        }
-    }
-
-    /// Takes one hold on `inst`, activating it if necessary. The parent is
-    /// assumed already held (hold_chain order guarantees it).
-    fn hold_one(self: &Arc<Self>, inst: InstanceId) -> Result<()> {
-        let rt = self.runtime(inst);
+    /// Takes one hold on `id`, activating it first if it is inactive.
+    /// The fast path is one acquisition of `id`'s state lock and touches
+    /// no other instance: an activation holds its parent for as long as
+    /// it lives, so the hierarchy above a held instance needs no proof.
+    fn hold(self: &Arc<Self>, id: InstanceId) -> Result<Hold<'_>> {
+        let rt = self.runtime(id);
+        let count = || HoldCount { core: self, id };
+        // Slow path only. Declared before `g`: if another thread wins the
+        // activation, the extra hold is given back after `id`'s lock is.
+        let mut parent: Option<Hold<'_>> = None;
         let mut g = rt.state.lock();
-        g.holds += 1;
-        // Wait out a concurrent activation in progress.
-        while g.active.as_ref().is_some_and(|a| !a.started) {
-            rt.started_cv.wait(&mut g);
-        }
-        if g.active.is_some() {
-            return Ok(());
-        }
-        if self.shutdown.load(Ordering::SeqCst) {
-            g.holds -= 1;
-            return Err(CompadresError::ShutDown);
-        }
-        // Activate: acquire a region, pin it, build the component.
-        let activation = match self.materialize(inst) {
-            Ok(a) => a,
-            Err(e) => {
-                g.holds -= 1;
-                return Err(e);
+        let activation = loop {
+            // Wait out a concurrent activation's start().
+            while g.active.is_some() && !g.started {
+                rt.started_cv.wait(&mut g);
+            }
+            if let Some(active) = g.active.clone() {
+                g.holds += 1;
+                return Ok(Hold {
+                    active,
+                    count: count(),
+                });
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Err(CompadresError::ShutDown);
+            }
+            match self.declared(id).parent {
+                // Never two state locks at once, and the parent is held —
+                // so started — before `id` is locked to be activated:
+                // take the parent's hold unlocked, then look again.
+                Some(p) if parent.is_none() => {
+                    drop(g);
+                    parent = Some(self.hold(p)?);
+                    g = rt.state.lock();
+                }
+                _ => break self.materialize(id, parent.as_ref())?,
             }
         };
-        let component = Arc::clone(&activation.component);
-        g.active = Some(activation);
+        let held = Hold {
+            active: Arc::new(activation),
+            count: count(),
+        };
+        g.active = Some(Arc::clone(&held.active));
+        g.started = false;
+        g.holds += 1;
         drop(g);
+        if let Some(parent) = parent {
+            parent.keep(); // deactivate() gives it back
+        }
         rt.activations.fetch_add(1, Ordering::Relaxed);
 
         // Run start() outside the state lock so it may send messages.
         let mut ctx = rtmem::Ctx::no_heap(&self.model);
-        let start_result =
-            self.run_in_instance(&mut ctx, inst, rtsched::current_priority(), |ctx| {
-                let mut comp = component.lock();
-                catch_unwind(AssertUnwindSafe(|| comp.start(ctx)))
-            });
-        match start_result {
-            Ok(Ok(Ok(()))) => {}
-            Ok(Ok(Err(_))) => {
-                self.stats.obs.inc(self.stats.handler_errors);
-            }
-            Ok(Err(_panic)) => {
-                self.stats.obs.inc(self.stats.handler_panics);
-            }
-            Err(e) => {
-                // Could not even enter the region; undo the hold (which
-                // deactivates again if we were the only holder).
-                let mut g = rt.state.lock();
-                if let Some(a) = g.active.as_mut() {
-                    a.started = true;
-                }
-                rt.started_cv.notify_all();
-                drop(g);
-                self.release_one(inst);
-                return Err(e);
-            }
-        }
-        let mut g = rt.state.lock();
-        if let Some(a) = g.active.as_mut() {
-            a.started = true;
-        }
+        let started = self.run_in_instance(&mut ctx, &held, rtsched::current_priority(), |ctx| {
+            let mut comp = held.active.component.lock();
+            catch_unwind(AssertUnwindSafe(|| comp.start(ctx)))
+        });
+        rt.state.lock().started = true;
         rt.started_cv.notify_all();
-        drop(g);
-        Ok(())
+        // An `Err` here means the region could not even be entered:
+        // dropping `held` undoes the hold, which deactivates again if
+        // this was the only holder.
+        match started? {
+            Ok(Ok(())) => {}
+            Ok(Err(_)) => self.stats.obs.inc(self.stats.handler_errors),
+            Err(_panic) => self.stats.obs.inc(self.stats.handler_panics),
+        }
+        Ok(held)
     }
 
-    /// Builds the ActiveScope for `inst`: region + wedge + component +
-    /// handlers. The caller holds the instance's state lock.
-    fn materialize(&self, inst: InstanceId) -> Result<ActiveScope> {
-        let rt = self.runtime(inst);
-        let decl = self.declared(inst);
-        let (region, chain, lease, wedge) = match decl.kind {
+    /// Builds the activation of `id`: region + wedge + component +
+    /// handlers, under `parent`'s region. The caller holds `id`'s state
+    /// lock and, through `parent`, the instance above it.
+    fn materialize(&self, id: InstanceId, parent: Option<&Hold<'_>>) -> Result<Activation> {
+        let rt = self.runtime(id);
+        let (region, chain, lease, wedge) = match self.declared(id).kind {
             ComponentKind::Immortal => (self.model.immortal(), Vec::new(), None, None),
             ComponentKind::Scoped { .. } => {
-                let (parent_region, mut chain) = match decl.parent {
-                    Some(p) => {
-                        let pg = self.runtime(p).state.lock();
-                        let parent = pg.active.as_ref().ok_or_else(|| self.disconnected(p))?;
-                        (parent.region, parent.chain.to_vec())
-                    }
-                    None => (self.model.immortal(), Vec::new()),
+                let (parent_region, parent_chain) = match parent {
+                    Some(p) => (p.active.region, p.active.chain.as_slice()),
+                    None => (self.model.immortal(), [].as_slice()),
                 };
                 let (region, lease) = match &rt.scope_pool {
                     Some(pool) => {
@@ -459,76 +470,92 @@ impl AppCore {
                     None => (self.model.create_scoped(DEFAULT_SCOPE_SIZE)?, None),
                 };
                 let wedge = Wedge::pin_under(&self.model, region, parent_region)?;
-                chain.push(region);
+                let chain = [parent_chain, &[region]].concat();
                 (region, chain, lease, Some(wedge))
             }
         };
         let handlers = rt
             .in_ports
             .iter()
-            .map(|&(_, port)| Arc::new(Mutex::new((self.in_ports[port.0].handler)())));
-        Ok(ActiveScope {
-            region,
-            chain: chain.into(),
-            lease,
-            wedge,
-            component: Arc::new(Mutex::new((rt.component)())),
+            .map(|&(_, port)| Mutex::new((self.in_ports[port.0].handler)()));
+        Ok(Activation {
             handlers: handlers.collect(),
-            started: false,
+            component: Mutex::new((rt.component)()),
+            wedge,
+            lease,
+            region,
+            chain,
         })
     }
 
-    fn release_one(self: &Arc<Self>, inst: InstanceId) {
-        let rt = self.runtime(inst);
-        let decl = self.declared(inst);
-        let mut g = rt.state.lock();
-        debug_assert!(g.holds > 0, "unbalanced release on {}", decl.name);
-        g.holds = g.holds.saturating_sub(1);
-        if g.holds == 0 && decl.kind.is_scoped() {
-            if let Some(active) = g.active.take() {
-                drop(g);
-                self.deactivate(inst, active);
+    /// Gives one hold on `id` back; the last one on a scoped instance
+    /// deactivates it.
+    fn release(&self, id: InstanceId) {
+        let decl = self.declared(id);
+        let last = {
+            let mut g = self.runtime(id).state.lock();
+            debug_assert!(g.holds > 0, "unbalanced release on {}", decl.name);
+            g.holds = g.holds.saturating_sub(1);
+            if g.holds == 0 && decl.kind.is_scoped() {
+                g.active.take()
+            } else {
+                None
             }
+        };
+        if let Some(active) = last {
+            debug_assert_eq!(Arc::strong_count(&active), 1, "no hold, no reference");
+            self.deactivate(id, active);
         }
     }
 
-    fn deactivate(&self, inst: InstanceId, active: ActiveScope) {
-        // Stop the component, then drop handlers and the component object,
-        // then release the wedge (reclaiming the scope) and the lease.
-        {
-            let mut comp = active.component.lock();
-            let _ = catch_unwind(AssertUnwindSafe(|| comp.stop()));
+    /// Tears one activation down in the order stop, handlers, component,
+    /// wedge, lease, hold on the parent — so a parent is never reclaimed
+    /// under a child that still pins it.
+    fn deactivate(&self, id: InstanceId, active: Arc<Activation>) {
+        active.stop();
+        // By value: the releasing hold dropped its clone first, so this
+        // is the last reference — except under shutdown() with a delivery
+        // still in flight, whose hold then drops the record (in the same
+        // order: the fields are declared in it).
+        if let Some(last) = Arc::into_inner(active) {
+            drop(last.handlers);
+            drop(last.component);
+            drop(last.wedge); // reclaims the region if nothing else pins it
+            drop(last.lease); // returns the region to its pool
         }
-        drop(active.handlers);
-        drop(active.component);
-        drop(active.wedge); // reclaims the region if nothing else pins it
-        drop(active.lease); // returns the region to its pool
-        self.runtime(inst)
+        self.runtime(id)
             .deactivations
             .fetch_add(1, Ordering::Relaxed);
+        if let Some(parent) = self.declared(id).parent {
+            self.release(parent);
+        }
     }
 
-    /// Positions `ctx` inside `id`'s memory area (entering ancestors as
-    /// needed, backing out to a common ancestor first — the handoff
-    /// pattern) and runs `f` there with a [`HandlerCtx`]. `id` must be
-    /// held by the caller.
+    /// Holds `id` until the returned handle drops (`connect()`).
+    fn connect(self: &Arc<Self>, id: InstanceId) -> Result<ChildHandle> {
+        self.hold(id)?.keep();
+        Ok(ChildHandle {
+            core: Arc::clone(self),
+            id,
+        })
+    }
+
+    /// Positions `ctx` inside the held instance's memory area (entering
+    /// ancestors as needed, backing out to a common ancestor first — the
+    /// handoff pattern) and runs `f` there with a [`HandlerCtx`].
     fn run_in_instance<R>(
         self: &Arc<Self>,
         ctx: &mut rtmem::Ctx,
-        id: InstanceId,
+        held: &Hold<'_>,
         priority: Priority,
         f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
     ) -> Result<R> {
-        let chain = {
-            let g = self.runtime(id).state.lock();
-            let active = g.active.as_ref().ok_or_else(|| self.disconnected(id))?;
-            Arc::clone(&active.chain)
-        };
+        let chain = &held.active.chain;
         let f = |ctx: &mut rtmem::Ctx| {
             f(&mut HandlerCtx {
                 core: self,
                 mem: ctx,
-                instance: id,
+                instance: held.count.id,
                 priority,
             })
         };
@@ -536,7 +563,7 @@ impl AppCore {
         // jump there (executeInArea), then enter the rest.
         let out = match chain.iter().rposition(|r| ctx.stack().contains(r)) {
             Some(i) => ctx.execute_in(chain[i], |ctx| ctx.enter_chain(&chain[i + 1..], f))?,
-            None => ctx.execute_in(self.model.immortal(), |ctx| ctx.enter_chain(&chain, f))?,
+            None => ctx.execute_in(self.model.immortal(), |ctx| ctx.enter_chain(chain, f))?,
         };
         Ok(out?)
     }
@@ -595,12 +622,7 @@ impl AppCore {
                 // overload sheds low bands while slots stay reserved for
                 // high-priority traffic.
                 let buffer_size = port.attrs.buffer_size;
-                let limit = admission
-                    .watermark(priority.value(), buffer_size)
-                    .min(buffer_size);
-                let occupied = port.inflight.fetch_add(1, Ordering::SeqCst);
-                if occupied >= limit {
-                    port.inflight.fetch_sub(1, Ordering::SeqCst);
+                if let Err(limit) = admission.claim(&port.inflight, priority.value(), buffer_size) {
                     if limit < buffer_size {
                         // Band watermark, not capacity: this is a shed.
                         obs.inc(self.stats.shed);
@@ -617,7 +639,7 @@ impl AppCore {
                         });
                     }
                     obs.inc(self.stats.buffer_rejections);
-                    obs.record(EventKind::BufferDrop, port.entity, occupied as u64);
+                    obs.record(EventKind::BufferDrop, port.entity, limit as u64);
                     return Err(CompadresError::BufferFull {
                         instance: self.declared(port.instance).name.clone(),
                         port: port.name.clone(),
@@ -678,75 +700,64 @@ impl AppCore {
                     .record_span(EventKind::SpanDequeue, entity, wait_ns, span_ctx);
             }
         }
-        self.hold_chain(port.instance)?;
-        let result = (|| {
-            let handler = {
-                let g = self.runtime(port.instance).state.lock();
-                let active = g
-                    .active
-                    .as_ref()
-                    .ok_or_else(|| self.disconnected(port.instance))?;
-                Arc::clone(&active.handlers[port.slot])
-            };
-            self.run_in_instance(ctx, port.instance, priority, |hctx| {
-                rtsched::with_priority(priority, || {
-                    // Install the envelope's trace context for the whole
-                    // handler run: sends, remote retries and ORB calls
-                    // made inside inherit it (and NONE clears any residue
-                    // left on a pooled worker thread).
-                    span::with_span(span_ctx, || {
-                        let mut h = handler.lock();
-                        env.process(|payload| {
-                            let s = &hctx.core.stats;
-                            let started = s.obs.enabled();
-                            let t0 = if started { s.obs.now_ns() } else { 0 };
-                            if started {
-                                s.obs.record_at(
-                                    EventKind::HandlerStart,
+        let held = self.hold(port.instance)?;
+        let handler = &held.active.handlers[port.slot];
+        self.run_in_instance(ctx, &held, priority, |hctx| {
+            rtsched::with_priority(priority, || {
+                // Install the envelope's trace context for the whole
+                // handler run: sends, remote retries and ORB calls
+                // made inside inherit it (and NONE clears any residue
+                // left on a pooled worker thread).
+                span::with_span(span_ctx, || {
+                    let mut h = handler.lock();
+                    env.process(|payload| {
+                        let s = &hctx.core.stats;
+                        let started = s.obs.enabled();
+                        let t0 = if started { s.obs.now_ns() } else { 0 };
+                        if started {
+                            s.obs.record_at(
+                                EventKind::HandlerStart,
+                                entity,
+                                u64::from(priority.value()),
+                                t0,
+                            );
+                        }
+                        let outcome =
+                            catch_unwind(AssertUnwindSafe(|| h.process_any(payload, hctx)));
+                        let s = &hctx.core.stats;
+                        if started {
+                            let elapsed = s.obs.now_ns().saturating_sub(t0);
+                            s.obs.record(EventKind::HandlerEnd, entity, elapsed);
+                            s.obs.observe(s.handler_latency, elapsed);
+                            // Close out the hop: remaining deadline
+                            // budget (negative = overrun, counted
+                            // globally and per port).
+                            if span_ctx.is_active() {
+                                let left = s.obs.budget_remaining(span_ctx);
+                                s.obs.record_span(
+                                    EventKind::SpanEnd,
                                     entity,
-                                    u64::from(priority.value()),
-                                    t0,
+                                    left as u64,
+                                    span_ctx,
                                 );
-                            }
-                            let outcome =
-                                catch_unwind(AssertUnwindSafe(|| h.process_any(payload, hctx)));
-                            let s = &hctx.core.stats;
-                            if started {
-                                let elapsed = s.obs.now_ns().saturating_sub(t0);
-                                s.obs.record(EventKind::HandlerEnd, entity, elapsed);
-                                s.obs.observe(s.handler_latency, elapsed);
-                                // Close out the hop: remaining deadline
-                                // budget (negative = overrun, counted
-                                // globally and per port).
-                                if span_ctx.is_active() {
-                                    let left = s.obs.budget_remaining(span_ctx);
-                                    s.obs.record_span(
-                                        EventKind::SpanEnd,
-                                        entity,
-                                        left as u64,
-                                        span_ctx,
-                                    );
-                                    if left != i64::MIN && left < 0 {
-                                        s.obs.inc(s.deadline_miss);
-                                        s.obs.inc(port.deadline_miss);
-                                    }
+                                if left != i64::MIN && left < 0 {
+                                    s.obs.inc(s.deadline_miss);
+                                    s.obs.inc(port.deadline_miss);
                                 }
                             }
-                            match outcome {
-                                Ok(Ok(())) => s.obs.inc(s.processed),
-                                Ok(Err(_)) => s.obs.inc(s.handler_errors),
-                                Err(_) => {
-                                    s.obs.inc(s.handler_panics);
-                                    s.obs.record(EventKind::HandlerPanic, entity, 0);
-                                }
+                        }
+                        match outcome {
+                            Ok(Ok(())) => s.obs.inc(s.processed),
+                            Ok(Err(_)) => s.obs.inc(s.handler_errors),
+                            Err(_) => {
+                                s.obs.inc(s.handler_panics);
+                                s.obs.record(EventKind::HandlerPanic, entity, 0);
                             }
-                        });
+                        }
                     });
                 });
-            })
-        })();
-        self.release_chain(port.instance);
-        result
+            });
+        })
     }
 }
 
@@ -901,17 +912,7 @@ impl<'a> HandlerCtx<'a> {
                 name: child.to_string(),
             });
         }
-        self.core.hold_chain(id)?;
-        Ok(ChildHandle {
-            core: Arc::clone(self.core),
-            id,
-            released: false,
-        })
-    }
-
-    /// Number of messages outstanding in the pool serving `port`.
-    pub fn pool_outstanding(&self, port: &str) -> Result<usize> {
-        Ok(self.out_port(port)?.pool.outstanding())
+        self.core.connect(id)
     }
 
     /// The string edge of the out-port API: one scan of this instance's
@@ -933,7 +934,6 @@ impl<'a> HandlerCtx<'a> {
 pub struct ChildHandle {
     core: Arc<AppCore>,
     id: InstanceId,
-    released: bool,
 }
 
 impl std::fmt::Debug for ChildHandle {
@@ -950,21 +950,14 @@ impl ChildHandle {
 
     /// Releases the child — the paper's `disconnect(handle)`. Its scope is
     /// reclaimed once no messages are in flight for it.
-    pub fn disconnect(mut self) {
-        self.release();
-    }
-
-    fn release(&mut self) {
-        if !self.released {
-            self.released = true;
-            self.core.release_chain(self.id);
-        }
+    pub fn disconnect(self) {
+        drop(self);
     }
 }
 
 impl Drop for ChildHandle {
     fn drop(&mut self) {
-        self.release();
+        self.core.release(self.id);
     }
 }
 
@@ -1005,8 +998,9 @@ impl App {
     pub fn start(&self) -> Result<()> {
         for decl in &self.core.validated.instances {
             if !decl.kind.is_scoped() {
-                // Permanent hold: immortal components never deactivate.
-                self.core.hold_chain(decl.id)?;
+                // An immortal instance never deactivates, so the hold
+                // that activated it goes straight back.
+                self.core.hold(decl.id)?;
             }
         }
         Ok(())
@@ -1050,13 +1044,10 @@ impl App {
         instance: &str,
         f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
     ) -> Result<R> {
-        let id = self.core.instance_id(instance)?;
-        self.core.hold_chain(id)?;
+        let held = self.core.hold(self.core.instance_id(instance)?)?;
         let mut ctx = rtmem::Ctx::no_heap(&self.core.model);
-        let priority = rtsched::current_priority();
-        let out = self.core.run_in_instance(&mut ctx, id, priority, f);
-        self.core.release_chain(id);
-        out
+        self.core
+            .run_in_instance(&mut ctx, &held, rtsched::current_priority(), f)
     }
 
     /// Keeps `instance` (and its ancestors) alive until the handle drops —
@@ -1066,13 +1057,7 @@ impl App {
     ///
     /// Fails if the instance does not exist or cannot be activated.
     pub fn connect(&self, instance: &str) -> Result<ChildHandle> {
-        let id = self.core.instance_id(instance)?;
-        self.core.hold_chain(id)?;
-        Ok(ChildHandle {
-            core: Arc::clone(&self.core),
-            id,
-            released: false,
-        })
+        self.core.connect(self.core.instance_id(instance)?)
     }
 
     /// The memory region an instance currently occupies, if active.
@@ -1227,8 +1212,9 @@ impl App {
                 pool.shutdown();
             }
         }
-        // Deactivate scoped instances that are only alive through leaked
-        // holds (children first = reverse declaration order).
+        // Deactivate what is still active (children first = reverse
+        // declaration order). Holds still out (live ChildHandles) keep
+        // their counts and decay harmlessly after this teardown.
         for (rt, decl) in self
             .core
             .instances
@@ -1236,18 +1222,13 @@ impl App {
             .zip(&self.core.validated.instances)
             .rev()
         {
-            let mut g = rt.state.lock();
+            let Some(active) = rt.state.lock().active.take() else {
+                continue;
+            };
             if decl.kind.is_scoped() {
-                // Outstanding holds (e.g. still-live ChildHandles) keep
-                // their counts and decay harmlessly after this teardown.
-                if let Some(active) = g.active.take() {
-                    drop(g);
-                    self.core.deactivate(decl.id, active);
-                    continue;
-                }
-            } else if let Some(active) = g.active.take() {
-                let mut comp = active.component.lock();
-                let _ = catch_unwind(AssertUnwindSafe(|| comp.stop()));
+                self.core.deactivate(decl.id, active);
+            } else {
+                active.stop();
             }
         }
     }

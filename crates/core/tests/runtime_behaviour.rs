@@ -578,3 +578,184 @@ fn memory_report_reflects_activation_state() {
         "{report}"
     );
 }
+
+const TREE_CDL: &str = r#"
+<Components>
+  <Component>
+    <ComponentName>Node</ComponentName>
+    <Port><PortName>In</PortName><PortType>In</PortType><MessageType>Num</MessageType></Port>
+  </Component>
+</Components>"#;
+
+/// An all-scoped tree, Top → {Mid → Leaf, Sib}, every `In` port
+/// synchronous: nothing in it is alive unless a message or a handle
+/// keeps it so.
+fn tree_ccl() -> String {
+    let node = |name: &str, level: u32, children: &str| {
+        format!(
+            r#"
+    <Component>
+      <InstanceName>{name}</InstanceName><ClassName>Node</ClassName>
+      <ComponentType>Scoped</ComponentType><ScopeLevel>{level}</ScopeLevel>
+      <Connection>
+        <Port><PortName>In</PortName><PortAttributes>{SYNC}</PortAttributes></Port>
+      </Connection>{children}
+    </Component>"#
+        )
+    };
+    let pools: String = (1..=3)
+        .map(|level| {
+            format!(
+                "<ScopedPool><ScopeLevel>{level}</ScopeLevel><ScopeSize>65536</ScopeSize>\
+                 <PoolSize>8</PoolSize></ScopedPool>"
+            )
+        })
+        .collect();
+    let mid = node("Mid", 2, &node("Leaf", 3, ""));
+    let top = node("Top", 1, &(mid + &node("Sib", 2, "")));
+    format!(
+        "<Application><ApplicationName>Tree</ApplicationName>{top}\
+         <RTSJAttributes>{pools}</RTSJAttributes></Application>"
+    )
+}
+
+/// Builds the tree with every component logging `start:<instance>` and
+/// `stop:<instance>`, and every `In` port counting what it handles.
+fn build_tree() -> (App, Arc<Mutex<Vec<String>>>, Arc<AtomicU32>) {
+    struct Logged {
+        name: String,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+    impl compadres_core::Component for Logged {
+        fn start(&mut self, ctx: &mut HandlerCtx<'_>) -> compadres_core::Result<()> {
+            self.name = ctx.instance_name().to_string();
+            self.log.lock().push(format!("start:{}", self.name));
+            Ok(())
+        }
+        fn stop(&mut self) {
+            self.log.lock().push(format!("stop:{}", self.name));
+        }
+    }
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let handled = Arc::new(AtomicU32::new(0));
+    let (log2, handled2) = (Arc::clone(&log), Arc::clone(&handled));
+    let app = AppBuilder::from_xml(TREE_CDL, &tree_ccl())
+        .unwrap()
+        .bind_message_type::<Num>("Num")
+        .register_component("Node", move || {
+            Box::new(Logged {
+                name: String::new(),
+                log: Arc::clone(&log2),
+            })
+        })
+        .register_handler("Node", "In", move || {
+            let handled = Arc::clone(&handled2);
+            move |_m: &mut Num, _c: &mut HandlerCtx<'_>| {
+                handled.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+        })
+        .build()
+        .unwrap();
+    app.start().unwrap();
+    (app, log, handled)
+}
+
+#[test]
+fn grandchild_handle_keeps_its_ancestors_and_releases_child_first() {
+    let (app, log, _handled) = build_tree();
+    let handle = app.connect("Leaf").unwrap();
+    for name in ["Top", "Mid", "Leaf"] {
+        assert!(app.is_active(name).unwrap(), "{name} kept by the handle");
+    }
+    assert!(!app.is_active("Sib").unwrap());
+    assert_eq!(
+        *log.lock(),
+        ["start:Top", "start:Mid", "start:Leaf"],
+        "parents are started before their children"
+    );
+    // Deliveries anywhere in the kept chain activate nothing new, and a
+    // sibling coming and going leaves the chain alone.
+    for name in ["Leaf", "Mid", "Top", "Sib"] {
+        app.send_to(name, "In", Num { value: 1 }, Priority::NORM)
+            .unwrap();
+    }
+    for name in ["Top", "Mid", "Leaf"] {
+        assert_eq!(app.activations_of(name).unwrap(), 1, "{name}");
+        assert!(app.is_active(name).unwrap(), "{name}");
+    }
+    assert!(!app.is_active("Sib").unwrap());
+
+    log.lock().clear();
+    drop(handle);
+    assert_eq!(
+        *log.lock(),
+        ["stop:Leaf", "stop:Mid", "stop:Top"],
+        "a child is stopped before its parent"
+    );
+    for name in ["Top", "Mid", "Leaf"] {
+        assert!(!app.is_active(name).unwrap(), "{name} reclaimed");
+    }
+    let stats = app.stats();
+    assert_eq!(stats.activations, 4);
+    assert_eq!(stats.deactivations, 4);
+}
+
+#[test]
+fn shutdown_with_a_live_grandchild_handle_deactivates_once() {
+    let (app, log, _handled) = build_tree();
+    let handle = app.connect("Leaf").unwrap();
+    log.lock().clear();
+    app.shutdown();
+    assert_eq!(*log.lock(), ["stop:Leaf", "stop:Mid", "stop:Top"]);
+    for name in ["Top", "Mid", "Leaf"] {
+        assert!(!app.is_active(name).unwrap(), "{name}");
+    }
+    let at_shutdown = app.stats();
+    assert_eq!(at_shutdown.activations, 3);
+    assert_eq!(at_shutdown.deactivations, 3);
+    // The handle outlives the teardown; letting go of it later finds
+    // nothing left to do.
+    drop(handle);
+    assert_eq!(app.stats(), at_shutdown);
+    assert_eq!(log.lock().len(), 3, "nobody is stopped twice");
+}
+
+#[test]
+fn concurrent_deliveries_to_ephemeral_siblings_balance() {
+    const THREADS: u32 = 4;
+    const MESSAGES: u32 = 300;
+    let (app, _log, handled) = build_tree();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let app = &app;
+            s.spawn(move || {
+                // Mid and Sib share the ephemeral parent Top: every
+                // message may find any of the three inactive, active or
+                // mid-activation on another thread.
+                let target = if t % 2 == 0 { "Mid" } else { "Sib" };
+                for i in 0..MESSAGES {
+                    app.send_to(target, "In", Num { value: i.into() }, Priority::NORM)
+                        .unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(handled.load(Ordering::SeqCst), THREADS * MESSAGES);
+    for name in ["Top", "Mid", "Sib"] {
+        assert!(!app.is_active(name).unwrap(), "{name} still held");
+    }
+    let stats = app.stats();
+    assert_eq!(stats.activations, stats.deactivations);
+    assert_eq!(stats.handler_panics, 0);
+    // No hold leaked in either direction: the next message activates the
+    // chain afresh and lets it go again.
+    let before = app.activations_of("Mid").unwrap();
+    let top_before = app.activations_of("Top").unwrap();
+    app.send_to("Mid", "In", Num { value: 0 }, Priority::NORM)
+        .unwrap();
+    assert_eq!(app.activations_of("Mid").unwrap(), before + 1);
+    assert_eq!(app.activations_of("Top").unwrap(), top_before + 1);
+    assert!(!app.is_active("Mid").unwrap());
+    assert!(!app.is_active("Top").unwrap());
+}

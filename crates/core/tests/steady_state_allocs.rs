@@ -1,40 +1,16 @@
 //! Steady-state allocation guard for synchronous local dispatch
 //! (ROADMAP aim 3): once the paper's Fig. 6 assembly is built, started
 //! and connected, a round trip — IMC → Client → Server → Client, three
-//! deliveries — must not pay for name lookups, ancestry walks or error
-//! values on the heap.
+//! deliveries — must not touch the heap at all.
 //!
 //! One `#[test]` in this file on purpose: the counter is process-wide,
 //! and a second test thread would pollute it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+mod common;
 
 use compadres_core::{AppBuilder, HandlerCtx, Priority};
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator;
-// the only addition is a relaxed counter bump.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[derive(Debug, Default, Clone)]
 struct MyInteger {
@@ -113,20 +89,17 @@ fn forward(ctx: &mut HandlerCtx<'_>, port: &str, value: i32) -> compadres_core::
 }
 
 #[test]
-fn a_sync_round_trip_allocates_at_most_three_times() {
+fn a_sync_round_trip_does_not_allocate() {
     const WARM_UP: u64 = 100;
     const ROUND_TRIPS: u64 = 1_000;
-    /// What remains, by call site (measured: exactly 2 per round trip,
-    /// both in rtmem; the parent commit measured 47):
-    /// `rtmem::Ctx::execute_in` parks the part of the scope stack above
-    /// the common ancestor in a `Vec` (`split_off`) for the duration of
-    /// a handoff. Client → Server (P3 → P4) parks the client's scope and
-    /// Server → Client (P5 → P6) parks the server's; IMC → Client enters
-    /// from the immortal base with nothing to park. `compadres_core`
-    /// itself allocates nothing per delivery: the message objects are
-    /// pooled, the journal is a preallocated ring. The third allocation
-    /// of the budget is slack, not a known site.
-    const BUDGET_PER_ROUND_TRIP: u64 = 3;
+    // Nothing remains. The last two allocations per round trip were
+    // `rtmem::Ctx::execute_in` parking the scopes a handoff hides
+    // (Client → Server parks the client's scope, Server → Client the
+    // server's) in a fresh `Vec`; they now go onto a second stack the
+    // `Ctx` owns, whose capacity the warm-up round trips establish.
+    // `compadres_core` allocates nothing per delivery: a hold clones
+    // one `Arc`, the message objects are pooled, the journal is a
+    // preallocated ring.
 
     let replies = Arc::new(AtomicU64::new(0));
     let seen = Arc::clone(&replies);
@@ -160,19 +133,20 @@ fn a_sync_round_trip_allocates_at_most_three_times() {
             for _ in 0..WARM_UP {
                 forward(ctx, "P1", 1).unwrap();
             }
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = common::allocations();
             for _ in 0..ROUND_TRIPS {
                 forward(ctx, "P1", 1).unwrap();
             }
-            ALLOCS.load(Ordering::Relaxed) - before
+            common::allocations() - before
         })
         .unwrap();
 
     assert_eq!(replies.load(Ordering::Relaxed), WARM_UP + ROUND_TRIPS);
     assert_eq!(app.stats().messages_processed, 3 * (WARM_UP + ROUND_TRIPS));
-    assert!(
-        allocated <= BUDGET_PER_ROUND_TRIP * ROUND_TRIPS,
-        "{allocated} allocations in {ROUND_TRIPS} round trips ({:.2} per round trip, budget {BUDGET_PER_ROUND_TRIP})",
+    assert_eq!(
+        allocated,
+        0,
+        "{allocated} allocations in {ROUND_TRIPS} round trips ({:.2} per round trip)",
         allocated as f64 / ROUND_TRIPS as f64
     );
 }

@@ -113,9 +113,9 @@ impl Spec for PriorityFifoSpec {
 }
 
 /// Bounded priority-banded FIFO narrowed per band by an
-/// [`AdmissionPolicy`] — the model of `PriorityFifo::push_bounded`,
-/// which backs per-port admission control in the core runtime
-/// (DESIGN.md §5j). A push must report admitted exactly when total
+/// [`AdmissionPolicy`] — the model of [`AdmissionPolicy::claim`], the
+/// one routine under `PriorityFifo::push_bounded` and the core
+/// runtime's per-port admission (DESIGN.md §5j). A push must report admitted exactly when total
 /// occupancy is under the band's watermark (so a zero-permille band is
 /// starved outright: every push in it must be refused, even on an
 /// empty queue); pops follow the plain priority-FIFO discipline.

@@ -1,11 +1,15 @@
 //! Banded-admission conformance: histories recorded from the real
-//! `PriorityFifo::push_bounded` must satisfy [`BandedAdmissionSpec`],
-//! and the spec must reject histories from queues that get admission
-//! wrong — most importantly the starved band: a zero-permille band has
+//! `PriorityFifo::push_bounded`, and from the `AdmissionPolicy::claim`
+//! under it and under core's `deliver()`, must satisfy
+//! [`BandedAdmissionSpec`], and the spec must reject histories from
+//! queues that get admission wrong — most importantly the starved band: a zero-permille band has
 //! a watermark of zero, so *any* admitted push in it is a violation,
 //! even into an empty queue.
 
-use rtcheck::history::{Clock, ThreadLog};
+use std::sync::atomic::AtomicUsize;
+use std::sync::Barrier;
+
+use rtcheck::history::{merge, Clock, ThreadLog};
 use rtcheck::lin::check;
 use rtcheck::spec::{BandedAdmissionSpec, QueueOp, QueueRet};
 use rtplatform::fault::AdmissionPolicy;
@@ -114,6 +118,62 @@ fn real_queue_starved_band_history_conforms() {
         admission,
     };
     assert!(check(&spec, &h), "starved-band history rejected: {h:#?}");
+}
+
+/// Concurrent claims, one slot under capacity: low-band threads, all
+/// refused at their watermark, race one high-band thread. A refusal
+/// changes nothing, so every linearization has the high band's push
+/// meet occupancy `CAPACITY - 1` and it must be admitted — a refused
+/// sender that is visible in the occupancy even for an instant (claim
+/// by add, then roll back) takes that slot from it.
+#[test]
+fn concurrent_refusals_never_cost_the_high_band_its_slot() {
+    const LOW_THREADS: u64 = 3;
+    const LOW_PUSHES: u64 = 12;
+    let admission = banded();
+    let spec = BandedAdmissionSpec {
+        capacity: CAPACITY,
+        admission,
+    };
+    for round in 0..1_000 {
+        let occupancy = AtomicUsize::new(0);
+        let clock = Clock::new();
+        let push = |log: &mut ThreadLog<QueueOp, QueueRet>, prio: u8, val: u64| {
+            log.record(QueueOp::Push(prio, val), || {
+                QueueRet::Pushed(admission.claim(&occupancy, prio, CAPACITY).is_ok())
+            });
+        };
+        let mut fill = ThreadLog::new(&clock);
+        for val in 0..CAPACITY as u64 - 1 {
+            push(&mut fill, 45, val);
+        }
+        let start = Barrier::new(LOW_THREADS as usize + 1);
+        let racers = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..=LOW_THREADS)
+                .map(|t| {
+                    let (clock, start, push) = (&clock, &start, &push);
+                    s.spawn(move || {
+                        let mut log = ThreadLog::new(clock);
+                        start.wait();
+                        if t == LOW_THREADS {
+                            push(&mut log, 45, 100);
+                        } else {
+                            for i in 0..LOW_PUSHES {
+                                push(&mut log, 1, 1_000 * (t + 1) + i);
+                            }
+                        }
+                        log.into_ops()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let h = merge([vec![fill.into_ops()], racers].concat());
+        assert!(
+            check(&spec, &h),
+            "round {round}: concurrent claim history rejected: {h:#?}"
+        );
+    }
 }
 
 /// Negative control: a queue that admits into a starved band. One

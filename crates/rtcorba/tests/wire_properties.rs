@@ -215,6 +215,7 @@ enum Value {
     U16(u16),
     U32(u32),
     U64(u64),
+    I16(i16),
     I32(i32),
     I64(i64),
     Str(String),
@@ -225,7 +226,7 @@ fn random_values(rng: &mut SplitMix64) -> Vec<Value> {
     (0..rng.below(24))
         .map(|_| {
             let v = rng.next_u64();
-            match rng.below(9) {
+            match rng.below(10) {
                 0 => Value::U8(v as u8),
                 1 => Value::Bool(v & 1 == 1),
                 2 => Value::U16(v as u16),
@@ -234,6 +235,7 @@ fn random_values(rng: &mut SplitMix64) -> Vec<Value> {
                 5 => Value::I32(v as i32),
                 6 => Value::I64(v as i64),
                 7 => Value::Str(random_string(rng, 12)),
+                8 => Value::I16(v as i16),
                 _ => Value::Octets(random_bytes(rng, 12)),
             }
         })
@@ -248,6 +250,7 @@ fn write_values<S: CdrSink>(enc: &mut CdrEncoder<S>, values: &[Value]) {
             Value::U16(x) => enc.write_u16(*x),
             Value::U32(x) => enc.write_u32(*x),
             Value::U64(x) => enc.write_u64(*x),
+            Value::I16(x) => enc.write_i16(*x),
             Value::I32(x) => enc.write_i32(*x),
             Value::I64(x) => enc.write_i64(*x),
             Value::Str(x) => enc.write_string(x),
@@ -264,6 +267,7 @@ fn expect_values(dec: &mut CdrDecoder<'_>, values: &[Value], what: &str) {
             Value::U16(x) => assert_eq!(dec.read_u16().unwrap(), *x, "{what}"),
             Value::U32(x) => assert_eq!(dec.read_u32().unwrap(), *x, "{what}"),
             Value::U64(x) => assert_eq!(dec.read_u64().unwrap(), *x, "{what}"),
+            Value::I16(x) => assert_eq!(dec.read_i16().unwrap(), *x, "{what}"),
             Value::I32(x) => assert_eq!(dec.read_i32().unwrap(), *x, "{what}"),
             Value::I64(x) => assert_eq!(dec.read_i64().unwrap(), *x, "{what}"),
             Value::Str(x) => assert_eq!(&dec.read_string().unwrap(), x, "{what}"),

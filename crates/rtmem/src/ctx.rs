@@ -33,6 +33,11 @@ use crate::rref::{RBytes, RRef};
 pub struct Ctx {
     pub(crate) model: Arc<ModelInner>,
     stack: Vec<RegionId>,
+    /// Scopes hidden by the [`Ctx::execute_in`] calls in progress,
+    /// innermost handoff on top: a second stack, so nested handoffs
+    /// restore in order and a handoff reuses its capacity instead of
+    /// allocating.
+    parked: Vec<RegionId>,
     no_heap: bool,
 }
 
@@ -46,21 +51,13 @@ impl std::fmt::Debug for Ctx {
 }
 
 impl Ctx {
-    /// A conventional (heap-based) thread context.
-    pub fn heap_based(model: &MemoryModel) -> Ctx {
-        Ctx {
-            model: Arc::clone(&model.inner),
-            stack: vec![model.heap()],
-            no_heap: false,
-        }
-    }
-
     /// A real-time thread context based in immortal memory, still allowed
     /// to read the heap.
     pub fn immortal(model: &MemoryModel) -> Ctx {
         Ctx {
             model: Arc::clone(&model.inner),
             stack: vec![model.immortal()],
+            parked: Vec::new(),
             no_heap: false,
         }
     }
@@ -71,6 +68,7 @@ impl Ctx {
         Ctx {
             model: Arc::clone(&model.inner),
             stack: vec![model.immortal()],
+            parked: Vec::new(),
             no_heap: true,
         }
     }
@@ -212,25 +210,27 @@ impl Ctx {
                 (self.stack.len(), true)
             }
         };
-        let tail: Vec<RegionId> = self.stack.split_off(keep);
+        let parked_from = self.parked.len();
+        self.parked.extend(self.stack.drain(keep..));
         struct Restore<'a> {
             ctx: &'a mut Ctx,
-            tail: Vec<RegionId>,
+            parked_from: usize,
             keep: usize,
             pushed: bool,
         }
         impl Drop for Restore<'_> {
             fn drop(&mut self) {
-                self.ctx.stack.truncate(self.keep);
+                let ctx = &mut *self.ctx;
+                ctx.stack.truncate(self.keep);
                 if self.pushed {
-                    self.ctx.stack.pop();
+                    ctx.stack.pop();
                 }
-                self.ctx.stack.append(&mut self.tail);
+                ctx.stack.extend(ctx.parked.drain(self.parked_from..));
             }
         }
         let restore = Restore {
             ctx: self,
-            tail,
+            parked_from,
             keep,
             pushed,
         };
@@ -260,18 +260,6 @@ impl Ctx {
                     self.enter(head, |ctx| ctx.enter_chain(rest, f))?
                 }
             }
-        }
-    }
-
-    /// Creates a sibling context rooted at the same base region, for
-    /// handing to another thread. The clone starts with an empty stack
-    /// (base only); scope entries are not inherited, matching RTSJ thread
-    /// start semantics where the new thread re-enters areas explicitly.
-    pub fn fork_base(&self) -> Ctx {
-        Ctx {
-            model: Arc::clone(&self.model),
-            stack: vec![self.stack[0]],
-            no_heap: self.no_heap,
         }
     }
 }
@@ -342,12 +330,14 @@ mod tests {
     fn no_heap_cannot_enter_heap() {
         let m = MemoryModel::new();
         let mut ctx = Ctx::no_heap(&m);
+        assert!(ctx.is_no_heap());
         assert!(matches!(
             ctx.enter(m.heap(), |_| {}),
             Err(RtmemError::HeapFromNoHeap)
         ));
         assert!(!ctx.may_access(m.heap()));
         let mut rt = Ctx::immortal(&m);
+        assert!(!rt.is_no_heap());
         rt.enter(m.heap(), |ctx| assert_eq!(ctx.current(), m.heap()))
             .unwrap();
     }
@@ -431,6 +421,35 @@ mod tests {
     }
 
     #[test]
+    fn nested_execute_in_restores_in_order() {
+        // A handoff inside a handoff: both park their hidden scopes on
+        // the one parked stack, and a panic in the inner one still puts
+        // every level back.
+        let m = MemoryModel::new();
+        let a = m.create_scoped(1024).unwrap();
+        let b = m.create_scoped(1024).unwrap();
+        let c = m.create_scoped(1024).unwrap();
+        let mut ctx = Ctx::immortal(&m);
+        ctx.enter_chain(&[a, b, c], |ctx| {
+            let full = ctx.stack().to_vec();
+            ctx.execute_in(b, |ctx| {
+                assert_eq!(ctx.stack(), &full[..3]);
+                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = ctx.execute_in(a, |ctx| {
+                        assert_eq!(ctx.stack(), &full[..2]);
+                        panic!("boom");
+                    });
+                }));
+                assert!(unwound.is_err());
+                assert_eq!(ctx.stack(), &full[..3], "inner handoff restored");
+            })
+            .unwrap();
+            assert_eq!(ctx.stack(), &full[..], "outer handoff restored");
+        })
+        .unwrap();
+    }
+
+    #[test]
     fn execute_in_not_entered_region_fails() {
         let m = MemoryModel::new();
         let s = m.create_scoped(1024).unwrap();
@@ -458,18 +477,5 @@ mod tests {
                               // Empty chain runs in place.
         let cur = ctx.enter_chain(&[], |ctx| ctx.current()).unwrap();
         assert_eq!(cur, m.immortal());
-    }
-
-    #[test]
-    fn fork_base_starts_fresh() {
-        let m = MemoryModel::new();
-        let s = m.create_scoped(1024).unwrap();
-        let mut ctx = Ctx::no_heap(&m);
-        ctx.enter(s, |ctx| {
-            let forked = ctx.fork_base();
-            assert_eq!(forked.stack().len(), 1);
-            assert!(forked.is_no_heap());
-        })
-        .unwrap();
     }
 }

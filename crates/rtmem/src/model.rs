@@ -14,7 +14,7 @@ use rtobs::{CounterId, EventKind, GaugeId, HistId, Observer};
 use rtplatform::sync::{Mutex, RwLock};
 
 use crate::error::{Result, RtmemError};
-use crate::region::{RegionId, RegionInner, RegionKind, RegionSnapshot, RegionStats, SlotState};
+use crate::region::{RegionId, RegionInner, RegionKind, RegionSnapshot, SlotState};
 
 pub(crate) struct Slot {
     pub generation: u32,
@@ -214,11 +214,6 @@ impl MemoryModel {
             live_objects: g.objects.iter().filter(|o| o.is_some()).count(),
             stats: g.stats,
         })
-    }
-
-    /// Lifetime statistics for a region.
-    pub fn region_stats(&self, id: RegionId) -> Result<RegionStats> {
-        Ok(self.snapshot(id)?.stats)
     }
 
     /// The current parent of a scoped region, if it has been entered.

@@ -143,8 +143,8 @@ impl RegionInner {
     }
 }
 
-/// Usage statistics for a region, exposed by
-/// [`MemoryModel::region_stats`](crate::MemoryModel::region_stats).
+/// Usage statistics for a region, the `stats` of a
+/// [`RegionSnapshot`](crate::RegionSnapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionStats {
     /// Objects allocated over the region's lifetime (across epochs).

@@ -162,18 +162,6 @@ impl Observer {
         }
         out
     }
-
-    /// Reconstructs the span forest from this observer's journal and
-    /// renders it as a human-readable tree (see [`SpanForest::render`]).
-    pub fn trace_tree(&self) -> String {
-        SpanForest::from_observer(self).render()
-    }
-
-    /// Reconstructs the span forest and emits chrome-trace JSON
-    /// (`chrome://tracing` / Perfetto `traceEvents` format).
-    pub fn trace_json(&self) -> String {
-        SpanForest::from_observer(self).chrome_json()
-    }
 }
 
 /// Budget word → human string: `i64::MIN` is "no deadline".

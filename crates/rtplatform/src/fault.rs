@@ -12,6 +12,7 @@
 //! seeded [`SplitMix64`] generator, so a failure schedule replays exactly
 //! under a fixed seed.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use crate::rng::SplitMix64;
@@ -179,6 +180,33 @@ impl AdmissionPolicy {
     pub fn admits(&self, priority: u8, occupied: usize, capacity: usize) -> bool {
         occupied < self.watermark(priority, capacity)
     }
+
+    /// Claims one slot of a queue of `capacity` for a message of
+    /// `priority`: `occupancy` is bumped only while it is under the
+    /// band's watermark, check and claim in one atomic update. A refused
+    /// sender therefore never shows in `occupancy`, and concurrent
+    /// claims cannot overshoot — the bound is strict, not advisory.
+    /// Returns the occupancy including the claim.
+    ///
+    /// # Errors
+    ///
+    /// The watermark that refused the claim: below `capacity` the
+    /// message is shed, at `capacity` the queue is full.
+    #[inline]
+    pub fn claim(
+        &self,
+        occupancy: &AtomicUsize,
+        priority: u8,
+        capacity: usize,
+    ) -> Result<usize, usize> {
+        let limit = self.watermark(priority, capacity);
+        occupancy
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < limit).then_some(n + 1)
+            })
+            .map(|before| before + 1)
+            .map_err(|_| limit)
+    }
 }
 
 impl Default for AdmissionPolicy {
@@ -283,6 +311,26 @@ mod tests {
         assert_eq!(a.watermark(0, 100), 0);
         assert!(!a.admits(0, 0, 100), "zero watermark admits nothing");
         assert!(a.admits(20, 0, 100));
+    }
+
+    #[test]
+    fn claim_is_exact_and_leaves_no_trace_on_refusal() {
+        let a = AdmissionPolicy::banded(20, 50);
+        let occupancy = AtomicUsize::new(0);
+        for n in 1..=4 {
+            assert_eq!(a.claim(&occupancy, 0, 8), Ok(n));
+        }
+        assert_eq!(a.claim(&occupancy, 0, 8), Err(4), "low band shed");
+        assert_eq!(
+            occupancy.load(Ordering::SeqCst),
+            4,
+            "refusal claims nothing"
+        );
+        for n in 5..=8 {
+            assert_eq!(a.claim(&occupancy, 50, 8), Ok(n));
+        }
+        assert_eq!(a.claim(&occupancy, 50, 8), Err(8), "high band: full");
+        assert_eq!(occupancy.load(Ordering::SeqCst), 8);
     }
 
     #[test]

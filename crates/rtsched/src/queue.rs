@@ -17,12 +17,11 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use rtobs::{CounterId, Observer};
 use rtplatform::atomic::{Backoff, CachePadded};
 use rtplatform::fault::AdmissionPolicy;
-use rtplatform::park::{Gate, WaitOutcome};
+use rtplatform::park::Gate;
 use rtplatform::ring::MpmcRing;
 use rtplatform::sync::Mutex;
 
@@ -116,7 +115,6 @@ pub struct PriorityFifo<T> {
     len: CachePadded<AtomicUsize>,
     closed: AtomicBool,
     gate: Gate,
-    spins: AtomicU64,
     /// Adaptive park policy: set when the last blocking pop had to
     /// park (the queue was genuinely idle), cleared when a pop finds
     /// work immediately (backlog present). An idle queue parks right
@@ -156,7 +154,6 @@ impl<T> PriorityFifo<T> {
             len: CachePadded::new(AtomicUsize::new(0)),
             closed: AtomicBool::new(false),
             gate: Gate::new(),
-            spins: AtomicU64::new(0),
             idle_hint: AtomicBool::new(false),
             obs: OnceLock::new(),
         }
@@ -230,9 +227,9 @@ impl<T> PriorityFifo<T> {
     /// watermark, and with [`PushRefusal::Full`] at capacity. On
     /// success returns the queue length right after the push.
     ///
-    /// The occupancy check-and-claim is a CAS loop on the queue length,
-    /// so concurrent producers can never overshoot the watermark — the
-    /// bound is strict, not advisory.
+    /// The occupancy check-and-claim is [`AdmissionPolicy::claim`] on
+    /// the queue length, so concurrent producers can never overshoot
+    /// the watermark — the bound is strict, not advisory.
     ///
     /// # Errors
     ///
@@ -248,27 +245,11 @@ impl<T> PriorityFifo<T> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(PushRefusal::Closed(item));
         }
-        let limit = admission
-            .watermark(priority.value(), capacity)
-            .min(capacity);
-        let mut cur = self.len.load(Ordering::SeqCst);
-        loop {
-            if cur >= limit {
-                return Err(if limit < capacity {
-                    PushRefusal::Shed(item)
-                } else {
-                    PushRefusal::Full(item)
-                });
-            }
-            match self
-                .len
-                .compare_exchange_weak(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        let len = cur + 1;
+        let len = match admission.claim(&self.len, priority.value(), capacity) {
+            Ok(len) => len,
+            Err(limit) if limit < capacity => return Err(PushRefusal::Shed(item)),
+            Err(_) => return Err(PushRefusal::Full(item)),
+        };
         let idx = priority.value() as usize;
         let band = self.band(priority);
         // The queue-length claim above plays the role `push_with_len`'s
@@ -356,22 +337,12 @@ impl<T> PriorityFifo<T> {
     /// Dequeues, blocking until an item arrives or the queue is closed.
     /// Returns `None` once closed *and* drained.
     pub fn pop(&self) -> Option<(Priority, T)> {
-        self.pop_deadline(None)
-    }
-
-    /// Dequeues, blocking for at most `timeout`.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(Priority, T)> {
-        self.pop_deadline(Some(std::time::Instant::now() + timeout))
-    }
-
-    fn pop_deadline(&self, deadline: Option<std::time::Instant>) -> Option<(Priority, T)> {
         if let Some(got) = self.scan_hinted() {
             // Backlog present: stay in throughput mode (full yield
             // budget before parking) for subsequent blocking pops.
             self.idle_hint.store(false, Ordering::Relaxed);
             return Some(got);
         }
-        self.spins.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs.get() {
             o.obs.inc(o.spins);
         }
@@ -403,19 +374,11 @@ impl<T> PriorityFifo<T> {
                 if let Some(o) = self.obs.get() {
                     o.obs.inc(o.parks);
                 }
-                let woke = self.gate.wait(deadline, || {
+                self.gate.wait(None, || {
                     self.len.load(Ordering::SeqCst) > 0 || self.closed.load(Ordering::SeqCst)
                 });
-                if woke == WaitOutcome::TimedOut {
-                    return self.scan_hinted().or_else(|| self.scan_all());
-                }
                 backoff.reset();
             } else {
-                if let Some(d) = deadline {
-                    if std::time::Instant::now() >= d {
-                        return self.scan_hinted().or_else(|| self.scan_all());
-                    }
-                }
                 backoff.snooze();
             }
         }
@@ -466,11 +429,6 @@ impl<T> PriorityFifo<T> {
         self.len() == 0
     }
 
-    /// Times a blocking pop entered its spin phase.
-    pub fn spin_transitions(&self) -> u64 {
-        self.spins.load(Ordering::Relaxed)
-    }
-
     /// Times a blocking pop exhausted its spin budget and parked.
     pub fn park_transitions(&self) -> u64 {
         self.gate.park_count()
@@ -480,6 +438,7 @@ impl<T> PriorityFifo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn fifo_within_priority_band() {
@@ -520,14 +479,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.push(Priority::MAX, 7u32);
         assert_eq!(h.join().unwrap(), Some((Priority::MAX, 7)));
-    }
-
-    #[test]
-    fn pop_timeout_expires() {
-        let q: PriorityFifo<u8> = PriorityFifo::new();
-        let start = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(30)), None);
-        assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]
