@@ -266,3 +266,66 @@ fn zero_permille_band_is_fully_starved() {
         "only the non-starved bands may be processed: {order:?}"
     );
 }
+
+/// `send`, again while the out-port's message pool is empty: the pool
+/// holds two messages more than the buffer, so with the buffer nearly
+/// full a few concurrent senders can exhaust it before admission is
+/// even asked. That is the pool's own back-pressure, not a verdict.
+fn send_when_pooled(app: &App, seq: u64, prio: u8) -> compadres_core::Result<()> {
+    loop {
+        match send(app, seq, prio, false) {
+            Err(CompadresError::MessagePoolExhausted { .. }) => std::thread::yield_now(),
+            verdict => return verdict,
+        }
+    }
+}
+
+/// A refused sender claims nothing, not even for an instant: with the
+/// buffer one slot under capacity, low-band senders hammering the port
+/// (every one of them shed) never cost a concurrent high-band message
+/// its slot. The same claim rule `rtcheck`'s concurrent admission case
+/// checks on a bare counter, here through `deliver()`.
+#[test]
+fn refused_low_band_senders_never_cost_the_high_band_its_slot() {
+    const ROUNDS: u64 = 200;
+    const LOW_SENDERS: u64 = 3;
+    const LOW_SENDS: u64 = 100;
+    let fx = build(AdmissionPolicy::banded(10, 40));
+    let _keep = fx.app.connect("K").unwrap();
+
+    for round in 0..ROUNDS {
+        plug_worker(&fx);
+        // Capacity − 1: low 4, mid 2, high 1.
+        for (seq, prio) in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 25), (6, 25), (7, 40)] {
+            assert_eq!(send(&fx.app, seq, prio, false), Ok(()));
+        }
+        let go = Arc::new(std::sync::Barrier::new(LOW_SENDERS as usize + 1));
+        let lows: Vec<_> = (0..LOW_SENDERS)
+            .map(|_| {
+                let (app, go) = (Arc::clone(&fx.app), Arc::clone(&go));
+                std::thread::spawn(move || {
+                    go.wait();
+                    for _ in 0..LOW_SENDS {
+                        assert_eq!(send_when_pooled(&app, 99, 1), Err(shed(1)));
+                    }
+                })
+            })
+            .collect();
+        go.wait();
+        std::thread::yield_now();
+        assert_eq!(
+            send_when_pooled(&fx.app, 8, 45),
+            Ok(()),
+            "round {round}: the last slot is the high band's"
+        );
+        for low in lows {
+            low.join().unwrap();
+        }
+        fx.release.send(()).unwrap();
+        assert!(fx.app.wait_quiescent(Duration::from_secs(10)));
+    }
+    let stats = fx.app.stats();
+    assert_eq!(stats.messages_shed, ROUNDS * LOW_SENDERS * LOW_SENDS);
+    assert_eq!(stats.buffer_rejections, 0);
+    assert_eq!(stats.messages_processed, ROUNDS * 9);
+}

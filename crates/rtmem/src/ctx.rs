@@ -33,11 +33,6 @@ use crate::rref::{RBytes, RRef};
 pub struct Ctx {
     pub(crate) model: Arc<ModelInner>,
     stack: Vec<RegionId>,
-    /// Scopes hidden by the [`Ctx::execute_in`] calls in progress,
-    /// innermost handoff on top: a second stack, so nested handoffs
-    /// restore in order and a handoff reuses its capacity instead of
-    /// allocating.
-    parked: Vec<RegionId>,
     no_heap: bool,
 }
 
@@ -57,7 +52,6 @@ impl Ctx {
         Ctx {
             model: Arc::clone(&model.inner),
             stack: vec![model.immortal()],
-            parked: Vec::new(),
             no_heap: false,
         }
     }
@@ -68,7 +62,6 @@ impl Ctx {
         Ctx {
             model: Arc::clone(&model.inner),
             stack: vec![model.immortal()],
-            parked: Vec::new(),
             no_heap: true,
         }
     }
@@ -81,11 +74,6 @@ impl Ctx {
     /// The scope stack, base first.
     pub fn stack(&self) -> &[RegionId] {
         &self.stack
-    }
-
-    /// Whether this context forbids heap access.
-    pub fn is_no_heap(&self) -> bool {
-        self.no_heap
     }
 
     /// Whether `region` is readable from this context: on the scope stack,
@@ -210,27 +198,25 @@ impl Ctx {
                 (self.stack.len(), true)
             }
         };
-        let parked_from = self.parked.len();
-        self.parked.extend(self.stack.drain(keep..));
+        let tail: Vec<RegionId> = self.stack.split_off(keep);
         struct Restore<'a> {
             ctx: &'a mut Ctx,
-            parked_from: usize,
+            tail: Vec<RegionId>,
             keep: usize,
             pushed: bool,
         }
         impl Drop for Restore<'_> {
             fn drop(&mut self) {
-                let ctx = &mut *self.ctx;
-                ctx.stack.truncate(self.keep);
+                self.ctx.stack.truncate(self.keep);
                 if self.pushed {
-                    ctx.stack.pop();
+                    self.ctx.stack.pop();
                 }
-                ctx.stack.extend(ctx.parked.drain(self.parked_from..));
+                self.ctx.stack.append(&mut self.tail);
             }
         }
         let restore = Restore {
             ctx: self,
-            parked_from,
+            tail,
             keep,
             pushed,
         };
@@ -330,14 +316,12 @@ mod tests {
     fn no_heap_cannot_enter_heap() {
         let m = MemoryModel::new();
         let mut ctx = Ctx::no_heap(&m);
-        assert!(ctx.is_no_heap());
         assert!(matches!(
             ctx.enter(m.heap(), |_| {}),
             Err(RtmemError::HeapFromNoHeap)
         ));
         assert!(!ctx.may_access(m.heap()));
         let mut rt = Ctx::immortal(&m);
-        assert!(!rt.is_no_heap());
         rt.enter(m.heap(), |ctx| assert_eq!(ctx.current(), m.heap()))
             .unwrap();
     }
@@ -422,9 +406,8 @@ mod tests {
 
     #[test]
     fn nested_execute_in_restores_in_order() {
-        // A handoff inside a handoff: both park their hidden scopes on
-        // the one parked stack, and a panic in the inner one still puts
-        // every level back.
+        // A handoff inside a handoff: each puts back the scopes it hid,
+        // the inner one even when it unwinds.
         let m = MemoryModel::new();
         let a = m.create_scoped(1024).unwrap();
         let b = m.create_scoped(1024).unwrap();

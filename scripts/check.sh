@@ -51,14 +51,7 @@ run cargo test -q --offline --workspace
 # compiles against the crates' public surface: build it and run its
 # harness tests here, so an API removal that breaks it fails tier 1.
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml
-# One harness test is skipped: benchmark/tests/quick.rs asserts that
-# every workload's allocs_per_op is > 0, and local_sync now measures 0
-# (ROADMAP zero-allocation (a)). Files under benchmark/ do not change in
-# ordinary PRs, so until a benchmark PR relaxes that line the quick set
-# runs here directly and its own correctness checks decide the exit.
-run cargo test -q --offline --manifest-path benchmark/Cargo.toml -- \
-    --skip quick_runs_every_workload_and_check_in_under_30_s
-run ./benchmark/target/release/compadres-benchmark --quick
+run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Fixed-seed rtcheck subset: deterministic differential conformance,
 # linearizability, membership/failover spec, and shard-map property
