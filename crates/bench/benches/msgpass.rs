@@ -140,7 +140,8 @@ fn main() {
                         Endian::Big,
                         &pool,
                     );
-                    let reply = match giop::decode_view(&frame.slices()).unwrap() {
+                    let parts = frame.slices();
+                    let reply = match giop::decode_view(&parts).unwrap() {
                         MessageView::Request(req) => registry.dispatch_view(&req),
                         other => panic!("expected request, got {other:?}"),
                     };

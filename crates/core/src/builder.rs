@@ -112,9 +112,25 @@ impl AppBuilder {
 
     /// Binds the CDL message type `name` to the Rust type `M`
     /// (constructed via `Default` for pooling).
-    pub fn bind_message_type<M: Message + Default>(mut self, name: &str) -> Self {
+    pub fn bind_message_type<M: Message + Default>(self, name: &str) -> Self {
+        self.bind_message_type_with(name, M::default)
+    }
+
+    /// Binds the CDL message type `name` to the Rust type `M`, whose
+    /// pooled objects `factory` makes. For messages that implement
+    /// [`Message`] themselves so that [`Message::reset`] can keep what a
+    /// `Default` would throw away — buffers that hold their capacity
+    /// from one send to the next.
+    pub fn bind_message_type_with<M: Message>(
+        mut self,
+        name: &str,
+        factory: impl Fn() -> M + Send + Sync + 'static,
+    ) -> Self {
+        // One pool per out-port carrying the type, all made by `factory`.
+        let factory = Arc::new(factory);
         let make_pool = Arc::new(move |mt: &str, capacity: usize| {
-            MessagePool::<M>::new(mt, capacity, M::default, None)
+            let factory = Arc::clone(&factory);
+            MessagePool::<M>::new(mt, capacity, move || factory(), None)
                 .expect("unaccounted pool creation cannot fail")
                 .as_any_pool()
         });
@@ -152,18 +168,16 @@ impl AppBuilder {
         M: Message,
         H: MessageHandler<M> + 'static,
     {
-        let port_name = port.to_string();
-        let message_type = self
-            .cdl
-            .component(class)
-            .and_then(|c| c.port(port))
-            .map(|p| p.message_type.clone())
-            .unwrap_or_default();
+        // Shared, not copied, into every activation's handler: the two
+        // names are only read to word a type-mismatch error.
+        let port_name: Arc<str> = port.into();
+        let port_def = self.cdl.component(class).and_then(|c| c.port(port));
+        let message_type: Arc<str> = port_def.map_or("", |p| &p.message_type).into();
         let erased = Arc::new(move || {
             Box::new(TypedHandler::new(
                 factory(),
-                port_name.clone(),
-                message_type.clone(),
+                Arc::clone(&port_name),
+                Arc::clone(&message_type),
             )) as Box<dyn ErasedHandler>
         });
         self.handler_factories.insert(

@@ -79,17 +79,17 @@ pub(crate) type HandlerFactory = Arc<dyn Fn() -> Box<dyn ErasedHandler> + Send +
 
 pub(crate) struct TypedHandler<M: Message, H: MessageHandler<M>> {
     handler: H,
-    port: String,
-    expected: String,
+    port: Arc<str>,
+    expected: Arc<str>,
     _marker: PhantomData<fn(&mut M)>,
 }
 
 impl<M: Message, H: MessageHandler<M>> TypedHandler<M, H> {
-    pub(crate) fn new(handler: H, port: impl Into<String>, expected: impl Into<String>) -> Self {
+    pub(crate) fn new(handler: H, port: Arc<str>, expected: Arc<str>) -> Self {
         TypedHandler {
             handler,
-            port: port.into(),
-            expected: expected.into(),
+            port,
+            expected,
             _marker: PhantomData,
         }
     }
@@ -100,8 +100,8 @@ impl<M: Message, H: MessageHandler<M>> ErasedHandler for TypedHandler<M, H> {
         match msg.downcast_mut::<M>() {
             Some(typed) => self.handler.process(typed, ctx),
             None => Err(CompadresError::MessageTypeMismatch {
-                port: self.port.clone(),
-                expected: self.expected.clone(),
+                port: self.port.to_string(),
+                expected: self.expected.to_string(),
             }),
         }
     }

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use rtplatform::small::SmallList;
 use rtplatform::sync::{Condvar, Mutex};
 
 use rtmem::{MemoryModel, RegionId, ScopeLease, ScopePool, Wedge};
@@ -116,8 +117,9 @@ struct Activation {
     /// Scoped regions from the outermost ancestor down to `region`
     /// (empty for immortal components, which run in the immortal base).
     /// Fixed for the activation: it holds its parent, so every region
-    /// named here outlives this record.
-    chain: Vec<RegionId>,
+    /// named here outlives this record. Inline to four levels, the
+    /// deepest assembly in the tree.
+    chain: SmallList<RegionId, 4>,
 }
 
 impl Activation {
@@ -384,7 +386,13 @@ impl AppCore {
     /// The fast path is one acquisition of `id`'s state lock and touches
     /// no other instance: an activation holds its parent for as long as
     /// it lives, so the hierarchy above a held instance needs no proof.
-    fn hold(self: &Arc<Self>, id: InstanceId) -> Result<Hold<'_>> {
+    /// An activation's `start()` runs on `ctx`, the caller's memory
+    /// context, when it has one.
+    fn hold(
+        self: &Arc<Self>,
+        id: InstanceId,
+        mut ctx: Option<&mut rtmem::Ctx>,
+    ) -> Result<Hold<'_>> {
         let rt = self.runtime(id);
         let count = || HoldCount { core: self, id };
         // Slow path only. Declared before `g`: if another thread wins the
@@ -412,7 +420,7 @@ impl AppCore {
                 // take the parent's hold unlocked, then look again.
                 Some(p) if parent.is_none() => {
                     drop(g);
-                    parent = Some(self.hold(p)?);
+                    parent = Some(self.hold(p, ctx.as_deref_mut())?);
                     g = rt.state.lock();
                 }
                 _ => break self.materialize(id, parent.as_ref())?,
@@ -432,8 +440,15 @@ impl AppCore {
         rt.activations.fetch_add(1, Ordering::Relaxed);
 
         // Run start() outside the state lock so it may send messages.
-        let mut ctx = rtmem::Ctx::no_heap(&self.model);
-        let started = self.run_in_instance(&mut ctx, &held, rtsched::current_priority(), |ctx| {
+        let mut own;
+        let ctx = match ctx {
+            Some(ctx) => ctx,
+            None => {
+                own = rtmem::Ctx::no_heap(&self.model);
+                &mut own
+            }
+        };
+        let started = self.run_in_instance(ctx, &held, rtsched::current_priority(), |ctx| {
             let mut comp = held.active.component.lock();
             catch_unwind(AssertUnwindSafe(|| comp.start(ctx)))
         });
@@ -455,12 +470,13 @@ impl AppCore {
     /// lock and, through `parent`, the instance above it.
     fn materialize(&self, id: InstanceId, parent: Option<&Hold<'_>>) -> Result<Activation> {
         let rt = self.runtime(id);
+        let immortal = self.model.immortal();
         let (region, chain, lease, wedge) = match self.declared(id).kind {
-            ComponentKind::Immortal => (self.model.immortal(), Vec::new(), None, None),
+            ComponentKind::Immortal => (immortal, SmallList::new(immortal), None, None),
             ComponentKind::Scoped { .. } => {
-                let (parent_region, parent_chain) = match parent {
-                    Some(p) => (p.active.region, p.active.chain.as_slice()),
-                    None => (self.model.immortal(), [].as_slice()),
+                let (parent_region, mut chain) = match parent {
+                    Some(p) => (p.active.region, p.active.chain.clone()),
+                    None => (immortal, SmallList::new(immortal)),
                 };
                 let (region, lease) = match &rt.scope_pool {
                     Some(pool) => {
@@ -470,7 +486,7 @@ impl AppCore {
                     None => (self.model.create_scoped(DEFAULT_SCOPE_SIZE)?, None),
                 };
                 let wedge = Wedge::pin_under(&self.model, region, parent_region)?;
-                let chain = [parent_chain, &[region]].concat();
+                chain.push(region);
                 (region, chain, lease, Some(wedge))
             }
         };
@@ -533,7 +549,7 @@ impl AppCore {
 
     /// Holds `id` until the returned handle drops (`connect()`).
     fn connect(self: &Arc<Self>, id: InstanceId) -> Result<ChildHandle> {
-        self.hold(id)?.keep();
+        self.hold(id, None)?.keep();
         Ok(ChildHandle {
             core: Arc::clone(self),
             id,
@@ -550,7 +566,7 @@ impl AppCore {
         priority: Priority,
         f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
     ) -> Result<R> {
-        let chain = &held.active.chain;
+        let chain: &[RegionId] = &held.active.chain;
         let f = |ctx: &mut rtmem::Ctx| {
             f(&mut HandlerCtx {
                 core: self,
@@ -700,7 +716,7 @@ impl AppCore {
                     .record_span(EventKind::SpanDequeue, entity, wait_ns, span_ctx);
             }
         }
-        let held = self.hold(port.instance)?;
+        let held = self.hold(port.instance, Some(&mut *ctx))?;
         let handler = &held.active.handlers[port.slot];
         self.run_in_instance(ctx, &held, priority, |hctx| {
             rtsched::with_priority(priority, || {
@@ -1000,7 +1016,7 @@ impl App {
             if !decl.kind.is_scoped() {
                 // An immortal instance never deactivates, so the hold
                 // that activated it goes straight back.
-                self.core.hold(decl.id)?;
+                self.core.hold(decl.id, None)?;
             }
         }
         Ok(())
@@ -1044,8 +1060,10 @@ impl App {
         instance: &str,
         f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
     ) -> Result<R> {
-        let held = self.core.hold(self.core.instance_id(instance)?)?;
         let mut ctx = rtmem::Ctx::no_heap(&self.core.model);
+        let held = self
+            .core
+            .hold(self.core.instance_id(instance)?, Some(&mut ctx))?;
         self.core
             .run_in_instance(&mut ctx, &held, rtsched::current_priority(), f)
     }

@@ -55,18 +55,18 @@ const CCL: &str = r#"
 fn an_activation_allocates_within_its_budget() {
     const WARM_UP: u64 = 50;
     const MESSAGES: u64 = 500;
-    /// Measured: exactly 8 (the parent commit: 11), by call site —
-    /// `AppCore::materialize`: the region chain (one `Vec`, sized once),
-    /// the handler table (one `Vec`), and per wired in-port the boxed
-    /// handler plus the two names `TypedHandler` keeps for its mismatch
-    /// error (3 for Leaf's one port); `Box<dyn Component>` is free here
-    /// because `NullComponent` is zero-sized — a component with state
-    /// adds one. `AppCore::hold`: the one `Arc<Activation>` that record
-    /// lives in, and the `rtmem::Ctx` `start()` runs on — its scope
-    /// stack, and that stack growing once on the way down the chain.
-    /// What went: a second and third copy of the chain, and an `Arc`
-    /// apiece for the component and each handler.
-    const BUDGET_PER_ACTIVATION: u64 = 8;
+    /// Measured: exactly 3 (the parent commit: 8), by call site —
+    /// `AppCore::hold`: the one `Arc<Activation>` the record lives in;
+    /// `AppCore::materialize`: the handler table (one `Vec`) and, per
+    /// wired in-port, the boxed handler (1 for Leaf's one port).
+    /// `Box<dyn Component>` is free here because `NullComponent` is
+    /// zero-sized — a component with state adds one. What went: the
+    /// region chain (inline in the record to four levels), the two
+    /// names `TypedHandler` kept a copy of for its mismatch error (now
+    /// shared with the factory), and the `rtmem::Ctx` `start()` ran on —
+    /// its scope stack and that stack's first growth — since `start()`
+    /// now runs on the delivering thread's context.
+    const BUDGET_PER_ACTIVATION: u64 = 3;
 
     let app = AppBuilder::from_xml(CDL, CCL)
         .unwrap()

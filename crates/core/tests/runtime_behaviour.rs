@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use compadres_core::{App, AppBuilder, CompadresError, HandlerCtx, Priority};
+use compadres_core::{App, AppBuilder, CompadresError, HandlerCtx, Message, Priority};
 use rtplatform::sync::Mutex;
 
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -343,6 +343,89 @@ fn message_pool_recycled_across_round_trips() {
     // No pool exhaustion across 100 round trips proves recycling works.
     let stats = app.stats();
     assert_eq!(stats.messages_processed, 200);
+}
+
+/// A message that resets itself: the buffers are emptied, not dropped.
+struct Blob {
+    bytes: Vec<u8>,
+    tag: String,
+}
+
+impl Message for Blob {
+    fn reset(&mut self) {
+        self.bytes.clear();
+        self.tag.clear();
+    }
+}
+
+#[test]
+fn self_resetting_messages_keep_capacity_and_leak_nothing_through_a_swap_relay() {
+    let (tx, rx) = mpsc::channel();
+    let app = AppBuilder::from_xml(CDL, &ccl(SYNC, SYNC))
+        .unwrap()
+        .bind_message_type_with("Num", || Blob {
+            bytes: Vec::new(),
+            tag: String::new(),
+        })
+        // The relay trades its message for the next pool's, so the two
+        // pools' buffers change places on every hop.
+        .register_handler("Ponger", "Request", || {
+            |msg: &mut Blob, ctx: &mut HandlerCtx<'_>| {
+                let mut fwd = ctx.get_message::<Blob>("Reply")?;
+                assert!(
+                    fwd.bytes.is_empty() && fwd.tag.is_empty(),
+                    "handed out reset"
+                );
+                std::mem::swap(&mut *fwd, msg);
+                ctx.send("Reply", fwd, Priority::new(3))
+            }
+        })
+        .register_handler("Pinger", "Reply", move || {
+            let tx = tx.clone();
+            move |msg: &mut Blob, _ctx: &mut HandlerCtx<'_>| {
+                tx.send((msg.bytes.clone(), msg.tag.clone())).unwrap();
+                Ok(())
+            }
+        })
+        .build()
+        .unwrap();
+    app.start().unwrap();
+
+    // Each send sees a reset message — nothing of the longer request
+    // before it — and says how much room the message came with.
+    let send = |bytes: &[u8], tag: &str| {
+        app.with_component("Ping", |ctx| {
+            let mut m = ctx.get_message::<Blob>("Request").unwrap();
+            assert!(m.bytes.is_empty() && m.tag.is_empty(), "handed out reset");
+            let room = m.bytes.capacity();
+            m.bytes.extend_from_slice(bytes);
+            m.tag.push_str(tag);
+            ctx.send("Request", m, Priority::new(3)).unwrap();
+            room
+        })
+        .unwrap()
+    };
+    let long = vec![0xAA; 1000];
+    let mut rooms = Vec::new();
+    for (bytes, tag) in [
+        (&long[..], "a-long-operation-name"),
+        (b"BBB", "b"),
+        (b"", ""),
+    ] {
+        rooms.push(send(bytes, tag));
+        let (got, got_tag) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(
+            (&got[..], &got_tag[..]),
+            (bytes, tag),
+            "exactly what was sent"
+        );
+    }
+    // By the third send the long request's buffer has been through the
+    // relay's pool and is back: emptied, but as large as it grew.
+    assert!(
+        rooms[2] >= 1000,
+        "reset kept the buffer's capacity: {rooms:?}"
+    );
 }
 
 #[test]

@@ -290,8 +290,8 @@ impl<S: CdrSink> CdrEncoder<S> {
 /// sequence and string payloads come back as [`Cow::Borrowed`] views
 /// whenever they do not straddle a part boundary (always, for a
 /// contiguous buffer), and primitives that do straddle are reassembled
-/// through a stack buffer.
-#[derive(Debug, Clone)]
+/// through a stack buffer. The default decoder is at the end of nothing.
+#[derive(Debug, Clone, Default)]
 pub struct CdrDecoder<'a> {
     /// Unread bytes of the current part.
     cur: &'a [u8],

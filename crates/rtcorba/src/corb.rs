@@ -18,7 +18,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use compadres_core::{App, AppBuilder, ChildHandle, HandlerCtx, Priority};
+use compadres_core::{App, AppBuilder, ChildHandle, HandlerCtx, Message, Priority};
 use rtobs::{span, CounterId, EventKind, HistId, SpanCtx};
 use rtplatform::bufchain::{FrameBuf, SegPool, DEFAULT_SEG_SIZE};
 use rtplatform::fault::FaultPolicy;
@@ -31,35 +31,70 @@ use crate::service::ObjectRegistry;
 use crate::transport::{Connection, TcpConn, TransportError};
 use crate::{InvokeOptions, OrbError};
 
-/// Completion slot a client invocation waits on (filled synchronously,
-/// since every ORB port is configured `Min = Max = 0`).
-type ReplyCell = Mutex<Option<Result<Vec<u8>, OrbError>>>;
+/// Completion slot a client invocation reads its result from (filled
+/// synchronously, since every ORB port is configured `Min = Max = 0`),
+/// tagged with the request it answers.
+type ReplyCell = Mutex<Option<(u32, Result<Vec<u8>, OrbError>)>>;
 
 /// The message that travels Orb → Transport → MessageProcessing on the
-/// client side.
-#[derive(Default, Clone)]
+/// client side. It implements [`Message`] itself: its three buffers are
+/// cleared, not dropped, when the pool hands it out again, so in steady
+/// state an invocation is copied into memory the pools already own —
+/// the paper's SMM message pool, which is there so that a request takes
+/// nothing from a heap.
 struct InvokeMsg {
     request_id: u32,
     object_key: Vec<u8>,
     operation: String,
     payload: Vec<u8>,
     oneway: bool,
-    reply_to: Option<Arc<ReplyCell>>,
+    /// Made once with the pooled object and never reset: the relay hop
+    /// swaps whole messages, so a cell may be met again by a later
+    /// request while its last reader is still on its way — hence the
+    /// tag, which makes a reader take only its own answer.
+    reply: Arc<ReplyCell>,
+}
+
+impl InvokeMsg {
+    fn new() -> InvokeMsg {
+        InvokeMsg {
+            request_id: 0,
+            object_key: Vec::new(),
+            operation: String::new(),
+            payload: Vec::new(),
+            oneway: false,
+            reply: Arc::new(Mutex::new(None)),
+        }
+    }
+}
+
+impl Message for InvokeMsg {
+    fn reset(&mut self) {
+        self.request_id = 0;
+        self.object_key.clear();
+        self.operation.clear();
+        self.payload.clear();
+        self.oneway = false;
+    }
 }
 
 /// The message that travels Poa → Transport → RequestProcessing on the
-/// server side. The frame is a segment chain, so the relay hops'
-/// `msg.clone()` copies component state but only bumps segment
-/// refcounts — the frame bytes are never duplicated down the pipeline.
-#[derive(Default, Clone)]
+/// server side. Each relay hop moves it on (`std::mem::take`), so the
+/// frame — a segment chain — is neither copied nor re-counted down the
+/// pipeline.
+#[derive(Default)]
 struct WireMsg {
     frame: FrameBuf,
     conn: Option<Arc<dyn Connection>>,
 }
 
-/// Segments in each ORB's marshal pool; exhaustion falls back to plain
-/// heap segments rather than blocking (see [`rtplatform::bufchain`]).
-const POOL_SEGS: usize = 16;
+/// Segments in a client's marshal pool: a 64 KiB request (17 segments)
+/// fits, so the pool's heap fallback (see [`rtplatform::bufchain`]) is
+/// for larger frames, not for the steady state.
+const CLIENT_POOL_SEGS: usize = 32;
+/// Segments in the server's marshal pool, which every connection's
+/// replies share: three 64 KiB replies in flight at once fit.
+const SERVER_POOL_SEGS: usize = 64;
 
 const CLIENT_CDL: &str = r#"
 <Components>
@@ -213,6 +248,8 @@ pub struct CompadresClient {
     op_ids: Mutex<HashMap<String, (u32, HistId)>>,
     /// Invocations that failed on a missed transport deadline.
     deadline_misses: CounterId,
+    /// The segments requests are marshalled into.
+    pool: SegPool,
 }
 
 impl std::fmt::Debug for CompadresClient {
@@ -229,27 +266,28 @@ impl CompadresClient {
     /// Composition or memory-architecture failures.
     pub fn from_conn(conn: Arc<dyn Connection>) -> Result<CompadresClient, OrbError> {
         let endian = Endian::native();
-        let pool = SegPool::new(POOL_SEGS, DEFAULT_SEG_SIZE);
+        let pool = SegPool::new(CLIENT_POOL_SEGS, DEFAULT_SEG_SIZE);
+        let handler_pool = pool.clone();
         let app = AppBuilder::from_xml(CLIENT_CDL, CLIENT_CCL)?
-            .bind_message_type::<InvokeMsg>("InvokeMsg")
+            .bind_message_type_with("InvokeMsg", InvokeMsg::new)
             .register_handler("Transport", "FromOrb", || {
                 // The transport relays the invocation to the processing
-                // component (copying into the next pool, as the shared-
-                // object pattern requires).
+                // component through the next pool, as the shared-object
+                // pattern requires — by trading the two messages'
+                // contents, so the buffers circulate between the pools
+                // and nothing is copied.
                 |msg: &mut InvokeMsg, ctx: &mut HandlerCtx<'_>| {
                     let mut fwd = ctx.get_message::<InvokeMsg>("ToProcessing")?;
-                    *fwd = msg.clone();
+                    std::mem::swap(&mut *fwd, msg);
                     ctx.send("ToProcessing", fwd, ctx.priority())
                 }
             })
             .register_handler("MessageProcessing", "FromTransport", move || {
                 let conn = Arc::clone(&conn);
-                let pool = pool.clone();
+                let pool = handler_pool.clone();
                 move |msg: &mut InvokeMsg, ctx: &mut HandlerCtx<'_>| {
                     let result = client_round_trip(&conn, endian, &pool, msg, ctx);
-                    if let Some(cell) = msg.reply_to.take() {
-                        *cell.lock() = Some(result);
-                    }
+                    *msg.reply.lock() = Some((msg.request_id, result));
                     Ok(())
                 }
             })
@@ -263,6 +301,7 @@ impl CompadresClient {
             next_id: AtomicU32::new(1),
             op_ids: Mutex::new(HashMap::new()),
             deadline_misses,
+            pool,
         })
     }
 
@@ -313,6 +352,12 @@ impl CompadresClient {
     /// The underlying component application (for instrumentation).
     pub fn app(&self) -> &App {
         &self.app
+    }
+
+    /// The segment pool requests are marshalled into (for
+    /// instrumentation).
+    pub fn marshal_pool(&self) -> &SegPool {
+        &self.pool
     }
 
     /// Performs an invocation through the component pipeline — Orb →
@@ -448,27 +493,27 @@ impl CompadresClient {
         }
         let t0 = obs.now_ns();
         obs.record_at(EventKind::GiopRequest, entity, u64::from(request_id), t0);
-        let cell: Arc<ReplyCell> = Arc::new(Mutex::new(None));
-        let cell2 = Arc::clone(&cell);
-        let key = object_key.to_vec();
-        let op = operation.to_string();
-        let payload = args.to_vec();
-        span::with_span(root, || {
+        let cell = span::with_span(root, || {
             self.app
-                .with_component("TheOrb", move |ctx| -> Result<(), OrbError> {
+                .with_component("TheOrb", |ctx| -> Result<_, OrbError> {
+                    // Copy the invocation into the pooled message's own
+                    // buffers (cleared by `reset`, capacity kept).
                     let mut msg = ctx.get_message::<InvokeMsg>("ToTransport")?;
                     msg.request_id = request_id;
-                    msg.object_key = key;
-                    msg.operation = op;
-                    msg.payload = payload;
+                    msg.object_key.extend_from_slice(object_key);
+                    msg.operation.push_str(operation);
+                    msg.payload.extend_from_slice(args);
                     msg.oneway = oneway;
-                    msg.reply_to = Some(cell2);
+                    let cell = Arc::clone(&msg.reply);
                     ctx.send("ToTransport", msg, Priority::new(10))?;
-                    Ok(())
+                    Ok(cell)
                 })
         })??;
         // Every port is synchronous, so the cell is filled by now.
-        let result = cell.lock().take();
+        let result = cell
+            .lock()
+            .take_if(|(id, _)| *id == request_id)
+            .map(|(_, result)| result);
         let rtt = obs.now_ns().saturating_sub(t0);
         obs.record(EventKind::GiopReply, entity, rtt);
         obs.observe(hist, rtt);
@@ -493,8 +538,10 @@ fn client_round_trip(
 ) -> Result<Vec<u8>, OrbError> {
     // This handler runs inside the pipeline hop's span: ship it across
     // the wire with whatever budget is left at this point.
-    let mut service_context = Vec::new();
     let cur = span::current();
+    let slot;
+    let traced;
+    let mut service_context: &[(u32, &[u8])] = &[];
     if cur.is_active() {
         let obs = ctx.observer();
         let budget = match obs.budget_remaining(cur) {
@@ -502,10 +549,9 @@ fn client_round_trip(
             left if left <= 0 => 1, // overrun: a 1 ns stub keeps the flag
             left => left as u64,
         };
-        service_context.push((
-            giop::TRACE_CONTEXT_SLOT,
-            giop::encode_trace_slot(cur.trace_id, cur.span_id, budget),
-        ));
+        slot = giop::trace_slot(cur.trace_id, cur.span_id, budget);
+        traced = [(giop::TRACE_CONTEXT_SLOT, &slot[..])];
+        service_context = &traced;
         let entity = obs.register_entity("giop:wire");
         obs.record_span(EventKind::SpanRemoteSend, entity, budget, cur);
     }
@@ -519,7 +565,7 @@ fn client_round_trip(
         &msg.object_key,
         &msg.operation,
         &msg.payload,
-        &service_context,
+        service_context,
         endian,
         pool,
     );
@@ -527,34 +573,54 @@ fn client_round_trip(
     if msg.oneway {
         return Ok(Vec::new());
     }
-    let reply_frame = conn.recv_frame()?;
-    // Decode in place over the received buffer; the only copy taken is
-    // the reply body handed to the caller.
-    let parts = [&reply_frame[..]];
-    let reply = giop::decode_view(&parts)?;
-    if cur.is_active() {
-        if let MessageView::Reply(r) = &reply {
-            if let Some((_, _, echoed)) = r.trace_context() {
-                let obs = ctx.observer();
-                let entity = obs.register_entity("giop:wire");
-                obs.record_span(EventKind::SpanRemoteRecv, entity, echoed, cur);
+    let mut reply_frame = conn.recv_frame()?;
+    // Decode in place over the received buffer, which then becomes the
+    // result: the reply body is what is left of it once the headers in
+    // front and the contexts behind are cut off.
+    let body = {
+        let parts = [&reply_frame[..]];
+        let reply = giop::decode_view(&parts)?;
+        if cur.is_active() {
+            if let MessageView::Reply(r) = &reply {
+                if let Some((_, _, echoed)) = r.trace_context() {
+                    let obs = ctx.observer();
+                    let entity = obs.register_entity("giop:wire");
+                    obs.record_span(EventKind::SpanRemoteRecv, entity, echoed, cur);
+                }
             }
         }
-    }
-    match reply {
-        MessageView::Reply(r) if r.request_id == msg.request_id => match r.status {
-            ReplyStatus::NoException => Ok(r.body.into_owned()),
-            ReplyStatus::SystemException => Err(OrbError::Exception(
-                String::from_utf8_lossy(&r.body).into_owned(),
-            )),
-            ReplyStatus::ObjectNotExist => Err(OrbError::ObjectNotExist),
-        },
-        MessageView::Reply(r) => Err(OrbError::RequestMismatch {
-            expected: msg.request_id,
-            got: r.request_id,
-        }),
-        _ => Err(OrbError::UnexpectedMessage),
-    }
+        match reply {
+            MessageView::Reply(r) if r.request_id == msg.request_id => match r.status {
+                ReplyStatus::NoException => match span_in(&reply_frame, &r.body) {
+                    Some(span) => span,
+                    None => return Ok(r.body.into_owned()),
+                },
+                ReplyStatus::SystemException => {
+                    let msg = String::from_utf8_lossy(&r.body).into_owned();
+                    return Err(OrbError::Exception(msg));
+                }
+                ReplyStatus::ObjectNotExist => return Err(OrbError::ObjectNotExist),
+            },
+            MessageView::Reply(r) => {
+                return Err(OrbError::RequestMismatch {
+                    expected: msg.request_id,
+                    got: r.request_id,
+                })
+            }
+            _ => return Err(OrbError::UnexpectedMessage),
+        }
+    };
+    reply_frame.truncate(body.end);
+    reply_frame.drain(..body.start);
+    Ok(reply_frame)
+}
+
+/// Where in `frame` the decoded `part` lies, when it is a view of it (as
+/// every part of a one-part frame is) and not a copy.
+fn span_in(frame: &[u8], part: &[u8]) -> Option<std::ops::Range<usize>> {
+    let start = (part.as_ptr() as usize).checked_sub(frame.as_ptr() as usize)?;
+    let end = start + part.len();
+    (end <= frame.len()).then_some(start..end)
 }
 
 /// The component-assembled server ORB, serving TCP on the event-driven
@@ -564,6 +630,8 @@ pub struct CompadresServer {
     app: Arc<App>,
     reactor: ReactorServer,
     _keepalive: Vec<ChildHandle>,
+    /// The segments replies are marshalled into.
+    pool: SegPool,
 }
 
 impl std::fmt::Debug for CompadresServer {
@@ -573,22 +641,21 @@ impl std::fmt::Debug for CompadresServer {
 }
 
 impl CompadresServer {
-    fn build_app(registry: Arc<ObjectRegistry>) -> Result<App, OrbError> {
+    fn build_app(registry: Arc<ObjectRegistry>, pool: SegPool) -> Result<App, OrbError> {
         let endian = Endian::native();
-        let pool = SegPool::new(POOL_SEGS, DEFAULT_SEG_SIZE);
         let app = AppBuilder::from_xml(SERVER_CDL, SERVER_CCL)?
             .bind_message_type::<WireMsg>("WireMsg")
             .register_handler("Poa", "Incoming", || {
                 |msg: &mut WireMsg, ctx: &mut HandlerCtx<'_>| {
                     let mut fwd = ctx.get_message::<WireMsg>("ToTransport")?;
-                    *fwd = msg.clone();
+                    *fwd = std::mem::take(msg);
                     ctx.send("ToTransport", fwd, ctx.priority())
                 }
             })
             .register_handler("STransport", "FromPoa", || {
                 |msg: &mut WireMsg, ctx: &mut HandlerCtx<'_>| {
                     let mut fwd = ctx.get_message::<WireMsg>("ToProcessing")?;
-                    *fwd = msg.clone();
+                    *fwd = std::mem::take(msg);
                     ctx.send("ToProcessing", fwd, ctx.priority())
                 }
             })
@@ -636,7 +703,8 @@ impl CompadresServer {
         registry: Arc<ObjectRegistry>,
         cfg: ReactorConfig,
     ) -> Result<CompadresServer, OrbError> {
-        let app = Arc::new(Self::build_app(registry)?);
+        let pool = SegPool::new(SERVER_POOL_SEGS, DEFAULT_SEG_SIZE);
+        let app = Arc::new(Self::build_app(registry, pool.clone())?);
         let keepalive = vec![app.connect("ThePoa")?, app.connect("ServerTransport")?];
         let app2 = Arc::clone(&app);
         let handler: FrameFn = Arc::new(move |conn, frame| {
@@ -649,6 +717,7 @@ impl CompadresServer {
             app,
             reactor,
             _keepalive: keepalive,
+            pool,
         })
     }
 
@@ -666,6 +735,12 @@ impl CompadresServer {
     /// The underlying component application (for instrumentation).
     pub fn app(&self) -> &App {
         &self.app
+    }
+
+    /// The segment pool replies are marshalled into (for
+    /// instrumentation).
+    pub fn marshal_pool(&self) -> &SegPool {
+        &self.pool
     }
 
     /// Stops accepting and serving.

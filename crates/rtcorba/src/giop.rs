@@ -39,6 +39,11 @@ pub const GIOP_VERSION: (u8, u8) = (1, 0);
 /// Size of the fixed GIOP message header.
 pub const HEADER_LEN: usize = 12;
 
+/// Largest GIOP body either side accepts. A header declaring more is a
+/// protocol violation wherever it is parsed — before anything is
+/// allocated for it.
+pub(crate) const MAX_BODY: usize = 16 << 20;
+
 /// Service-context slot id for the causal-tracing context (`"TRAC"`).
 ///
 /// Slot payload (always big-endian, independent of the frame's flags
@@ -124,7 +129,9 @@ pub enum GiopError {
     BadReplyStatus(u32),
     /// Header or body failed to decode.
     Cdr(CdrError),
-    /// The frame was shorter than the declared message size.
+    /// The frame was shorter than the declared message size. (A size
+    /// above the 16 MiB frame limit is
+    /// [`Cdr`](GiopError::Cdr)`(`[`CdrError::LengthOverflow`]`)`.)
     ShortBody {
         /// Declared size.
         declared: usize,
@@ -218,11 +225,13 @@ fn header_bytes(endian: Endian, msg_type: MsgType, size: u32) -> [u8; HEADER_LEN
 }
 
 /// Validates a 12-byte header and returns its byte order, message type
-/// and declared body size — the one place the fixed header is parsed.
+/// and declared body size — the one place the fixed header is parsed,
+/// so the one place the frame limit is enforced.
 ///
 /// # Errors
 ///
-/// [`GiopError`] on bad magic, version or message type.
+/// [`GiopError`] on bad magic, version or message type, or a declared
+/// size over 16 MiB.
 pub fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(Endian, MsgType, usize), GiopError> {
     let magic = [h[0], h[1], h[2], h[3]];
     if magic != GIOP_MAGIC {
@@ -238,6 +247,9 @@ pub fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(Endian, MsgType, usize), Gi
         Endian::Big => u32::from_be_bytes(size),
         Endian::Little => u32::from_le_bytes(size),
     };
+    if declared as usize > MAX_BODY {
+        return Err(CdrError::LengthOverflow(declared).into());
+    }
     Ok((endian, msg_type, declared as usize))
 }
 
@@ -250,50 +262,99 @@ pub fn body_size(header: &[u8; HEADER_LEN]) -> Result<usize, GiopError> {
     parse_header(header).map(|(_, _, declared)| declared)
 }
 
-/// Appends the service-context tail. An empty list writes nothing, so
-/// context-free frames stay byte-identical to the pre-context format.
-fn write_service_context<S: CdrSink>(enc: &mut CdrEncoder<S>, ctx: &[(u32, Vec<u8>)]) {
-    if ctx.is_empty() {
+/// Appends the service-context tail: `count` entries. None writes
+/// nothing, so context-free frames stay byte-identical to the
+/// pre-context format.
+fn write_service_context<S: CdrSink, D: AsRef<[u8]>>(
+    enc: &mut CdrEncoder<S>,
+    count: usize,
+    entries: impl Iterator<Item = (u32, D)>,
+) {
+    if count == 0 {
         return;
     }
-    enc.write_u32(ctx.len() as u32);
-    for (id, data) in ctx {
-        enc.write_u32(*id);
-        enc.write_octets(data);
+    enc.write_u32(count as u32);
+    for (id, data) in entries {
+        enc.write_u32(id);
+        enc.write_octets(data.as_ref());
     }
 }
 
-/// Leniently reads the trailing service-context section. Absence or any
-/// malformation yields an empty list — the section is advisory and must
-/// never fail a frame that decoded fine without it.
-fn read_service_context<'a>(dec: &mut CdrDecoder<'a>) -> Vec<(u32, Cow<'a, [u8]>)> {
-    if dec.remaining() == 0 {
-        return Vec::new();
+/// The service contexts of a decoded frame, read where they lie: a view
+/// of the frame's tail that [`iter`](ServiceContexts::iter) walks on
+/// demand, so decoding a frame builds no list and a server echoes a
+/// request's contexts into its reply straight from the request frame.
+///
+/// The section is advisory and must never fail a frame that decoded
+/// fine without it: absence or any malformation reads as no contexts.
+#[derive(Debug, Clone, Default)]
+pub struct ServiceContexts<'a> {
+    /// Positioned on the first entry; all `count` were checked to parse.
+    entries: CdrDecoder<'a>,
+    count: u32,
+}
+
+impl<'a> ServiceContexts<'a> {
+    /// Leniently reads the tail `dec` is positioned on.
+    fn read(dec: &CdrDecoder<'a>) -> ServiceContexts<'a> {
+        if dec.remaining() == 0 {
+            return ServiceContexts::default();
+        }
+        Self::parse(dec.clone()).unwrap_or_default()
     }
-    let Ok(count) = dec.read_u32() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let Ok(id) = dec.read_u32() else {
-            return Vec::new();
-        };
-        let Ok(data) = dec.read_octets_view() else {
-            return Vec::new();
-        };
-        out.push((id, data));
+
+    fn parse(mut dec: CdrDecoder<'a>) -> Option<ServiceContexts<'a>> {
+        let count = dec.read_u32().ok()?;
+        let entries = dec.clone();
+        for _ in 0..count {
+            dec.read_u32().ok()?;
+            dec.skip_octets().ok()?;
+        }
+        Some(ServiceContexts { entries, count })
     }
-    out
+
+    /// Number of contexts carried.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Whether the frame carried no contexts.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The `(slot id, octets)` entries in wire order; the octets borrow
+    /// the frame wherever they do not straddle a segment boundary.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, Cow<'a, [u8]>)> {
+        let mut dec = self.entries.clone();
+        (0..self.count)
+            .map_while(move |_| Some((dec.read_u32().ok()?, dec.read_octets_view().ok()?)))
+    }
+
+    /// Copies the contexts into owned form.
+    pub fn to_vec(&self) -> Vec<(u32, Vec<u8>)> {
+        self.iter().map(|(id, d)| (id, d.into_owned())).collect()
+    }
+
+    /// The decoded [`TRACE_CONTEXT_SLOT`], if any.
+    fn trace_context(&self) -> Option<(u32, u16, u64)> {
+        find_trace(self.iter())
+    }
 }
 
 /// Packs a trace context into [`TRACE_CONTEXT_SLOT`] wire form. The slot
 /// payload is fixed big-endian so it survives re-framing at a different
 /// endianness (contexts are echoed verbatim, not re-marshalled).
 pub fn encode_trace_slot(trace_id: u32, parent_span: u16, budget_ns: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&trace_id.to_be_bytes());
-    out.extend_from_slice(&u32::from(parent_span).to_be_bytes());
-    out.extend_from_slice(&budget_ns.to_be_bytes());
+    trace_slot(trace_id, parent_span, budget_ns).to_vec()
+}
+
+/// [`encode_trace_slot`] on the stack, for the request path.
+pub(crate) fn trace_slot(trace_id: u32, parent_span: u16, budget_ns: u64) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    out[..4].copy_from_slice(&trace_id.to_be_bytes());
+    out[4..8].copy_from_slice(&u32::from(parent_span).to_be_bytes());
+    out[8..].copy_from_slice(&budget_ns.to_be_bytes());
     out
 }
 
@@ -315,15 +376,17 @@ pub fn decode_trace_slot(data: &[u8]) -> Option<(u32, u16, u64)> {
 }
 
 /// The decoded [`TRACE_CONTEXT_SLOT`] of a context list, if any.
-fn find_trace<D: AsRef<[u8]>>(ctx: &[(u32, D)]) -> Option<(u32, u16, u64)> {
-    ctx.iter()
+fn find_trace<D: AsRef<[u8]>>(
+    mut contexts: impl Iterator<Item = (u32, D)>,
+) -> Option<(u32, u16, u64)> {
+    contexts
         .find(|(id, _)| *id == TRACE_CONTEXT_SLOT)
         .and_then(|(_, data)| decode_trace_slot(data.as_ref()))
 }
 
-/// Copies a borrowed context list into owned form.
-fn own_contexts(ctx: &[(u32, Cow<'_, [u8]>)]) -> Vec<(u32, Vec<u8>)> {
-    ctx.iter().map(|(id, d)| (*id, d.to_vec())).collect()
+/// A list of owned contexts as the `(id, octets)` pairs the codec reads.
+fn borrowed(ctx: &[(u32, Vec<u8>)]) -> impl Iterator<Item = (u32, &[u8])> {
+    ctx.iter().map(|(id, data)| (*id, data.as_slice()))
 }
 
 /// Encodes one frame: `body` marshals straight into pool-leased
@@ -345,18 +408,19 @@ fn encode_frame(
 impl RequestMessage {
     /// The decoded [`TRACE_CONTEXT_SLOT`] carried by this request, if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        find_trace(&self.service_context)
+        find_trace(borrowed(&self.service_context))
     }
 
     /// Encodes the full GIOP frame (see [`encode_request_chain`]).
     pub fn encode_chain(&self, endian: Endian, pool: &SegPool) -> FrameBuf {
+        let contexts: Vec<_> = borrowed(&self.service_context).collect();
         encode_request_chain(
             self.request_id,
             self.response_expected,
             &self.object_key,
             &self.operation,
             &self.body,
-            &self.service_context,
+            &contexts,
             endian,
             pool,
         )
@@ -364,8 +428,8 @@ impl RequestMessage {
 }
 
 /// Encodes a request frame from borrowed fields directly into a chain
-/// — the client hot path, which otherwise clones key/operation/args
-/// into a [`RequestMessage`] only to marshal them.
+/// — the client hot path: key, operation, arguments and service
+/// contexts are marshalled from where the caller keeps them.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_request_chain(
     request_id: u32,
@@ -373,7 +437,7 @@ pub fn encode_request_chain(
     object_key: &[u8],
     operation: &str,
     body: &[u8],
-    service_context: &[(u32, Vec<u8>)],
+    service_context: &[(u32, &[u8])],
     endian: Endian,
     pool: &SegPool,
 ) -> FrameBuf {
@@ -383,14 +447,14 @@ pub fn encode_request_chain(
         enc.write_octets(object_key);
         enc.write_string(operation);
         enc.write_octets(body);
-        write_service_context(enc, service_context);
+        write_service_context(enc, service_context.len(), service_context.iter().copied());
     })
 }
 
 impl ReplyMessage {
     /// The decoded [`TRACE_CONTEXT_SLOT`] echoed in this reply, if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        find_trace(&self.service_context)
+        find_trace(borrowed(&self.service_context))
     }
 
     /// Encodes the full GIOP frame (header + reply header + body) into
@@ -400,7 +464,8 @@ impl ReplyMessage {
             enc.write_u32(self.request_id);
             enc.write_u32(self.status.code());
             enc.write_octets(&self.body);
-            write_service_context(enc, &self.service_context);
+            let contexts = &self.service_context;
+            write_service_context(enc, contexts.len(), borrowed(contexts));
         })
     }
 }
@@ -419,7 +484,7 @@ pub fn encode_error(endian: Endian) -> [u8; HEADER_LEN] {
 
 /// A request decoded in place: key, operation and body borrow the
 /// frame's segments whenever they do not straddle a segment boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RequestView<'a> {
     /// Client-chosen id correlating the reply.
     pub request_id: u32,
@@ -431,8 +496,8 @@ pub struct RequestView<'a> {
     pub operation: Cow<'a, str>,
     /// Marshalled in-parameters.
     pub body: Cow<'a, [u8]>,
-    /// Service contexts (zero-copy payload views).
-    pub service_context: Vec<(u32, Cow<'a, [u8]>)>,
+    /// Service contexts, read from the frame on demand.
+    pub service_context: ServiceContexts<'a>,
 }
 
 impl RequestView<'_> {
@@ -444,23 +509,21 @@ impl RequestView<'_> {
             object_key: self.object_key.to_vec(),
             operation: self.operation.clone().into_owned(),
             body: self.body.to_vec(),
-            service_context: self.owned_contexts(),
+            service_context: self.service_context.to_vec(),
         }
-    }
-
-    /// Copies the context list into owned form (for reply echoing).
-    pub fn owned_contexts(&self) -> Vec<(u32, Vec<u8>)> {
-        own_contexts(&self.service_context)
     }
 
     /// The decoded [`TRACE_CONTEXT_SLOT`], if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        find_trace(&self.service_context)
+        self.service_context.trace_context()
     }
 }
 
-/// A reply decoded in place over borrowed segments.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A reply whose parts are borrowed: decoded in place over a frame's
+/// segments, or — what [`crate::service::ObjectRegistry::dispatch_view`]
+/// returns — about to be encoded, its contexts still lying in the
+/// request frame they echo.
+#[derive(Debug, Clone)]
 pub struct ReplyView<'a> {
     /// Correlates with the request.
     pub request_id: u32,
@@ -469,7 +532,7 @@ pub struct ReplyView<'a> {
     /// Marshalled result (or exception message).
     pub body: Cow<'a, [u8]>,
     /// Service contexts echoed back from the request.
-    pub service_context: Vec<(u32, Cow<'a, [u8]>)>,
+    pub service_context: ServiceContexts<'a>,
 }
 
 impl ReplyView<'_> {
@@ -479,18 +542,30 @@ impl ReplyView<'_> {
             request_id: self.request_id,
             status: self.status,
             body: self.body.to_vec(),
-            service_context: own_contexts(&self.service_context),
+            service_context: self.service_context.to_vec(),
         }
     }
 
     /// The decoded [`TRACE_CONTEXT_SLOT`], if any.
     pub fn trace_context(&self) -> Option<(u32, u16, u64)> {
-        find_trace(&self.service_context)
+        self.service_context.trace_context()
+    }
+
+    /// Encodes the full GIOP frame into pool-leased segments, like
+    /// [`ReplyMessage::encode_chain`].
+    pub fn encode_chain(&self, endian: Endian, pool: &SegPool) -> FrameBuf {
+        encode_frame(endian, pool, MsgType::Reply, |enc| {
+            enc.write_u32(self.request_id);
+            enc.write_u32(self.status.code());
+            enc.write_octets(&self.body);
+            let contexts = &self.service_context;
+            write_service_context(enc, contexts.len(), contexts.iter());
+        })
     }
 }
 
 /// Either kind of incoming message, decoded in place.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum MessageView<'a> {
     /// A request.
     Request(RequestView<'a>),
@@ -546,7 +621,7 @@ pub fn decode_view<'a>(parts: &'a [&'a [u8]]) -> Result<MessageView<'a>, GiopErr
             let object_key = dec.read_octets_view()?;
             let operation = dec.read_string_view()?;
             let body = dec.read_octets_view()?;
-            let service_context = read_service_context(&mut dec);
+            let service_context = ServiceContexts::read(&dec);
             Ok(MessageView::Request(RequestView {
                 request_id,
                 response_expected,
@@ -561,7 +636,7 @@ pub fn decode_view<'a>(parts: &'a [&'a [u8]]) -> Result<MessageView<'a>, GiopErr
             let code = dec.read_u32()?;
             let status = ReplyStatus::from_code(code).ok_or(GiopError::BadReplyStatus(code))?;
             let body = dec.read_octets_view()?;
-            let service_context = read_service_context(&mut dec);
+            let service_context = ServiceContexts::read(&dec);
             Ok(MessageView::Reply(ReplyView {
                 request_id,
                 status,

@@ -52,7 +52,7 @@ use rtplatform::sync::Mutex;
 
 use crate::cdr::Endian;
 use crate::giop::{self, HEADER_LEN};
-use crate::transport::{Connection, TransportError};
+use crate::transport::{Connection, TransportError, MAX_IOVECS};
 
 /// Token of the listening socket in the reactor's poller.
 const TOKEN_LISTENER: u64 = 0;
@@ -65,9 +65,6 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// so a firehose connection cannot starve its neighbours.
 const WORKER_BATCH: usize = 16;
 
-/// Most buffer segments gathered into a single vectored write.
-const MAX_IOVECS: usize = 64;
-
 /// Segments pre-allocated in the receive pool. Each is [`READ_CHUNK`]
 /// bytes; exhaustion falls back to heap segments (never blocks the
 /// reactor), it just loses the recycling benefit until frames drop.
@@ -76,10 +73,6 @@ const RECV_POOL_SEGS: usize = 16;
 /// Segment size of the receive pool — the most bytes one `read` call
 /// can deliver into a segment.
 const READ_CHUNK: usize = 64 << 10;
-
-/// Largest accepted GIOP body; a header declaring more is a protocol
-/// violation (MessageError + close), not an allocation.
-const MAX_FRAME: usize = 16 << 20;
 
 /// Capacity of the readiness and flush queues between reactor and
 /// workers (connections, not frames).
@@ -437,6 +430,9 @@ fn reactor_loop(shared: &Arc<Shared>, poller: Poller, listener: TcpListener, cfg
     let mut conns: HashMap<u64, ConnEntry> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events: Vec<PollEvent> = Vec::new();
+    // Connections to flush this pass; kept (with its capacity) across
+    // passes.
+    let mut pending: Vec<u64> = Vec::new();
 
     while !shared.shutdown.load(Ordering::SeqCst) {
         // The timeout is a shutdown-latency bound, not a poll interval:
@@ -447,7 +443,7 @@ fn reactor_loop(shared: &Arc<Shared>, poller: Poller, listener: TcpListener, cfg
         {
             break;
         }
-        for ev in events.clone() {
+        for &ev in &events {
             match ev.token {
                 TOKEN_LISTENER => {
                     accept_ready(shared, &poller, &listener, &mut conns, &mut next_token)
@@ -464,11 +460,11 @@ fn reactor_loop(shared: &Arc<Shared>, poller: Poller, listener: TcpListener, cfg
             }
         }
         // Replies queued by workers since the last pass.
-        let mut pending = std::mem::take(&mut *shared.flush_overflow.lock());
+        pending.append(&mut shared.flush_overflow.lock());
         while let Some(token) = shared.flush.pop() {
             pending.push(token);
         }
-        for token in pending {
+        for token in pending.drain(..) {
             if let Some(entry) = conns.get(&token) {
                 // Clear before flushing: a send racing the flush then
                 // re-queues rather than being lost.
@@ -578,8 +574,8 @@ fn read_ready(
             break;
         }
         let body = match giop::body_size(&header) {
-            Ok(b) if b <= MAX_FRAME => b,
-            _ => {
+            Ok(b) => b,
+            Err(_) => {
                 // Bad magic or absurd size: this is not a GIOP stream.
                 // Tell the peer (MessageError), then hang up once the
                 // reply has flushed.
@@ -644,29 +640,25 @@ fn flush_conn(
             }
             return;
         }
-        // Gather the head partial plus whole queued frames: one syscall
-        // carries every reply coalesced since the last flush, each
-        // frame contributing its segments as separate iovecs (never
-        // copied together).
-        let head_rest = out.queue[0].slice(out.offset, out.queue[0].len());
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOVECS);
+        // Gather what is left of the head frame plus the frames queued
+        // behind it: one syscall carries every reply coalesced since the
+        // last flush, each frame contributing its segments as separate
+        // iovecs (never copied together). The last frame gathered may
+        // be cut short by the list's length; the byte count written
+        // says where the next pass resumes.
+        let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+        let mut set = 0;
         let mut frames_gathered = 0u64;
-        for s in head_rest.slices() {
-            slices.push(IoSlice::new(s));
-        }
-        frames_gathered += 1;
-        for frame in out.queue.iter().skip(1) {
-            let parts = frame.slices();
-            if slices.len() + parts.len() > MAX_IOVECS {
+        for frame in &out.queue {
+            if set == MAX_IOVECS {
                 break;
             }
-            for s in parts {
-                slices.push(IoSlice::new(s));
-            }
+            let skip = if frames_gathered == 0 { out.offset } else { 0 };
+            set += frame.io_slices_from(skip, &mut iov[set..]);
             frames_gathered += 1;
         }
         shared.obs.observe(shared.coalesce_hist, frames_gathered);
-        match entry.stream.write_vectored(&slices) {
+        match entry.stream.write_vectored(&iov[..set]) {
             Ok(mut written) => {
                 while written > 0 {
                     let head_left = out.queue[0].len() - out.offset;
@@ -731,11 +723,11 @@ mod tests {
             let parts = frame.slices();
             if let Ok(MessageView::Request(req)) = decode_view(&parts) {
                 if req.response_expected {
-                    let reply = giop::ReplyMessage {
+                    let reply = giop::ReplyView {
                         request_id: req.request_id,
                         status: giop::ReplyStatus::NoException,
-                        service_context: req.owned_contexts(),
-                        body: req.body.into_owned(),
+                        service_context: req.service_context,
+                        body: req.body,
                     };
                     let _ = conn.send_chain(&reply.encode_chain(Endian::native(), &pool));
                 }

@@ -1,12 +1,13 @@
 //! Servants and the object registry — the request-processing core shared
 //! by both ORBs.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use rtplatform::sync::RwLock;
 
-use crate::giop::{ReplyMessage, ReplyStatus, RequestView};
+use crate::giop::{ReplyStatus, ReplyView, RequestView};
 
 /// A CORBA-style servant: invoked by operation name with marshalled
 /// arguments, returning a marshalled result.
@@ -90,12 +91,12 @@ impl ObjectRegistry {
     }
 
     /// Full request-processing step: locates the servant, invokes it and
-    /// builds the reply message (including exception replies). The key,
+    /// builds the reply (including exception replies). The key,
     /// operation and body are used where they lie in the frame's
-    /// segments; the only copy made is the request's service contexts,
-    /// echoed into every reply so tracing clients can correlate even
-    /// exception paths.
-    pub fn dispatch_view(&self, req: &RequestView<'_>) -> ReplyMessage {
+    /// segments, and so are the request's service contexts, echoed into
+    /// every reply so tracing clients can correlate even exception
+    /// paths: the reply borrows them from the request frame.
+    pub fn dispatch_view<'a>(&self, req: &RequestView<'a>) -> ReplyView<'a> {
         let (status, body) = match self.lookup(&req.object_key) {
             None => (ReplyStatus::ObjectNotExist, Vec::new()),
             Some(servant) => match servant.invoke(&req.operation, &req.body) {
@@ -103,11 +104,11 @@ impl ObjectRegistry {
                 Err(msg) => (ReplyStatus::SystemException, msg.into_bytes()),
             },
         };
-        ReplyMessage {
+        ReplyView {
             request_id: req.request_id,
             status,
-            body,
-            service_context: req.owned_contexts(),
+            body: Cow::Owned(body),
+            service_context: req.service_context.clone(),
         }
     }
 }
@@ -115,7 +116,9 @@ impl ObjectRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::borrow::Cow;
+    use crate::cdr::Endian;
+    use crate::giop::{decode_view, encode_request_chain, MessageView, ServiceContexts};
+    use rtplatform::bufchain::SegPool;
 
     fn request<'a>(key: &'a [u8], op: &'a str, body: &'a [u8]) -> RequestView<'a> {
         RequestView {
@@ -124,27 +127,35 @@ mod tests {
             object_key: Cow::Borrowed(key),
             operation: Cow::Borrowed(op),
             body: Cow::Borrowed(body),
-            service_context: Vec::new(),
+            service_context: ServiceContexts::default(),
         }
     }
 
     #[test]
     fn dispatch_echoes_service_context() {
         let reg = ObjectRegistry::with_echo();
-        let mut req = request(b"echo", "echo", &[1]);
-        req.service_context = vec![(0x5452_4143, Cow::Borrowed(&[1, 2, 3][..]))];
-        assert_eq!(
-            reg.dispatch_view(&req).service_context,
-            req.owned_contexts(),
-            "normal reply echoes contexts"
-        );
-        let mut bad = request(b"nope", "echo", &[]);
-        bad.service_context = vec![(7, Cow::Borrowed(&[9][..]))];
-        assert_eq!(
-            reg.dispatch_view(&bad).service_context,
-            bad.owned_contexts(),
-            "exception replies echo contexts too"
-        );
+        let pool = SegPool::new(4, 256);
+        // Normal and exception replies both echo the request's contexts.
+        for key in [&b"echo"[..], b"nope"] {
+            let contexts: [(u32, &[u8]); 2] = [(0x5452_4143, &[1, 2, 3]), (7, &[9])];
+            let frame =
+                encode_request_chain(9, true, key, "echo", &[1], &contexts, Endian::Big, &pool);
+            let parts = frame.slices();
+            let Ok(MessageView::Request(req)) = decode_view(&parts) else {
+                panic!("a request frame decodes to a request");
+            };
+            assert_eq!(req.service_context.len(), 2);
+            let reply = reg.dispatch_view(&req).encode_chain(Endian::Little, &pool);
+            let parts = reply.slices();
+            let Ok(MessageView::Reply(back)) = decode_view(&parts) else {
+                panic!("a reply frame decodes to a reply");
+            };
+            assert_eq!(
+                back.service_context.to_vec(),
+                vec![(0x5452_4143, vec![1, 2, 3]), (7, vec![9])],
+                "{key:?}"
+            );
+        }
     }
 
     #[test]
@@ -160,7 +171,7 @@ mod tests {
         let reg = ObjectRegistry::with_echo();
         let reply = reg.dispatch_view(&request(b"echo", "echo", &[7, 7]));
         assert_eq!(reply.status, ReplyStatus::NoException);
-        assert_eq!(reply.body, vec![7, 7]);
+        assert_eq!(&reply.body[..], &[7, 7]);
         assert_eq!(reply.request_id, 9);
     }
 
@@ -176,9 +187,7 @@ mod tests {
         let reg = ObjectRegistry::with_echo();
         let reply = reg.dispatch_view(&request(b"echo", "explode", &[]));
         assert_eq!(reply.status, ReplyStatus::SystemException);
-        assert!(String::from_utf8(reply.body)
-            .unwrap()
-            .contains("unknown operation"));
+        assert!(String::from_utf8_lossy(&reply.body).contains("unknown operation"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! announcing the body size — so the ORB code is transport-agnostic.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -309,7 +309,9 @@ impl Connection for TcpConn {
     /// Receives one frame. With a recv deadline armed, a timeout returns
     /// [`TransportError::Deadline`]; if it strikes *mid-frame* the stream
     /// position is inside a message, so the connection must be dropped,
-    /// not reused — exactly what the retry layers do.
+    /// not reused — exactly what the retry layers do. A header that
+    /// declares more than the frame limit is a
+    /// [`TransportError::Protocol`] and nothing is allocated for it.
     fn recv_frame(&self) -> Result<Vec<u8>, TransportError> {
         let mut r = self.reader.lock();
         let mut header = [0u8; HEADER_LEN];
@@ -334,22 +336,25 @@ impl Connection for TcpConn {
     }
 }
 
-/// Writes every byte of `frame` via `write_vectored`, rebuilding the
-/// `IoSlice` list after partial writes. Falls back to per-slice
-/// `write_all` only when the writer reports a zero-length vectored
-/// write (a writer that ignores vectoring).
+/// Most buffer segments gathered into a single vectored write.
+pub(crate) const MAX_IOVECS: usize = 64;
+
+/// Writes every byte of `frame` via `write_vectored`, pointing a stack
+/// `IoSlice` list at what is left after each partial write. Falls back
+/// to per-slice `write_all` only when the writer reports a zero-length
+/// vectored write (a writer that ignores vectoring).
 pub(crate) fn write_all_vectored(w: &mut impl Write, frame: &FrameBuf) -> std::io::Result<()> {
     let mut skip = 0usize;
-    let total = frame.len();
-    while skip < total {
-        let rest = frame.slice(skip, total);
-        let slices = rest.io_slices();
-        let n = w.write_vectored(&slices)?;
+    while skip < frame.len() {
+        let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+        let set = frame.io_slices_from(skip, &mut iov);
+        let n = w.write_vectored(&iov[..set])?;
         if n == 0 {
-            for s in rest.slices() {
+            for s in &iov[..set] {
                 w.write_all(s)?;
+                skip += s.len();
             }
-            return Ok(());
+            continue;
         }
         skip += n;
     }

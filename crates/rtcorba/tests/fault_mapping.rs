@@ -8,19 +8,22 @@
 //! | mid-frame disconnect        | `Closed`                            |
 //! | truncated frame             | `Protocol` (`GiopError::ShortBody`) |
 //! | garbage header              | `Protocol`                          |
+//! | oversize declaration        | `Protocol`, nothing allocated       |
 //!
 //! Dropped and stalled replies are indistinguishable by construction —
 //! in both cases no byte arrives before the deadline — so both map to
 //! `Deadline`.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rtcorba::cdr::Endian;
 use rtcorba::chaos::{FaultPlan, FaultyConn};
 use rtcorba::giop::{self, GiopError, ReplyMessage, ReplyStatus};
+use rtcorba::service::ObjectRegistry;
 use rtcorba::transport::{loopback_pair, Connection, TcpConn, TransportError};
+use rtcorba::{ClientBuilder, OrbError, ServerBuilder};
 use rtplatform::bufchain::SegPool;
 use rtplatform::fault::FaultPolicy;
 
@@ -152,4 +155,50 @@ fn garbage_header_maps_to_protocol() {
         other => panic!("garbage header must map to Protocol, got {other:?}"),
     }
     guard.join().unwrap();
+}
+
+/// A well-formed 12-byte header declaring a body just short of 4 GiB.
+const OVERSIZE_HEADER: [u8; 12] = *b"GIOP\x01\x00\x00\x01\xFF\xFF\xFF\xF0";
+
+#[test]
+fn oversize_reply_declaration_fails_the_invocation_with_protocol() {
+    // A server that answers any request with the oversize header.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let guard = std::thread::spawn(move || {
+        let conn = TcpConn::new(listener.accept().unwrap().0).unwrap();
+        conn.recv_frame().unwrap();
+        conn.send_frame(&OVERSIZE_HEADER).unwrap();
+        // Stay connected: the client must fail on the header alone, not
+        // on the stream ending under a 4 GiB read.
+        let _ = conn.recv_frame();
+    });
+    let client = ClientBuilder::new().connect(addr).unwrap();
+    match client.invoke(b"echo", "echo", &[1, 2, 3]) {
+        Err(OrbError::Transport(TransportError::Protocol(_))) => {}
+        other => panic!("an oversize declaration must map to Protocol, got {other:?}"),
+    }
+    drop(client);
+    guard.join().unwrap();
+}
+
+#[test]
+fn oversize_request_declaration_is_refused_by_a_zen_connection() {
+    let server = ServerBuilder::new(ObjectRegistry::with_echo())
+        .serve_zen()
+        .unwrap();
+    let addr = server.addr().unwrap();
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&OVERSIZE_HEADER).unwrap();
+    // The connection thread refuses the header instead of allocating
+    // for it and waiting on the body: it says MessageError or nothing,
+    // and hangs up.
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest)
+        .expect("the server hangs up; it does not wait for 4 GiB");
+    assert!(rest.len() <= giop::HEADER_LEN, "{rest:?}");
+    // And it still serves the next connection.
+    let client = ClientBuilder::new().connect_zen(addr).unwrap();
+    assert_eq!(client.invoke(b"echo", "echo", &[7]).unwrap(), vec![7]);
 }

@@ -1,0 +1,73 @@
+//! Steady-state allocation guard for the ORB request path (ROADMAP
+//! aim 3): what one echo through `CompadresClient` → TCP loopback →
+//! `CompadresServer` and back takes from the heap once the pools are
+//! warm, client and server threads together. `alloc_sites.rs` is the
+//! tool that names the sites counted here.
+//!
+//! One `#[test]` in this file on purpose: the counter is process-wide,
+//! and a second test thread would pollute it.
+
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use rtcorba::corb::loopback_echo_pair;
+
+#[test]
+fn an_echo_allocates_within_its_budget_and_leases_no_heap_segment() {
+    const WARM_UP: u64 = 100;
+    const REQUESTS: u64 = 1_000;
+    /// Measured: exactly 14 (the parent commit: 58), by call site —
+    ///
+    /// * pinned by interfaces the benchmark implements or calls (3):
+    ///   the `Vec` a `Servant` returns; the `Vec` `TcpConn::recv_frame`
+    ///   returns, which `invoke` cuts down to the reply body and hands
+    ///   to its caller; the boxed payload of `App::send_to`, by which
+    ///   the reactor's worker injects the frame into the POA in-port;
+    /// * a memory context for a caller that has none (2):
+    ///   `rtmem::Ctx::no_heap`'s scope stack in `App::with_component`
+    ///   (client) and in `App::send_to` (server);
+    /// * the per-request `ClientProcessing` and `ServerProcessing`
+    ///   activations, Fig. 10's create/destroy (3 each = 6): the
+    ///   `Arc<Activation>` record, its handler table (one `Vec`) and
+    ///   the boxed handler — `activation_allocs.rs` in core names the
+    ///   same three;
+    /// * freezing a filled segment so a frame can share it (3): the
+    ///   `Arc<Seg>` of `BufChain::into_frame` for the request and for
+    ///   the reply, and of `RecvChain::freeze_tail` for the request as
+    ///   the reactor received it.
+    ///
+    /// Nothing on the path grows a buffer it already has: the budget
+    /// is the measurement, no slack.
+    const BUDGET_PER_REQUEST: u64 = 14;
+
+    let (server, client) = loopback_echo_pair().unwrap();
+    let echo = |payload: &[u8], n: u64| {
+        let before = common::allocations();
+        for _ in 0..n {
+            assert_eq!(client.invoke(b"echo", "echo", payload).unwrap(), payload);
+        }
+        common::allocations() - before
+    };
+
+    let small = [0x5Au8; 64];
+    echo(&small, WARM_UP);
+    let allocated = echo(&small, REQUESTS);
+    assert!(
+        allocated <= BUDGET_PER_REQUEST * REQUESTS,
+        "{allocated} allocations in {REQUESTS} echoes ({:.2} per echo, budget {BUDGET_PER_REQUEST})",
+        allocated as f64 / REQUESTS as f64
+    );
+
+    // A 64 KiB frame is 17 marshal segments: both pools hold it, so no
+    // request or reply is built on `SegPool::lease`'s heap fallback.
+    let large = vec![0xA5u8; 64 << 10];
+    echo(&large, WARM_UP);
+    for (side, pool) in [
+        ("client", client.marshal_pool()),
+        ("server", server.marshal_pool()),
+    ] {
+        let stats = pool.stats();
+        assert!(stats.leased >= 17 * WARM_UP, "{side}: {stats:?}");
+        assert_eq!(stats.heap_fallbacks, 0, "{side}: {stats:?}");
+    }
+}

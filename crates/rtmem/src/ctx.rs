@@ -11,6 +11,12 @@ use crate::model::{MemoryModel, ModelInner};
 use crate::region::{RegionId, RegionKind};
 use crate::rref::{RBytes, RRef};
 
+/// Scope-stack capacity a fresh [`Ctx`] starts with, sized for the
+/// nesting assemblies have (the ORB server's four levels are the
+/// deepest in the tree) so that a context made per call pays for one
+/// stack, not one stack and its growth. Deeper nesting grows it.
+const STACK_DEPTH: usize = 8;
+
 /// A per-thread execution context holding a scope stack.
 ///
 /// The stack base is heap (ordinary thread), or immortal for real-time
@@ -49,20 +55,22 @@ impl Ctx {
     /// A real-time thread context based in immortal memory, still allowed
     /// to read the heap.
     pub fn immortal(model: &MemoryModel) -> Ctx {
-        Ctx {
-            model: Arc::clone(&model.inner),
-            stack: vec![model.immortal()],
-            no_heap: false,
-        }
+        Ctx::based_in_immortal(model, false)
     }
 
     /// A no-heap real-time thread context: based in immortal memory and
     /// forbidden from touching the heap.
     pub fn no_heap(model: &MemoryModel) -> Ctx {
+        Ctx::based_in_immortal(model, true)
+    }
+
+    fn based_in_immortal(model: &MemoryModel, no_heap: bool) -> Ctx {
+        let mut stack = Vec::with_capacity(STACK_DEPTH);
+        stack.push(model.immortal());
         Ctx {
             model: Arc::clone(&model.inner),
-            stack: vec![model.immortal()],
-            no_heap: true,
+            stack,
+            no_heap,
         }
     }
 

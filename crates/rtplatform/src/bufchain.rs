@@ -17,10 +17,10 @@
 //!   be prepended after the body is encoded (no encode-then-patch, no
 //!   `Vec` shuffle). Appends cross segment boundaries transparently.
 //! * [`FrameBuf`] — the read side: an immutable, reference-counted
-//!   view of (parts of) segments. Cloning bumps refcounts; slicing
-//!   shares the underlying segments. This is what flows through the
-//!   component relays — a `clone()` per hop costs refcount bumps, not
-//!   a frame copy.
+//!   view of (parts of) segments. Cloning bumps refcounts, and a
+//!   frame that fits one segment owns no list, so neither building
+//!   nor cloning one allocates for it. This is what flows through the
+//!   component relays, moved from hop to hop.
 //! * [`RecvChain`] — socket-read reassembly without coalescing: reads
 //!   land directly in leased segments and complete frames are carved
 //!   out as `FrameBuf`s sharing those segments.
@@ -39,6 +39,7 @@ use std::sync::Arc;
 
 use crate::chk;
 use crate::ring::MpmcRing;
+use crate::small::SmallList;
 
 /// Default segment size: large enough that a typical GIOP frame
 /// (header + small body) fits in one segment, small enough that a
@@ -258,9 +259,13 @@ impl Part {
 /// result for sending. No byte is ever moved after it is written.
 pub struct BufChain {
     pool: SegPool,
-    segs: Vec<(Seg, usize)>, // (segment, filled-up-to)
+    /// The first segment and how far it is filled; it holds the
+    /// headroom, and a small frame never needs another.
+    head: (Seg, usize),
+    /// The segments after the first, each with its fill mark.
+    more: Vec<(Seg, usize)>,
     headroom: usize,
-    front: usize, // current start of frame data in segs[0]
+    front: usize, // current start of frame data in `head`
     body_len: usize,
 }
 
@@ -269,7 +274,7 @@ impl std::fmt::Debug for BufChain {
         write!(
             f,
             "BufChain({} segs, headroom {}/{}, body {} bytes)",
-            self.segs.len(),
+            1 + self.more.len(),
             self.front,
             self.headroom,
             self.body_len
@@ -291,10 +296,10 @@ impl BufChain {
             headroom,
             pool.seg_size()
         );
-        let first = pool.lease();
         BufChain {
             pool: pool.clone(),
-            segs: vec![(first, headroom)],
+            head: (pool.lease(), headroom),
+            more: Vec::new(),
             headroom,
             front: headroom,
             body_len: 0,
@@ -317,11 +322,13 @@ impl BufChain {
         self.body_len += bytes.len();
         while !bytes.is_empty() {
             let seg_size = self.pool.seg_size();
-            let (seg, filled) = self.segs.last_mut().expect("chain has a tail");
+            let (seg, filled) = self.more.last_mut().unwrap_or(&mut self.head);
             let room = seg_size - *filled;
             if room == 0 {
+                // One growth for everything this `put` still needs.
+                self.more.reserve(bytes.len().div_ceil(seg_size));
                 let fresh = self.pool.lease();
-                self.segs.push((fresh, 0));
+                self.more.push((fresh, 0));
                 continue;
             }
             let n = room.min(bytes.len());
@@ -357,7 +364,7 @@ impl BufChain {
             self.front
         );
         let start = self.front - header.len();
-        self.segs[0].0.bytes_mut()[start..self.front].copy_from_slice(header);
+        self.head.0.bytes_mut()[start..self.front].copy_from_slice(header);
         self.front = start;
     }
 
@@ -365,40 +372,42 @@ impl BufChain {
     /// compatibility path for transports without scatter-gather.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.frame_len());
-        for (i, (seg, filled)) in self.segs.iter().enumerate() {
-            let start = if i == 0 { self.front } else { 0 };
-            out.extend_from_slice(&seg.bytes()[start..*filled]);
+        out.extend_from_slice(&self.head.0.bytes()[self.front..self.head.1]);
+        for (seg, filled) in &self.more {
+            out.extend_from_slice(&seg.bytes()[..*filled]);
         }
         out
     }
 
     /// Freezes the chain into an immutable, shareable [`FrameBuf`].
     pub fn into_frame(self) -> FrameBuf {
-        let front = self.front;
-        let mut parts = Vec::with_capacity(self.segs.len());
-        let mut len = 0;
-        for (i, (seg, filled)) in self.segs.into_iter().enumerate() {
-            let start = if i == 0 { front } else { 0 };
-            if filled > start {
-                len += filled - start;
-                parts.push(Part {
+        let mut frame = FrameBuf::default();
+        frame.rest.reserve(self.more.len());
+        let mut start = self.front;
+        for (seg, end) in std::iter::once(self.head).chain(self.more) {
+            if end > start {
+                frame.push(Part {
                     seg: Arc::new(seg),
                     start,
-                    end: filled,
+                    end,
                 });
             }
+            start = 0;
         }
-        FrameBuf { parts, len }
+        frame
     }
 }
 
 /// An immutable, reference-counted frame: a sequence of borrowed
-/// segment regions. `Clone` is refcount bumps; [`slice`](FrameBuf::slice)
-/// shares segments. The unit that flows through connection handlers
-/// and component relays.
+/// segment regions. `Clone` is refcount bumps. The unit that flows
+/// through connection handlers and component relays.
 #[derive(Clone, Default)]
 pub struct FrameBuf {
-    parts: Vec<Part>,
+    /// The first region, inline: a frame that fits one segment — every
+    /// small request and reply — owns no list at all.
+    first: Option<Part>,
+    /// The regions after the first.
+    rest: Vec<Part>,
     len: usize,
 }
 
@@ -408,7 +417,7 @@ impl std::fmt::Debug for FrameBuf {
             f,
             "FrameBuf({} bytes in {} parts)",
             self.len,
-            self.parts.len()
+            self.parts().count()
         )
     }
 }
@@ -417,20 +426,30 @@ impl FrameBuf {
     /// Wraps an owned `Vec` as a single-part frame (compatibility
     /// constructor for paths that still produce contiguous buffers).
     pub fn from_vec(bytes: Vec<u8>) -> FrameBuf {
-        let len = bytes.len();
-        if len == 0 {
-            return FrameBuf::default();
-        }
-        FrameBuf {
-            parts: vec![Part {
-                seg: Arc::new(Seg {
-                    buf: bytes.into_boxed_slice(),
-                    pool: None,
-                }),
+        let mut frame = FrameBuf::default();
+        if !bytes.is_empty() {
+            let end = bytes.len();
+            let buf = bytes.into_boxed_slice();
+            frame.push(Part {
+                seg: Arc::new(Seg { buf, pool: None }),
                 start: 0,
-                end: len,
-            }],
-            len,
+                end,
+            });
+        }
+        frame
+    }
+
+    /// The regions in wire order.
+    fn parts(&self) -> impl Iterator<Item = &Part> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    /// Appends a (non-empty) region.
+    fn push(&mut self, part: Part) {
+        self.len += part.len();
+        match self.first {
+            None => self.first = Some(part),
+            Some(_) => self.rest.push(part),
         }
     }
 
@@ -447,28 +466,51 @@ impl FrameBuf {
     /// The frame as one contiguous slice, when it happens to live in a
     /// single segment region (the common case for small frames).
     pub fn as_single(&self) -> Option<&[u8]> {
-        match self.parts.as_slice() {
-            [] => Some(&[]),
-            [p] => Some(p.bytes()),
+        match (&self.first, self.rest.is_empty()) {
+            (None, _) => Some(&[]),
+            (Some(p), true) => Some(p.bytes()),
             _ => None,
         }
     }
 
     /// Borrowed views of every region, in wire order — the input shape
-    /// of the in-place CDR decoder and of vectored writes.
-    pub fn slices(&self) -> Vec<&[u8]> {
-        self.parts.iter().map(Part::bytes).collect()
+    /// of the in-place CDR decoder. Reads as a `[&[u8]]`; up to four
+    /// regions sit on the caller's stack.
+    pub fn slices(&self) -> SmallList<&[u8], 4> {
+        let mut out = SmallList::new(&[][..]);
+        for p in self.parts() {
+            out.push(p.bytes());
+        }
+        out
     }
 
-    /// `IoSlice`s over every region, for `write_vectored`.
-    pub fn io_slices(&self) -> Vec<IoSlice<'_>> {
-        self.parts.iter().map(|p| IoSlice::new(p.bytes())).collect()
+    /// Points `out` at the frame's bytes from offset `skip` on, one
+    /// `IoSlice` per region, for `write_vectored`; returns how many it
+    /// set (fewer than the regions left when `out` is too short — a
+    /// vectored write may be partial anyway, and its caller resumes
+    /// from the byte count).
+    pub fn io_slices_from<'a>(&'a self, mut skip: usize, out: &mut [IoSlice<'a>]) -> usize {
+        let mut set = 0;
+        for p in self.parts() {
+            if set == out.len() {
+                break;
+            }
+            let bytes = p.bytes();
+            if skip >= bytes.len() {
+                skip -= bytes.len();
+                continue;
+            }
+            out[set] = IoSlice::new(&bytes[skip..]);
+            set += 1;
+            skip = 0;
+        }
+        set
     }
 
     /// Copies the frame into one `Vec` (compatibility/cold paths).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
-        for p in &self.parts {
+        for p in self.parts() {
             out.extend_from_slice(p.bytes());
         }
         out
@@ -483,7 +525,7 @@ impl FrameBuf {
         }
         let mut skip = off;
         let mut done = 0;
-        for p in &self.parts {
+        for p in self.parts() {
             let b = p.bytes();
             if skip >= b.len() {
                 skip -= b.len();
@@ -499,40 +541,6 @@ impl FrameBuf {
             }
         }
         false
-    }
-
-    /// A sub-frame `[start, end)` sharing the underlying segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or inverted.
-    pub fn slice(&self, start: usize, end: usize) -> FrameBuf {
-        assert!(start <= end && end <= self.len, "slice out of range");
-        let mut parts = Vec::new();
-        let (mut skip, mut want) = (start, end - start);
-        for p in &self.parts {
-            if want == 0 {
-                break;
-            }
-            let plen = p.len();
-            if skip >= plen {
-                skip -= plen;
-                continue;
-            }
-            let s = p.start + skip;
-            let e = (s + want).min(p.end);
-            parts.push(Part {
-                seg: Arc::clone(&p.seg),
-                start: s,
-                end: e,
-            });
-            want -= e - s;
-            skip = 0;
-        }
-        FrameBuf {
-            parts,
-            len: end - start,
-        }
     }
 }
 
@@ -695,24 +703,22 @@ impl RecvChain {
             // is recycled when every referencing frame drops).
             self.freeze_tail();
         }
-        let mut parts = Vec::new();
-        let mut want = n;
-        while want > 0 {
+        let mut frame = FrameBuf::default();
+        while frame.len < n {
             let p = self.frozen.front_mut().expect("enough frozen bytes");
-            let take = p.len().min(want);
-            parts.push(Part {
+            let take = p.len().min(n - frame.len);
+            frame.push(Part {
                 seg: Arc::clone(&p.seg),
                 start: p.start,
                 end: p.start + take,
             });
             p.start += take;
-            want -= take;
             if p.len() == 0 {
                 self.frozen.pop_front();
             }
         }
         self.len -= n;
-        FrameBuf { parts, len: n }
+        frame
     }
 }
 
@@ -793,29 +799,39 @@ mod tests {
     }
 
     #[test]
-    fn framebuf_slice_and_copy_at() {
+    fn framebuf_copy_at_and_io_slices_from() {
         let pool = SegPool::new(8, 8);
         let mut chain = BufChain::with_headroom(&pool, 0);
         let data: Vec<u8> = (0..30).collect();
         chain.put(&data);
         let frame = chain.into_frame();
         assert_eq!(frame.len(), 30);
-        let mid = frame.slice(5, 21);
-        assert_eq!(mid.to_vec(), &data[5..21]);
         let mut buf = [0u8; 4];
-        assert!(mid.copy_at(2, &mut buf));
+        assert!(frame.copy_at(7, &mut buf));
         assert_eq!(buf, [7, 8, 9, 10]);
-        assert!(!mid.copy_at(14, &mut buf), "past the end");
-        // Slicing shares segments: dropping the parent keeps bytes alive.
-        drop(frame);
-        assert_eq!(mid.to_vec(), &data[5..21]);
+        assert!(!frame.copy_at(28, &mut buf), "past the end");
+        let flat = |iov: &[IoSlice<'_>]| -> Vec<u8> {
+            assert!(iov.iter().all(|s| !s.is_empty()));
+            iov.iter().flat_map(|s| s.iter().copied()).collect()
+        };
+        // Every offset, into a list long enough and one too short.
+        for skip in 0..=30 {
+            let mut iov = [IoSlice::new(&[]); 8];
+            let set = frame.io_slices_from(skip, &mut iov);
+            assert_eq!(flat(&iov[..set]), &data[skip..], "skip {skip}");
+            let mut two = [IoSlice::new(&[]); 2];
+            let set = frame.io_slices_from(skip, &mut two);
+            let got = flat(&two[..set]);
+            assert_eq!(got, &data[skip..skip + got.len()], "a prefix of the rest");
+            assert!(set == 2 || got.len() == 30 - skip);
+        }
     }
 
     #[test]
     fn framebuf_from_vec_single() {
         let f = FrameBuf::from_vec(vec![1, 2, 3]);
         assert_eq!(f.as_single(), Some(&[1u8, 2, 3][..]));
-        assert_eq!(f.slices(), vec![&[1u8, 2, 3][..]]);
+        assert_eq!(&f.slices()[..], &[&[1u8, 2, 3][..]]);
         let empty = FrameBuf::default();
         assert_eq!(empty.as_single(), Some(&[][..]));
         assert!(empty.is_empty());

@@ -39,6 +39,7 @@ pub mod park;
 pub mod poll;
 pub mod ring;
 pub mod rng;
+pub mod small;
 pub mod sync;
 
 use rng::SplitMix64;

@@ -67,11 +67,11 @@ const DISPATCH_BATCH: usize = 8;
 struct PoolShared<S> {
     queue: PriorityFifo<Job<S>>,
     live: AtomicUsize,
-    busy: AtomicUsize,
     /// Jobs accepted but not yet fully finished (queued or running).
-    /// Unlike `busy`, this has no gap between a worker popping a job
-    /// and marking itself busy, so [`ThreadPool::wait_idle`] observing
-    /// zero really means quiescent.
+    /// It has no gap between a worker popping a job and starting it —
+    /// which "queue empty and nobody running" has — so
+    /// [`ThreadPool::wait_idle`] observing zero really means quiescent,
+    /// and [`ThreadPool::execute`] growing on it misses no job.
     pending: AtomicUsize,
     spawned_total: AtomicU64,
     executed: AtomicU64,
@@ -120,7 +120,6 @@ impl<S: Send + 'static> ThreadPool<S> {
             shared: Arc::new(PoolShared {
                 queue: PriorityFifo::new(),
                 live: AtomicUsize::new(0),
-                busy: AtomicUsize::new(0),
                 pending: AtomicUsize::new(0),
                 spawned_total: AtomicU64::new(0),
                 executed: AtomicU64::new(0),
@@ -168,7 +167,6 @@ impl<S: Send + 'static> ThreadPool<S> {
                         o.obs.observe(o.batch, batch.len() as u64);
                     }
                     for (priority, job) in batch {
-                        shared.busy.fetch_add(1, Ordering::SeqCst);
                         if let Some(o) = shared.obs.get() {
                             o.obs.gauge_add(o.busy, 1);
                             o.obs.gauge_set(o.depth, shared.queue.len() as u64);
@@ -199,7 +197,6 @@ impl<S: Send + 'static> ThreadPool<S> {
                                 }
                             }
                         });
-                        shared.busy.fetch_sub(1, Ordering::SeqCst);
                         shared.pending.fetch_sub(1, Ordering::SeqCst);
                         if let Some(o) = shared.obs.get() {
                             o.obs.gauge_sub(o.busy, 1);
@@ -261,10 +258,12 @@ impl<S: Send + 'static> ThreadPool<S> {
         let job = move |state: &mut S, prio: Priority| {
             rtobs::span::with_span(span, || job(state, prio));
         };
+        // Grow when the jobs in the pool would occupy every live worker.
+        // Counted from `pending`, like `wait_idle`: a job a worker has
+        // popped but not yet started is neither queued nor running.
         let live = self.shared.live.load(Ordering::SeqCst);
-        let busy = self.shared.busy.load(Ordering::SeqCst);
-        let backlog = self.shared.queue.len();
-        if (busy + backlog >= live || live == 0) && live < self.config.max_threads {
+        let pending = self.shared.pending.load(Ordering::SeqCst);
+        if pending >= live && live < self.config.max_threads {
             self.spawn_worker();
         }
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
@@ -314,9 +313,9 @@ impl<S: Send + 'static> ThreadPool<S> {
     }
 
     /// Waits until every accepted job has fully finished (for tests and
-    /// benchmarks). Checks the `pending` count, not queue-empty +
-    /// not-busy: a worker is invisible to both of those for an instant
-    /// between popping a job and marking itself busy.
+    /// benchmarks). Checks the `pending` count, not "queue empty and
+    /// nobody running": a job is invisible to both of those for an
+    /// instant between a worker popping it and starting it.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -378,17 +377,35 @@ mod tests {
             },
             || (),
         );
-        let gate = Arc::new(std::sync::Barrier::new(4));
+        // Jobs block until the gate opens — which it does when `opener`
+        // drops, on every way out of this test, so a failed assertion
+        // cannot leave the pool's `Drop` joining parked workers forever.
+        struct Opener(Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>);
+        impl Drop for Opener {
+            fn drop(&mut self) {
+                if let Ok(mut open) = self.0 .0.lock() {
+                    *open = true;
+                }
+                self.0 .1.notify_all();
+            }
+        }
+        let opener = Opener(Arc::default());
         for _ in 0..3 {
-            let g = Arc::clone(&gate);
+            let gate = Arc::clone(&opener.0);
             pool.execute(Priority::NORM, move |_, _| {
-                g.wait();
+                let mut open = gate.0.lock().unwrap();
+                while !*open {
+                    open = gate.1.wait(open).unwrap();
+                }
             });
         }
-        // All three jobs block on the barrier; the pool must have grown to 3.
-        std::thread::sleep(Duration::from_millis(100));
+        // All three jobs block on the gate; the pool must grow to 3.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while pool.live_threads() < 3 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         assert_eq!(pool.live_threads(), 3);
-        gate.wait();
+        drop(opener);
         assert!(pool.wait_idle(Duration::from_secs(5)));
     }
 
