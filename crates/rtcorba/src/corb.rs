@@ -31,10 +31,15 @@ use crate::service::ObjectRegistry;
 use crate::transport::{Connection, TcpConn, TransportError};
 use crate::{InvokeOptions, OrbError};
 
-/// Completion slot a client invocation reads its result from (filled
-/// synchronously, since every ORB port is configured `Min = Max = 0`),
-/// tagged with the request it answers.
-type ReplyCell = Mutex<Option<(u32, Result<Vec<u8>, OrbError>)>>;
+/// Where client invocations read their results from, by request id:
+/// `MessageProcessing` files the outcome of a round trip under the id it
+/// answered, and the invoker — back from the pipeline, since every ORB
+/// port is configured `Min = Max = 0` — takes exactly that entry. One
+/// client is shared between threads, so a slot that a later request
+/// could write before its reader arrived would lose an answer; an entry
+/// per id cannot. The map keeps its capacity, so filing and taking
+/// allocate nothing in steady state.
+type Replies = Mutex<HashMap<u32, Result<Vec<u8>, OrbError>>>;
 
 /// The message that travels Orb → Transport → MessageProcessing on the
 /// client side. It implements [`Message`] itself: its three buffers are
@@ -48,11 +53,6 @@ struct InvokeMsg {
     operation: String,
     payload: Vec<u8>,
     oneway: bool,
-    /// Made once with the pooled object and never reset: the relay hop
-    /// swaps whole messages, so a cell may be met again by a later
-    /// request while its last reader is still on its way — hence the
-    /// tag, which makes a reader take only its own answer.
-    reply: Arc<ReplyCell>,
 }
 
 impl InvokeMsg {
@@ -63,7 +63,6 @@ impl InvokeMsg {
             operation: String::new(),
             payload: Vec::new(),
             oneway: false,
-            reply: Arc::new(Mutex::new(None)),
         }
     }
 }
@@ -248,8 +247,7 @@ pub struct CompadresClient {
     op_ids: Mutex<HashMap<String, (u32, HistId)>>,
     /// Invocations that failed on a missed transport deadline.
     deadline_misses: CounterId,
-    /// The segments requests are marshalled into.
-    pool: SegPool,
+    replies: Arc<Replies>,
 }
 
 impl std::fmt::Debug for CompadresClient {
@@ -265,9 +263,15 @@ impl CompadresClient {
     ///
     /// Composition or memory-architecture failures.
     pub fn from_conn(conn: Arc<dyn Connection>) -> Result<CompadresClient, OrbError> {
-        let endian = Endian::native();
         let pool = SegPool::new(CLIENT_POOL_SEGS, DEFAULT_SEG_SIZE);
-        let handler_pool = pool.clone();
+        CompadresClient::assemble(conn, pool)
+    }
+
+    /// The client assembly, marshalling requests into `pool`'s segments.
+    fn assemble(conn: Arc<dyn Connection>, pool: SegPool) -> Result<CompadresClient, OrbError> {
+        let endian = Endian::native();
+        let replies = Arc::new(Replies::default());
+        let filed = Arc::clone(&replies);
         let app = AppBuilder::from_xml(CLIENT_CDL, CLIENT_CCL)?
             .bind_message_type_with("InvokeMsg", InvokeMsg::new)
             .register_handler("Transport", "FromOrb", || {
@@ -284,10 +288,11 @@ impl CompadresClient {
             })
             .register_handler("MessageProcessing", "FromTransport", move || {
                 let conn = Arc::clone(&conn);
-                let pool = handler_pool.clone();
+                let pool = pool.clone();
+                let filed = Arc::clone(&filed);
                 move |msg: &mut InvokeMsg, ctx: &mut HandlerCtx<'_>| {
                     let result = client_round_trip(&conn, endian, &pool, msg, ctx);
-                    *msg.reply.lock() = Some((msg.request_id, result));
+                    filed.lock().insert(msg.request_id, result);
                     Ok(())
                 }
             })
@@ -301,7 +306,7 @@ impl CompadresClient {
             next_id: AtomicU32::new(1),
             op_ids: Mutex::new(HashMap::new()),
             deadline_misses,
-            pool,
+            replies,
         })
     }
 
@@ -352,12 +357,6 @@ impl CompadresClient {
     /// The underlying component application (for instrumentation).
     pub fn app(&self) -> &App {
         &self.app
-    }
-
-    /// The segment pool requests are marshalled into (for
-    /// instrumentation).
-    pub fn marshal_pool(&self) -> &SegPool {
-        &self.pool
     }
 
     /// Performs an invocation through the component pipeline — Orb →
@@ -493,9 +492,9 @@ impl CompadresClient {
         }
         let t0 = obs.now_ns();
         obs.record_at(EventKind::GiopRequest, entity, u64::from(request_id), t0);
-        let cell = span::with_span(root, || {
+        let sent = span::with_span(root, || {
             self.app
-                .with_component("TheOrb", |ctx| -> Result<_, OrbError> {
+                .with_component("TheOrb", |ctx| -> Result<(), OrbError> {
                     // Copy the invocation into the pooled message's own
                     // buffers (cleared by `reset`, capacity kept).
                     let mut msg = ctx.get_message::<InvokeMsg>("ToTransport")?;
@@ -504,16 +503,15 @@ impl CompadresClient {
                     msg.operation.push_str(operation);
                     msg.payload.extend_from_slice(args);
                     msg.oneway = oneway;
-                    let cell = Arc::clone(&msg.reply);
                     ctx.send("ToTransport", msg, Priority::new(10))?;
-                    Ok(cell)
+                    Ok(())
                 })
-        })??;
-        // Every port is synchronous, so the cell is filled by now.
-        let result = cell
-            .lock()
-            .take_if(|(id, _)| *id == request_id)
-            .map(|(_, result)| result);
+        });
+        // Every port is synchronous, so whatever the pipeline made of
+        // this request is filed by now — taken before a failed send is
+        // reported, so that no entry outlives its invocation.
+        let result = self.replies.lock().remove(&request_id);
+        sent??;
         let rtt = obs.now_ns().saturating_sub(t0);
         obs.record(EventKind::GiopReply, entity, rtt);
         obs.observe(hist, rtt);
@@ -591,10 +589,7 @@ fn client_round_trip(
         }
         match reply {
             MessageView::Reply(r) if r.request_id == msg.request_id => match r.status {
-                ReplyStatus::NoException => match span_in(&reply_frame, &r.body) {
-                    Some(span) => span,
-                    None => return Ok(r.body.into_owned()),
-                },
+                ReplyStatus::NoException => giop::REPLY_BODY_AT..giop::REPLY_BODY_AT + r.body.len(),
                 ReplyStatus::SystemException => {
                     let msg = String::from_utf8_lossy(&r.body).into_owned();
                     return Err(OrbError::Exception(msg));
@@ -615,14 +610,6 @@ fn client_round_trip(
     Ok(reply_frame)
 }
 
-/// Where in `frame` the decoded `part` lies, when it is a view of it (as
-/// every part of a one-part frame is) and not a copy.
-fn span_in(frame: &[u8], part: &[u8]) -> Option<std::ops::Range<usize>> {
-    let start = (part.as_ptr() as usize).checked_sub(frame.as_ptr() as usize)?;
-    let end = start + part.len();
-    (end <= frame.len()).then_some(start..end)
-}
-
 /// The component-assembled server ORB, serving TCP on the event-driven
 /// reactor transport ([`crate::reactor`]). Dropping it shuts the reactor,
 /// its workers and every connection down.
@@ -630,8 +617,6 @@ pub struct CompadresServer {
     app: Arc<App>,
     reactor: ReactorServer,
     _keepalive: Vec<ChildHandle>,
-    /// The segments replies are marshalled into.
-    pool: SegPool,
 }
 
 impl std::fmt::Debug for CompadresServer {
@@ -704,7 +689,16 @@ impl CompadresServer {
         cfg: ReactorConfig,
     ) -> Result<CompadresServer, OrbError> {
         let pool = SegPool::new(SERVER_POOL_SEGS, DEFAULT_SEG_SIZE);
-        let app = Arc::new(Self::build_app(registry, pool.clone())?);
+        CompadresServer::assemble(registry, cfg, pool)
+    }
+
+    /// The server assembly, marshalling replies into `pool`'s segments.
+    fn assemble(
+        registry: Arc<ObjectRegistry>,
+        cfg: ReactorConfig,
+        pool: SegPool,
+    ) -> Result<CompadresServer, OrbError> {
+        let app = Arc::new(Self::build_app(registry, pool)?);
         let keepalive = vec![app.connect("ThePoa")?, app.connect("ServerTransport")?];
         let app2 = Arc::clone(&app);
         let handler: FrameFn = Arc::new(move |conn, frame| {
@@ -717,7 +711,6 @@ impl CompadresServer {
             app,
             reactor,
             _keepalive: keepalive,
-            pool,
         })
     }
 
@@ -735,12 +728,6 @@ impl CompadresServer {
     /// The underlying component application (for instrumentation).
     pub fn app(&self) -> &App {
         &self.app
-    }
-
-    /// The segment pool replies are marshalled into (for
-    /// instrumentation).
-    pub fn marshal_pool(&self) -> &SegPool {
-        &self.pool
     }
 
     /// Stops accepting and serving.
@@ -918,6 +905,56 @@ mod tests {
         ));
         // The ORB still works afterwards.
         assert_eq!(client.invoke(b"echo", "echo", &[5]).unwrap(), vec![5]);
+    }
+
+    #[test]
+    fn threads_sharing_one_client_each_get_their_own_answer() {
+        // The pooled messages circulate between the pipeline's hops, so
+        // a result slot riding in them can be met by a later request
+        // before its reader is back; results are filed per request id.
+        const THREADS: u8 = 8;
+        const ECHOES: u32 = 3_000;
+        let (_server, client) = loopback_echo_pair().unwrap();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let client = &client;
+                s.spawn(move || {
+                    for i in 0..ECHOES {
+                        let mut payload = [t; 12];
+                        payload[..4].copy_from_slice(&i.to_be_bytes());
+                        let got = client.invoke(b"echo", "echo", &payload);
+                        assert_eq!(got.unwrap(), payload, "thread {t}, echo {i}");
+                    }
+                });
+            }
+        });
+        assert!(client.replies.lock().is_empty(), "every answer was taken");
+    }
+
+    #[test]
+    fn a_64_kib_echo_leases_no_heap_segment() {
+        // A 64 KiB frame is 17 marshal segments: both pools hold it, so
+        // no request or reply is built on `SegPool::lease`'s fallback.
+        const ECHOES: u64 = 50;
+        let client_pool = SegPool::new(CLIENT_POOL_SEGS, DEFAULT_SEG_SIZE);
+        let server_pool = SegPool::new(SERVER_POOL_SEGS, DEFAULT_SEG_SIZE);
+        let server = CompadresServer::assemble(
+            ObjectRegistry::with_echo(),
+            ReactorConfig::default(),
+            server_pool.clone(),
+        )
+        .unwrap();
+        let conn = TcpConn::connect(server.reactor.addr()).unwrap();
+        let client = CompadresClient::assemble(Arc::new(conn), client_pool.clone()).unwrap();
+        let payload = vec![0xA5u8; 64 << 10];
+        for _ in 0..ECHOES {
+            assert_eq!(client.invoke(b"echo", "echo", &payload).unwrap(), payload);
+        }
+        for (side, pool) in [("client", client_pool), ("server", server_pool)] {
+            let stats = pool.stats();
+            assert!(stats.leased >= 17 * ECHOES, "{side}: {stats:?}");
+            assert_eq!(stats.heap_fallbacks, 0, "{side}: {stats:?}");
+        }
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub const HEADER_LEN: usize = 12;
 /// allocated for it.
 pub(crate) const MAX_BODY: usize = 16 << 20;
 
+/// Offset of a reply's body bytes in its frame: the header, then
+/// request id, status and the body's length, four bytes each.
+pub(crate) const REPLY_BODY_AT: usize = HEADER_LEN + 12;
+
 /// Service-context slot id for the causal-tracing context (`"TRAC"`).
 ///
 /// Slot payload (always big-endian, independent of the frame's flags
@@ -727,10 +731,13 @@ mod tests {
             body: vec![0xAA; 64],
             service_context: Vec::new(),
         };
-        let frame = reply.encode_chain(Endian::Big, &pool()).to_vec();
-        match decode(&frame).unwrap() {
-            Message::Reply(r) => assert_eq!(r, reply),
-            other => panic!("expected reply, got {other:?}"),
+        for endian in [Endian::Big, Endian::Little] {
+            let frame = reply.encode_chain(endian, &pool()).to_vec();
+            match decode(&frame).unwrap() {
+                Message::Reply(r) => assert_eq!(r, reply),
+                other => panic!("expected reply, got {other:?}"),
+            }
+            assert_eq!(&frame[REPLY_BODY_AT..][..64], &reply.body[..]);
         }
     }
 

@@ -13,7 +13,7 @@ mod common;
 use rtcorba::corb::loopback_echo_pair;
 
 #[test]
-fn an_echo_allocates_within_its_budget_and_leases_no_heap_segment() {
+fn an_echo_allocates_within_its_budget() {
     const WARM_UP: u64 = 100;
     const REQUESTS: u64 = 1_000;
     /// Measured: exactly 14 (the parent commit: 58), by call site —
@@ -40,7 +40,7 @@ fn an_echo_allocates_within_its_budget_and_leases_no_heap_segment() {
     /// is the measurement, no slack.
     const BUDGET_PER_REQUEST: u64 = 14;
 
-    let (server, client) = loopback_echo_pair().unwrap();
+    let (_server, client) = loopback_echo_pair().unwrap();
     let echo = |payload: &[u8], n: u64| {
         let before = common::allocations();
         for _ in 0..n {
@@ -57,17 +57,4 @@ fn an_echo_allocates_within_its_budget_and_leases_no_heap_segment() {
         "{allocated} allocations in {REQUESTS} echoes ({:.2} per echo, budget {BUDGET_PER_REQUEST})",
         allocated as f64 / REQUESTS as f64
     );
-
-    // A 64 KiB frame is 17 marshal segments: both pools hold it, so no
-    // request or reply is built on `SegPool::lease`'s heap fallback.
-    let large = vec![0xA5u8; 64 << 10];
-    echo(&large, WARM_UP);
-    for (side, pool) in [
-        ("client", client.marshal_pool()),
-        ("server", server.marshal_pool()),
-    ] {
-        let stats = pool.stats();
-        assert!(stats.leased >= 17 * WARM_UP, "{side}: {stats:?}");
-        assert_eq!(stats.heap_fallbacks, 0, "{side}: {stats:?}");
-    }
 }
