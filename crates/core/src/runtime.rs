@@ -1035,6 +1035,36 @@ impl App {
         value: M,
         priority: impl Into<Priority>,
     ) -> Result<()> {
+        self.inject(None, instance, port, value, priority.into())
+    }
+
+    /// [`send_to`](App::send_to) from a thread that keeps a memory
+    /// context of this application's model (`Ctx::no_heap(app.model())`)
+    /// across calls: synchronous handlers run on `ctx` instead of on
+    /// one made for this delivery.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`HandlerCtx::send`].
+    pub fn send_to_on<M: Message>(
+        &self,
+        ctx: &mut rtmem::Ctx,
+        instance: &str,
+        port: &str,
+        value: M,
+        priority: impl Into<Priority>,
+    ) -> Result<()> {
+        self.inject(Some(ctx), instance, port, value, priority.into())
+    }
+
+    fn inject<M: Message>(
+        &self,
+        ctx: Option<&mut rtmem::Ctx>,
+        instance: &str,
+        port: &str,
+        value: M,
+        priority: Priority,
+    ) -> Result<()> {
         let to = self.core.in_port(instance, port)?;
         let info = &self.core.in_ports[to.0];
         if info.type_id != TypeId::of::<M>() {
@@ -1043,9 +1073,9 @@ impl App {
                 expected: info.message_type.clone(),
             });
         }
-        let env = Envelope::from_value(value, priority.into());
+        let env = Envelope::from_value(value, priority);
         self.core.stats.obs.inc(self.core.stats.sent);
-        self.core.deliver(None, to, env)
+        self.core.deliver(ctx, to, env)
     }
 
     /// Runs `f` in the execution context of `instance` (inside its memory
@@ -1060,12 +1090,26 @@ impl App {
         instance: &str,
         f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
     ) -> Result<R> {
-        let mut ctx = rtmem::Ctx::no_heap(&self.core.model);
+        self.with_component_on(&mut rtmem::Ctx::no_heap(&self.core.model), instance, f)
+    }
+
+    /// [`with_component`](App::with_component) on a memory context of
+    /// this application's model that the caller keeps across calls.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the instance does not exist or cannot be activated.
+    pub fn with_component_on<R>(
+        &self,
+        ctx: &mut rtmem::Ctx,
+        instance: &str,
+        f: impl FnOnce(&mut HandlerCtx<'_>) -> R,
+    ) -> Result<R> {
         let held = self
             .core
-            .hold(self.core.instance_id(instance)?, Some(&mut ctx))?;
+            .hold(self.core.instance_id(instance)?, Some(&mut *ctx))?;
         self.core
-            .run_in_instance(&mut ctx, &held, rtsched::current_priority(), f)
+            .run_in_instance(ctx, &held, rtsched::current_priority(), f)
     }
 
     /// Keeps `instance` (and its ancestors) alive until the handle drops —

@@ -9,10 +9,10 @@
 //! history is complete and self-contained.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rtmem::{MemoryModel, ScopePool};
-use rtplatform::bufchain::SegPool;
+use rtplatform::bufchain::{SegPool, SegRef};
 use rtplatform::ring::MpmcRing;
 use rtplatform::rng::SplitMix64;
 use rtsched::{Priority, PriorityFifo};
@@ -129,19 +129,13 @@ pub fn pool_history(
                         let _ = got;
                     } else {
                         let (id, lease) = held.swap_remove(rng.below(held.len()));
-                        log.record(PoolOp::Release(id), || {
-                            drop(lease);
-                            PoolRet::Released
-                        });
+                        record_release(&mut log, id, lease);
                     }
                 }
                 // Release everything inside the recorded sequence so
                 // no unrecorded release races another thread's ops.
                 for (id, lease) in held {
-                    log.record(PoolOp::Release(id), || {
-                        drop(lease);
-                        PoolRet::Released
-                    });
+                    record_release(&mut log, id, lease);
                 }
                 log.into_ops()
             })
@@ -154,12 +148,22 @@ pub fn pool_history(
     (spec, history)
 }
 
+/// Records dropping `handle` as the release of slot `id`.
+fn record_release<T>(log: &mut ThreadLog<PoolOp, PoolRet>, id: u64, handle: T) {
+    log.record(PoolOp::Release(id), || {
+        drop(handle);
+        PoolRet::Released
+    });
+}
+
 /// Like [`pool_history`] for the zero-copy path's
 /// [`SegPool`]: seeded `try_lease`/drop(release) traffic against the
 /// real segment ring, slots named by each segment's stable buffer
 /// address learned from an initial full drain. Only `try_lease` is
 /// exercised — the heap fallback of `lease` is deliberately outside
-/// the bounded-resource spec.
+/// the bounded-resource spec. A lease may also be frozen and passed on
+/// as a clone, so that the release a thread records is the last drop
+/// of a shared handle on a slot another thread leased.
 pub fn segpool_history(
     seed: u64,
     threads: usize,
@@ -173,46 +177,63 @@ pub fn segpool_history(
     {
         let mut leases = Vec::new();
         while let Some(seg) = pool.try_lease() {
-            slot_ids.insert(seg.id(), slot_ids.len() as u64);
+            slot_ids.insert(seg.bytes().as_ptr() as usize, slot_ids.len() as u64);
             leases.push(seg);
         }
     }
     assert_eq!(slot_ids.len(), pool_size, "drain saw every segment");
     let slot_ids = Arc::new(slot_ids);
+    // Frozen clones on their way to whichever thread drops them last.
+    let passed = Arc::new(Mutex::new(Vec::<(u64, SegRef)>::new()));
 
     let clock = Clock::new();
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let pool = pool.clone();
             let slot_ids = Arc::clone(&slot_ids);
+            let passed = Arc::clone(&passed);
             let mut log = ThreadLog::new(&clock);
             std::thread::spawn(move || {
                 let mut rng = SplitMix64::new(seed ^ (t as u64).wrapping_mul(0x5E61));
                 let mut held = Vec::new();
+                let take_passed = || passed.lock().unwrap().pop();
                 for _ in 0..ops {
                     if held.is_empty() || rng.chance(0.6) {
                         log.record(PoolOp::Acquire, || {
                             PoolRet::Acquired(pool.try_lease().map(|seg| {
-                                let id = slot_ids[&seg.id()];
+                                let id = slot_ids[&(seg.bytes().as_ptr() as usize)];
                                 held.push((id, seg));
                                 id
                             }))
                         });
+                        continue;
+                    }
+                    // Take before passing on, or a thread would mostly
+                    // get its own clone back.
+                    if let Some((id, clone)) = take_passed() {
+                        record_release(&mut log, id, clone);
+                    }
+                    let (id, seg) = held.swap_remove(rng.below(held.len()));
+                    if rng.chance(0.3) {
+                        // Not a release yet: the clone holds the slot,
+                        // its count back at one.
+                        let shared = seg.freeze();
+                        let clone = shared.clone();
+                        drop(shared);
+                        passed.lock().unwrap().push((id, clone));
                     } else {
-                        let (id, seg) = held.swap_remove(rng.below(held.len()));
-                        log.record(PoolOp::Release(id), || {
-                            drop(seg);
-                            PoolRet::Released
-                        });
+                        record_release(&mut log, id, seg);
                     }
                 }
                 // Release everything inside the recorded sequence so
-                // no unrecorded release races another thread's ops.
+                // no unrecorded release races another thread's ops; a
+                // clone passed on is found here by its sender at the
+                // latest.
                 for (id, seg) in held {
-                    log.record(PoolOp::Release(id), || {
-                        drop(seg);
-                        PoolRet::Released
-                    });
+                    record_release(&mut log, id, seg);
+                }
+                while let Some((id, clone)) = take_passed() {
+                    record_release(&mut log, id, clone);
                 }
                 log.into_ops()
             })

@@ -694,7 +694,7 @@ mod tests {
                 write_sample(&mut chain);
                 assert_eq!(chain.len(), vec.len());
                 assert_eq!(
-                    chain.into_sink().to_vec(),
+                    chain.into_sink().into_frame().to_vec(),
                     vec.as_bytes(),
                     "{endian:?}, headroom {headroom}"
                 );

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use compadres_core::{App, AppBuilder, ChildHandle, HandlerCtx, Message, Priority};
+use rtmem::Ctx;
 use rtobs::{span, CounterId, EventKind, HistId, SpanCtx};
 use rtplatform::bufchain::{FrameBuf, SegPool, DEFAULT_SEG_SIZE};
 use rtplatform::fault::FaultPolicy;
@@ -237,6 +238,10 @@ const SERVER_CCL: &str = r#"
 /// The component-assembled client ORB.
 pub struct CompadresClient {
     app: App,
+    /// The memory context invocations enter the ORB on: a calling thread
+    /// has none, so the client keeps one. Held for the round trip, which
+    /// the Transport's handler lock serializes between threads anyway.
+    ctx: Mutex<Ctx>,
     /// Keeps the Transport component alive across requests, as the paper's
     /// client does ("the previously created Transport component").
     _transport_handle: ChildHandle,
@@ -301,6 +306,7 @@ impl CompadresClient {
         let transport_handle = app.connect("ClientTransport")?;
         let deadline_misses = app.observer().counter("remote_deadline_misses_total");
         Ok(CompadresClient {
+            ctx: Mutex::new(Ctx::no_heap(app.model())),
             app,
             _transport_handle: transport_handle,
             next_id: AtomicU32::new(1),
@@ -493,8 +499,9 @@ impl CompadresClient {
         let t0 = obs.now_ns();
         obs.record_at(EventKind::GiopRequest, entity, u64::from(request_id), t0);
         let sent = span::with_span(root, || {
+            let mut mem = self.ctx.lock();
             self.app
-                .with_component("TheOrb", |ctx| -> Result<(), OrbError> {
+                .with_component_on(&mut mem, "TheOrb", |ctx| -> Result<(), OrbError> {
                     // Copy the invocation into the pooled message's own
                     // buffers (cleared by `reset`, capacity kept).
                     let mut msg = ctx.get_message::<InvokeMsg>("ToTransport")?;
@@ -701,11 +708,16 @@ impl CompadresServer {
         let app = Arc::new(Self::build_app(registry, pool)?);
         let keepalive = vec![app.connect("ThePoa")?, app.connect("ServerTransport")?];
         let app2 = Arc::clone(&app);
-        let handler: FrameFn = Arc::new(move |conn, frame| {
-            // An injection failure (app shutting down) ends this request;
-            // the reactor keeps the other connections alive.
-            let _ = inject_frame(&app2, conn, frame);
-        });
+        let handler = move || -> FrameFn {
+            let app = Arc::clone(&app2);
+            // Each worker delivers on a memory context of its own.
+            let mut ctx = Ctx::no_heap(app.model());
+            Box::new(move |conn, frame| {
+                // An injection failure (app shutting down) ends this
+                // request; the reactor keeps the other connections alive.
+                let _ = inject_frame(&app, &mut ctx, conn, frame);
+            })
+        };
         let reactor = ReactorServer::spawn(handler, Arc::clone(app.observer()), cfg)?;
         Ok(CompadresServer {
             app,
@@ -746,6 +758,7 @@ impl CompadresServer {
 /// budget keeps counting down on the server's clock.
 fn inject_frame(
     app: &App,
+    ctx: &mut Ctx,
     conn: &Arc<dyn Connection>,
     frame: FrameBuf,
 ) -> Result<(), compadres_core::CompadresError> {
@@ -764,7 +777,7 @@ fn inject_frame(
         conn: Some(Arc::clone(conn)),
     };
     let injected = span::with_span(span, || {
-        app.send_to("ThePoa", "Incoming", msg, Priority::new(10))
+        app.send_to_on(ctx, "ThePoa", "Incoming", msg, Priority::new(10))
     });
     if span.is_active() {
         // Close the adopted span once injection (and, on the all-

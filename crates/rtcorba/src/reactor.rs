@@ -104,13 +104,15 @@ impl Default for ReactorConfig {
     }
 }
 
-/// The per-frame callback run on worker threads: `(connection, frame)`.
+/// One worker's per-frame callback, `(connection, frame)`: each worker
+/// thread gets its own from the maker given to [`ReactorServer::spawn`],
+/// so what it keeps between frames (a memory context) is that worker's.
 /// The frame is a segment chain carved out of the reactor's receive
 /// buffers without coalescing — decode it in place
 /// ([`crate::giop::decode_view`] over [`FrameBuf::slices`]). Replies
 /// (if any) go back through the connection's
 /// [`Connection::send_chain`]/[`Connection::send_frame`].
-pub type FrameFn = Arc<dyn Fn(&Arc<dyn Connection>, FrameBuf) + Send + Sync>;
+pub type FrameFn = Box<dyn FnMut(&Arc<dyn Connection>, FrameBuf) + Send>;
 
 /// State shared between the reactor thread, the workers and every
 /// [`ReactorConn`].
@@ -127,7 +129,6 @@ struct Shared {
     flush_overflow: Mutex<Vec<u64>>,
     shutdown: AtomicBool,
     obs: Arc<Observer>,
-    handler: FrameFn,
     conns_gauge: GaugeId,
     depth_gauge: GaugeId,
     wakeups: CounterId,
@@ -266,14 +267,14 @@ impl std::fmt::Debug for ReactorServer {
 
 impl ReactorServer {
     /// Binds `127.0.0.1:0` and spawns the reactor thread plus
-    /// `cfg.workers` worker threads; inbound frames are handed to
-    /// `handler` on worker threads.
+    /// `cfg.workers` worker threads; inbound frames are handed to the
+    /// worker's own `make_handler()` callback.
     ///
     /// # Errors
     ///
     /// Bind, epoll or thread-spawn failures.
     pub fn spawn(
-        handler: FrameFn,
+        make_handler: impl Fn() -> FrameFn,
         obs: Arc<Observer>,
         cfg: ReactorConfig,
     ) -> Result<ReactorServer, TransportError> {
@@ -303,16 +304,16 @@ impl ReactorServer {
             backpressure: obs.counter("reactor_backpressure_total"),
             shed: obs.counter("reactor_shed_total"),
             obs,
-            handler,
         });
 
         let mut workers = Vec::with_capacity(cfg.workers.max(1));
         for i in 0..cfg.workers.max(1) {
             let shared2 = Arc::clone(&shared);
+            let handler = make_handler();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("orb-reactor-worker-{i}"))
-                    .spawn(move || worker_loop(&shared2))
+                    .spawn(move || worker_loop(&shared2, handler))
                     .map_err(TransportError::Io)?,
             );
         }
@@ -357,14 +358,14 @@ impl Drop for ReactorServer {
 
 /// Worker: pop a connection, drain (a batch of) its inbox through the
 /// handler, park when there is nothing to do.
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Arc<Shared>, mut handler: FrameFn) {
     loop {
         match shared.work.pop() {
             Some(conn) => {
                 shared
                     .obs
                     .gauge_set(shared.depth_gauge, shared.work.len() as u64);
-                drain_conn(shared, conn);
+                drain_conn(shared, conn, &mut handler);
             }
             None => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -382,14 +383,14 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// Processes up to [`WORKER_BATCH`] frames from `conn`'s inbox in FIFO
 /// order, then either requeues it (more work pending — fairness) or
 /// releases its schedule slot with the usual lost-wakeup re-check.
-fn drain_conn(shared: &Arc<Shared>, conn: Arc<ReactorConn>) {
+fn drain_conn(shared: &Arc<Shared>, conn: Arc<ReactorConn>, handler: &mut FrameFn) {
     let as_dyn: Arc<dyn Connection> = Arc::clone(&conn) as Arc<dyn Connection>;
     let mut handled = 0;
     loop {
         let frame = conn.inbox.lock().pop_front();
         match frame {
             Some(frame) => {
-                (shared.handler)(&as_dyn, frame);
+                handler(&as_dyn, frame);
                 handled += 1;
                 if handled >= WORKER_BATCH {
                     if conn.inbox.lock().is_empty() {
@@ -719,7 +720,7 @@ mod tests {
     /// decoding in place over the delivered segment chain.
     fn echo_handler() -> FrameFn {
         let pool = pool();
-        Arc::new(move |conn, frame| {
+        Box::new(move |conn, frame| {
             let parts = frame.slices();
             if let Ok(MessageView::Request(req)) = decode_view(&parts) {
                 if req.response_expected {
@@ -759,8 +760,8 @@ mod tests {
 
     #[test]
     fn echo_roundtrip_through_reactor() {
-        let srv = ReactorServer::spawn(echo_handler(), Observer::new(), ReactorConfig::default())
-            .unwrap();
+        let srv =
+            ReactorServer::spawn(echo_handler, Observer::new(), ReactorConfig::default()).unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
         conn.send_chain(&request(1, &[1, 2, 3])).unwrap();
         assert_eq!(recv_reply(&conn), (1, vec![1, 2, 3]));
@@ -768,8 +769,8 @@ mod tests {
 
     #[test]
     fn pipelined_requests_reply_in_order() {
-        let srv = ReactorServer::spawn(echo_handler(), Observer::new(), ReactorConfig::default())
-            .unwrap();
+        let srv =
+            ReactorServer::spawn(echo_handler, Observer::new(), ReactorConfig::default()).unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
         // Fire 50 requests before reading a single reply.
         for i in 0..50u32 {
@@ -783,8 +784,8 @@ mod tests {
     #[test]
     fn many_connections_multiplex() {
         let obs = Observer::new();
-        let srv = ReactorServer::spawn(echo_handler(), Arc::clone(&obs), ReactorConfig::default())
-            .unwrap();
+        let srv =
+            ReactorServer::spawn(echo_handler, Arc::clone(&obs), ReactorConfig::default()).unwrap();
         let conns: Vec<TcpConn> = (0..64)
             .map(|_| TcpConn::connect(srv.addr()).unwrap())
             .collect();
@@ -800,8 +801,8 @@ mod tests {
 
     #[test]
     fn garbage_stream_gets_message_error_then_close() {
-        let srv = ReactorServer::spawn(echo_handler(), Observer::new(), ReactorConfig::default())
-            .unwrap();
+        let srv =
+            ReactorServer::spawn(echo_handler, Observer::new(), ReactorConfig::default()).unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
         conn.send_frame(b"this is not giop at all.....").unwrap();
         let frame = conn.recv_frame().unwrap();
@@ -817,8 +818,8 @@ mod tests {
 
     #[test]
     fn shutdown_severs_connections() {
-        let srv = ReactorServer::spawn(echo_handler(), Observer::new(), ReactorConfig::default())
-            .unwrap();
+        let srv =
+            ReactorServer::spawn(echo_handler, Observer::new(), ReactorConfig::default()).unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
         conn.send_chain(&request(9, &[9])).unwrap();
         let _ = conn.recv_frame().unwrap();

@@ -28,10 +28,11 @@ use crate::{InvokeOptions, OrbError};
 
 const TRANSPORT_SCOPE: usize = 64 << 10;
 const REQUEST_SCOPE: usize = 64 << 10;
-/// Segments in the marshal pool: enough that a burst of concurrent
-/// requests stays pool-backed; exhaustion falls back to plain heap
+/// Segments in the marshal pools, sized as `corb.rs` sizes its own: a
+/// 64 KiB request (17 segments) fits the client's, three 64 KiB replies
+/// in flight the server's; past that a lease falls back to plain heap
 /// segments rather than blocking (see [`rtplatform::bufchain`]).
-const CLIENT_POOL_SEGS: usize = 16;
+const CLIENT_POOL_SEGS: usize = 32;
 const SERVER_POOL_SEGS: usize = 64;
 
 /// The hand-coded client ORB.

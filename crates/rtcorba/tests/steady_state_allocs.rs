@@ -16,29 +16,27 @@ use rtcorba::corb::loopback_echo_pair;
 fn an_echo_allocates_within_its_budget() {
     const WARM_UP: u64 = 100;
     const REQUESTS: u64 = 1_000;
-    /// Measured: exactly 14 (the parent commit: 58), by call site —
+    /// Measured: exactly 9 (14 before pool slots carried their own
+    /// counts and the client and the workers kept a context), by call
+    /// site —
     ///
     /// * pinned by interfaces the benchmark implements or calls (3):
     ///   the `Vec` a `Servant` returns; the `Vec` `TcpConn::recv_frame`
     ///   returns, which `invoke` cuts down to the reply body and hands
-    ///   to its caller; the boxed payload of `App::send_to`, by which
-    ///   the reactor's worker injects the frame into the POA in-port;
-    /// * a memory context for a caller that has none (2):
-    ///   `rtmem::Ctx::no_heap`'s scope stack in `App::with_component`
-    ///   (client) and in `App::send_to` (server);
+    ///   to its caller; the boxed payload of `App::send_to_on`, by
+    ///   which the reactor's worker injects the frame into the POA
+    ///   in-port;
     /// * the per-request `ClientProcessing` and `ServerProcessing`
     ///   activations, Fig. 10's create/destroy (3 each = 6): the
     ///   `Arc<Activation>` record, its handler table (one `Vec`) and
     ///   the boxed handler — `activation_allocs.rs` in core names the
-    ///   same three;
-    /// * freezing a filled segment so a frame can share it (3): the
-    ///   `Arc<Seg>` of `BufChain::into_frame` for the request and for
-    ///   the reply, and of `RecvChain::freeze_tail` for the request as
-    ///   the reactor received it.
+    ///   same three.
     ///
-    /// Nothing on the path grows a buffer it already has: the budget
+    /// Freezing a filled segment takes nothing (`steady_state_allocs_64k.rs`
+    /// holds the 64 KiB echo, 34 segments a request, to the same), and
+    /// nothing on the path grows a buffer it already has: the budget
     /// is the measurement, no slack.
-    const BUDGET_PER_REQUEST: u64 = 14;
+    const BUDGET_PER_REQUEST: u64 = 9;
 
     let (_server, client) = loopback_echo_pair().unwrap();
     let echo = |payload: &[u8], n: u64| {

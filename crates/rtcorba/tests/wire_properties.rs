@@ -294,7 +294,7 @@ fn cdr_sequences_roundtrip_identically_through_every_sink() {
             let mut chain = CdrEncoder::over(BufChain::with_headroom(pool, 0), endian);
             write_values(&mut chain, &values);
             assert_eq!(
-                chain.into_sink().to_vec(),
+                chain.into_sink().into_frame().to_vec(),
                 bytes,
                 "case {case}: {}-byte segments",
                 pool.seg_size()
@@ -330,7 +330,7 @@ fn eight_byte_primitive_aligns_from_the_body_origin_on_both_sinks() {
         let mut chain = CdrEncoder::over(BufChain::with_headroom(&pool, 12), endian);
         chain.write_string("ab");
         chain.write_u64(0x0102_0304_0506_0708);
-        assert_eq!(chain.into_sink().to_vec(), args, "{endian:?}");
+        assert_eq!(chain.into_sink().into_frame().to_vec(), args, "{endian:?}");
 
         let req = RequestMessage {
             request_id: 1,

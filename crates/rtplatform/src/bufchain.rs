@@ -12,6 +12,10 @@
 //!   pages back" discipline from [`crate::heap`] applied to message
 //!   buffers). Exhaustion falls back to the heap instead of blocking,
 //!   so the hot path is wait-free and only loses the recycling win.
+//!   A [`Seg`] is one segment leased for writing; [`Seg::freeze`]
+//!   turns it into a [`SegRef`], the shared read-only handle whose
+//!   count lives in the pool slot, so sharing a buffer allocates
+//!   nothing.
 //! * [`BufChain`] — the write side: a chain of leased segments with
 //!   *headroom* reserved in the first segment so a protocol header can
 //!   be prepended after the body is encoded (no encode-then-patch, no
@@ -34,24 +38,199 @@
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::chk;
-use crate::ring::MpmcRing;
 use crate::small::SmallList;
+
+pub use slot::{Seg, SegRef};
 
 /// Default segment size: large enough that a typical GIOP frame
 /// (header + small body) fits in one segment, small enough that a
 /// pool of a few hundred stays cache- and footprint-friendly.
 pub const DEFAULT_SEG_SIZE: usize = 4096;
 
-struct PoolInner {
-    free: MpmcRing<Box<[u8]>>,
-    seg_size: usize,
-    leased: AtomicU64,
-    released: AtomicU64,
-    heap_fallbacks: AtomicU64,
+/// Pool slots and the two handles on them: all of this module's
+/// `unsafe`. A pool owns its slots (buffer + handle count) for life
+/// and its free ring carries their indices. Why that is sound:
+///
+/// * An index is on the ring at most once: `Pool::new` pushes each,
+///   `try_lease` pops one, and only the drop that takes a slot's
+///   count to zero pushes it back.
+/// * From that pop to that push the slot belongs to the handles made
+///   from the pop: one [`Seg`] (count 1, never cloned), then — once
+///   [`Seg::freeze`] has consumed it — any number of [`SegRef`]s.
+///   `&mut [u8]` comes only from `&mut Seg`, `&[u8]` from `&Seg` or
+///   `&SegRef`: a writer is alone by the borrow rules on the one
+///   `Seg`, and readers share only while no `Seg` exists.
+/// * Drops decrement with `Release` and the last fences `Acquire`
+///   before it pushes (the `Arc` protocol); the ring's push/pop is
+///   release/acquire in turn: every read through the old handles
+///   happens-before the next lease's writes.
+#[allow(unsafe_code)]
+mod slot {
+    use std::cell::UnsafeCell;
+    use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use crate::chk;
+    use crate::ring::MpmcRing;
+
+    struct Slot {
+        /// Handles on this slot; zero while its index is on the ring.
+        refs: AtomicU32,
+        buf: UnsafeCell<Box<[u8]>>,
+    }
+
+    // SAFETY: `buf` is reached only through `Seg` and `SegRef`, whose
+    // protocol (above) admits one writer or many readers, ordered
+    // across threads by `refs` and the free ring.
+    unsafe impl Sync for Slot {}
+
+    pub(super) struct Pool {
+        slots: Box<[Slot]>,
+        /// Indices of the slots no handle holds.
+        free: MpmcRing<u32>,
+        pub(super) seg_size: usize,
+        pub(super) leased: AtomicU64,
+        pub(super) heap_fallbacks: AtomicU64,
+    }
+
+    impl Pool {
+        pub(super) fn new(count: usize, seg_size: usize) -> Pool {
+            let indices = 0..u32::try_from(count).expect("slot indices are u32");
+            let free = MpmcRing::new(count);
+            // The ring rounds capacity up to a power of two, so all
+            // `count` pushes (and every later release) always fit.
+            for index in indices.clone() {
+                let _ = free.push(index);
+            }
+            let slot = |_| Slot {
+                refs: AtomicU32::new(0),
+                buf: UnsafeCell::new(vec![0u8; seg_size].into()),
+            };
+            Pool {
+                slots: indices.map(slot).collect(),
+                free,
+                seg_size,
+                leased: AtomicU64::new(0),
+                heap_fallbacks: AtomicU64::new(0),
+            }
+        }
+
+        /// `(slots, slots on the free ring)`.
+        pub(super) fn occupancy(&self) -> (usize, usize) {
+            (self.slots.len(), self.free.len())
+        }
+
+        pub(super) fn try_lease(self: &Arc<Pool>) -> Option<Seg> {
+            chk::yield_point("bufchain.lease.pop");
+            let index = self.free.pop()?;
+            self.leased.fetch_add(1, Ordering::Relaxed);
+            // Relaxed: whatever hands the segment to another thread
+            // orders this store before that thread's use of it.
+            self.slots[index as usize].refs.store(1, Ordering::Relaxed);
+            Some(Seg(SegRef(Home::Slot(Arc::clone(self), index))))
+        }
+    }
+
+    /// Where a segment's bytes live.
+    enum Home {
+        Slot(Arc<Pool>, u32),
+        /// Count and bytes in one block of their own: the pool was
+        /// empty, or the bytes came from outside it.
+        Heap(Arc<[u8]>),
+    }
+
+    /// A shared, read-only handle on a frozen segment. `Clone` bumps
+    /// the count in the pool slot; the last drop puts the slot back on
+    /// its pool's ring (or frees the heap block).
+    pub struct SegRef(Home);
+
+    impl SegRef {
+        /// The whole segment.
+        pub fn bytes(&self) -> &[u8] {
+            match &self.0 {
+                // SAFETY: this handle holds the slot's count above
+                // zero, so the slot cannot be leased again, and the
+                // one `Seg` it may be inside of is borrowed by `&self`:
+                // no `&mut` to the buffer is live.
+                Home::Slot(pool, index) => unsafe { &*pool.slots[*index as usize].buf.get() },
+                Home::Heap(block) => block,
+            }
+        }
+    }
+
+    impl Clone for SegRef {
+        fn clone(&self) -> SegRef {
+            SegRef(match &self.0 {
+                Home::Slot(pool, index) => {
+                    // Relaxed, as in `Arc`: the handle cloned from
+                    // already orders the bytes. And as there, abort
+                    // before leaked clones can wrap the count round to
+                    // a free slot under live handles.
+                    let refs = &pool.slots[*index as usize].refs;
+                    if refs.fetch_add(1, Ordering::Relaxed) > u32::MAX / 2 {
+                        std::process::abort();
+                    }
+                    Home::Slot(Arc::clone(pool), *index)
+                }
+                Home::Heap(block) => Home::Heap(Arc::clone(block)),
+            })
+        }
+    }
+
+    impl Drop for SegRef {
+        fn drop(&mut self) {
+            let Home::Slot(pool, index) = &self.0 else {
+                return;
+            };
+            if pool.slots[*index as usize]
+                .refs
+                .fetch_sub(1, Ordering::Release)
+                == 1
+            {
+                fence(Ordering::Acquire);
+                chk::yield_point("bufchain.release.push");
+                // Cannot fail: the ring was sized for every slot.
+                let _ = pool.free.push(*index);
+            }
+        }
+    }
+
+    /// An exclusively-owned segment leased from a [`SegPool`](super::SegPool)
+    /// (or the heap, on pool exhaustion). Returns to its pool on drop.
+    pub struct Seg(SegRef);
+
+    impl Seg {
+        /// A heap segment over `block`, which the caller just made.
+        pub(super) fn heap(block: Arc<[u8]>) -> Seg {
+            Seg(SegRef(Home::Heap(block)))
+        }
+
+        /// Read access to the whole segment.
+        pub fn bytes(&self) -> &[u8] {
+            self.0.bytes()
+        }
+
+        /// Write access to the whole segment (exclusive while leased).
+        pub fn bytes_mut(&mut self) -> &mut [u8] {
+            match &mut (self.0).0 {
+                // SAFETY: a `Seg` is the only handle on its slot — made
+                // by the pop that took the slot off the ring, its inner
+                // `SegRef` never cloned — and `&mut self` excludes
+                // every borrow made through it.
+                Home::Slot(pool, index) => unsafe { &mut *pool.slots[*index as usize].buf.get() },
+                Home::Heap(block) => Arc::get_mut(block).expect("a lease is the only handle"),
+            }
+        }
+
+        /// Ends the lease: the segment becomes shareable and read-only,
+        /// its count (one) already in place. Allocates nothing.
+        pub fn freeze(self) -> SegRef {
+            self.0
+        }
+    }
 }
 
 /// Cumulative pool counters (monotonic; for observability and tests).
@@ -73,21 +252,16 @@ pub struct PoolStats {
 /// simply dropped instead of recycled.
 #[derive(Clone)]
 pub struct SegPool {
-    inner: Arc<PoolInner>,
+    inner: Arc<slot::Pool>,
 }
 
 impl std::fmt::Debug for SegPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        write!(
-            f,
-            "SegPool(seg_size={}, free={}, leased={}, released={}, heap={})",
-            self.inner.seg_size,
-            self.inner.free.len(),
-            s.leased,
-            s.released,
-            s.heap_fallbacks
-        )
+        f.debug_struct("SegPool")
+            .field("seg_size", &self.seg_size())
+            .field("free", &self.available())
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
@@ -101,20 +275,8 @@ impl SegPool {
     pub fn new(count: usize, seg_size: usize) -> SegPool {
         assert!(count > 0, "pool needs at least one segment");
         assert!(seg_size > 0, "segments need a positive size");
-        let free = MpmcRing::new(count);
-        for _ in 0..count {
-            // The ring rounds capacity up to a power of two, so all
-            // `count` pushes (and every later release) always fit.
-            let _ = free.push(vec![0u8; seg_size].into_boxed_slice());
-        }
         SegPool {
-            inner: Arc::new(PoolInner {
-                free,
-                seg_size,
-                leased: AtomicU64::new(0),
-                released: AtomicU64::new(0),
-                heap_fallbacks: AtomicU64::new(0),
-            }),
+            inner: Arc::new(slot::Pool::new(count, seg_size)),
         }
     }
 
@@ -125,15 +287,19 @@ impl SegPool {
 
     /// Segments currently sitting in the free list.
     pub fn available(&self) -> usize {
-        self.inner.free.len()
+        self.inner.occupancy().1
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> PoolStats {
+        let leased = self.inner.leased.load(Ordering::Relaxed);
+        let heap_fallbacks = self.inner.heap_fallbacks.load(Ordering::Relaxed);
+        let (slots, free) = self.inner.occupancy();
         PoolStats {
-            leased: self.inner.leased.load(Ordering::Relaxed),
-            released: self.inner.released.load(Ordering::Relaxed),
-            heap_fallbacks: self.inner.heap_fallbacks.load(Ordering::Relaxed),
+            leased,
+            // Every pooled lease that is not out any more.
+            released: leased.saturating_sub(heap_fallbacks + slots.saturating_sub(free) as u64),
+            heap_fallbacks,
         }
     }
 
@@ -141,111 +307,64 @@ impl SegPool {
     /// empty. This is the operation the linearizability harness
     /// checks (a bounded-resource acquire).
     pub fn try_lease(&self) -> Option<Seg> {
-        chk::yield_point("bufchain.lease.pop");
-        let buf = self.inner.free.pop()?;
-        self.inner.leased.fetch_add(1, Ordering::Relaxed);
-        Some(Seg {
-            buf,
-            pool: Some(Arc::clone(&self.inner)),
-        })
+        self.inner.try_lease()
     }
 
     /// Leases a segment, falling back to a fresh heap allocation when
     /// the pool is empty. Never blocks, never fails.
     pub fn lease(&self) -> Seg {
-        match self.try_lease() {
-            Some(seg) => seg,
-            None => {
-                self.inner.heap_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.inner.leased.fetch_add(1, Ordering::Relaxed);
-                Seg {
-                    buf: vec![0u8; self.inner.seg_size].into_boxed_slice(),
-                    pool: None,
-                }
-            }
-        }
+        self.try_lease().unwrap_or_else(|| {
+            self.inner.heap_fallbacks.fetch_add(1, Ordering::Relaxed);
+            self.inner.leased.fetch_add(1, Ordering::Relaxed);
+            Seg::heap(std::iter::repeat_n(0, self.inner.seg_size).collect())
+        })
     }
 }
 
-/// An exclusively-owned segment leased from a [`SegPool`] (or the
-/// heap, on pool exhaustion). Returns to its pool on drop.
-pub struct Seg {
-    buf: Box<[u8]>,
-    pool: Option<Arc<PoolInner>>,
-}
-
-impl std::fmt::Debug for Seg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Seg({} bytes, {})",
-            self.buf.len(),
-            if self.pool.is_some() {
-                "pooled"
-            } else {
-                "heap"
-            }
-        )
-    }
-}
-
-impl Seg {
-    /// Stable identity of the underlying buffer (its address) for the
-    /// lifetime of the lease — the "slot name" the linearizability
-    /// checker uses to pair acquires with releases.
-    pub fn id(&self) -> usize {
-        self.buf.as_ptr() as usize
-    }
-
-    /// Whether this segment recycles into a pool on drop.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.is_some()
-    }
-
-    /// The segment's capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Read access to the whole segment.
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Write access to the whole segment (exclusive while leased).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl Drop for Seg {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            chk::yield_point("bufchain.release.push");
-            let buf = std::mem::take(&mut self.buf);
-            pool.released.fetch_add(1, Ordering::Relaxed);
-            // Cannot fail: the ring was sized for every pool-owned
-            // segment and only pool-owned segments come back.
-            let _ = pool.free.push(buf);
-        }
-    }
-}
-
-/// One filled region of a frozen (shared, immutable) segment.
+/// One filled region of a frozen (shared, immutable) segment — what
+/// every chain and frame below is a list of.
 #[derive(Clone)]
 struct Part {
-    seg: Arc<Seg>,
+    seg: SegRef,
     start: usize,
     end: usize,
 }
 
 impl Part {
+    /// Freezes `seg`, keeping `start..end` of it: the one place a
+    /// written segment becomes a shared one.
+    fn freeze(seg: Seg, start: usize, end: usize) -> Part {
+        Part {
+            seg: seg.freeze(),
+            start,
+            end,
+        }
+    }
+
     fn bytes(&self) -> &[u8] {
         &self.seg.bytes()[self.start..self.end]
     }
 
     fn len(&self) -> usize {
         self.end - self.start
+    }
+}
+
+/// Fills `out` from `parts` laid end to end, starting `skip` bytes in;
+/// the caller has checked that they reach that far.
+fn copy_across<'a>(parts: impl Iterator<Item = &'a [u8]>, mut skip: usize, out: &mut [u8]) {
+    let mut done = 0;
+    for part in parts {
+        if done == out.len() {
+            break;
+        }
+        if skip >= part.len() {
+            skip -= part.len();
+            continue;
+        }
+        let n = (part.len() - skip).min(out.len() - done);
+        out[done..done + n].copy_from_slice(&part[skip..skip + n]);
+        (done, skip) = (done + n, 0);
     }
 }
 
@@ -259,11 +378,15 @@ impl Part {
 /// result for sending. No byte is ever moved after it is written.
 pub struct BufChain {
     pool: SegPool,
-    /// The first segment and how far it is filled; it holds the
-    /// headroom, and a small frame never needs another.
+    /// The first segment and how far it is filled. It holds the
+    /// headroom, so it stays writable until the chain is frozen; a
+    /// small frame never needs another.
     head: (Seg, usize),
-    /// The segments after the first, each with its fill mark.
-    more: Vec<(Seg, usize)>,
+    /// The segments after the first that are full, frozen as they
+    /// filled: the list [`into_frame`](BufChain::into_frame) hands on.
+    full: Vec<Part>,
+    /// The segment after those, being filled, with its fill mark.
+    tail: Option<(Seg, usize)>,
     headroom: usize,
     front: usize, // current start of frame data in `head`
     body_len: usize,
@@ -274,7 +397,7 @@ impl std::fmt::Debug for BufChain {
         write!(
             f,
             "BufChain({} segs, headroom {}/{}, body {} bytes)",
-            1 + self.more.len(),
+            1 + self.full.len() + usize::from(self.tail.is_some()),
             self.front,
             self.headroom,
             self.body_len
@@ -299,7 +422,8 @@ impl BufChain {
         BufChain {
             pool: pool.clone(),
             head: (pool.lease(), headroom),
-            more: Vec::new(),
+            full: Vec::new(),
+            tail: None,
             headroom,
             front: headroom,
             body_len: 0,
@@ -320,15 +444,16 @@ impl BufChain {
     /// Appends `bytes`, crossing segment boundaries as needed.
     pub fn put(&mut self, mut bytes: &[u8]) {
         self.body_len += bytes.len();
+        let seg_size = self.pool.seg_size();
         while !bytes.is_empty() {
-            let seg_size = self.pool.seg_size();
-            let (seg, filled) = self.more.last_mut().unwrap_or(&mut self.head);
+            let (seg, filled) = self.tail.as_mut().unwrap_or(&mut self.head);
             let room = seg_size - *filled;
             if room == 0 {
                 // One growth for everything this `put` still needs.
-                self.more.reserve(bytes.len().div_ceil(seg_size));
-                let fresh = self.pool.lease();
-                self.more.push((fresh, 0));
+                self.full.reserve(bytes.len().div_ceil(seg_size));
+                if let Some((seg, end)) = self.tail.replace((self.pool.lease(), 0)) {
+                    self.full.push(Part::freeze(seg, 0, end));
+                }
                 continue;
             }
             let n = room.min(bytes.len());
@@ -368,33 +493,26 @@ impl BufChain {
         self.front = start;
     }
 
-    /// Copies the whole frame (header + body) into one `Vec` — the
-    /// compatibility path for transports without scatter-gather.
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.frame_len());
-        out.extend_from_slice(&self.head.0.bytes()[self.front..self.head.1]);
-        for (seg, filled) in &self.more {
-            out.extend_from_slice(&seg.bytes()[..*filled]);
-        }
-        out
-    }
-
-    /// Freezes the chain into an immutable, shareable [`FrameBuf`].
+    /// Freezes the chain into an immutable, shareable [`FrameBuf`]:
+    /// the segments and their list move into the frame, nothing is
+    /// allocated.
     pub fn into_frame(self) -> FrameBuf {
-        let mut frame = FrameBuf::default();
-        frame.rest.reserve(self.more.len());
-        let mut start = self.front;
-        for (seg, end) in std::iter::once(self.head).chain(self.more) {
-            if end > start {
-                frame.push(Part {
-                    seg: Arc::new(seg),
-                    start,
-                    end,
-                });
-            }
-            start = 0;
+        let len = self.frame_len();
+        let mut rest = self.full;
+        if let Some((seg, end)) = self.tail {
+            rest.push(Part::freeze(seg, 0, end));
         }
-        frame
+        let (head, end) = self.head;
+        let first = if end > self.front {
+            Some(Part::freeze(head, self.front, end))
+        } else if rest.is_empty() {
+            None
+        } else {
+            // All headroom, none of it used: the frame starts in the
+            // second segment.
+            Some(rest.remove(0))
+        };
+        FrameBuf { first, rest, len }
     }
 }
 
@@ -423,18 +541,14 @@ impl std::fmt::Debug for FrameBuf {
 }
 
 impl FrameBuf {
-    /// Wraps an owned `Vec` as a single-part frame (compatibility
-    /// constructor for paths that still produce contiguous buffers).
+    /// Copies `bytes` into a single-part frame on a heap segment of
+    /// its own (compatibility constructor for paths that still
+    /// produce contiguous buffers).
     pub fn from_vec(bytes: Vec<u8>) -> FrameBuf {
         let mut frame = FrameBuf::default();
         if !bytes.is_empty() {
             let end = bytes.len();
-            let buf = bytes.into_boxed_slice();
-            frame.push(Part {
-                seg: Arc::new(Seg { buf, pool: None }),
-                start: 0,
-                end,
-            });
+            frame.push(Part::freeze(Seg::heap(bytes.into()), 0, end));
         }
         frame
     }
@@ -523,36 +637,16 @@ impl FrameBuf {
         if off + out.len() > self.len {
             return false;
         }
-        let mut skip = off;
-        let mut done = 0;
-        for p in self.parts() {
-            let b = p.bytes();
-            if skip >= b.len() {
-                skip -= b.len();
-                continue;
-            }
-            let avail = &b[skip..];
-            skip = 0;
-            let n = avail.len().min(out.len() - done);
-            out[done..done + n].copy_from_slice(&avail[..n]);
-            done += n;
-            if done == out.len() {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-impl From<Vec<u8>> for FrameBuf {
-    fn from(bytes: Vec<u8>) -> FrameBuf {
-        FrameBuf::from_vec(bytes)
+        copy_across(self.parts().map(Part::bytes), off, out);
+        true
     }
 }
 
 impl PartialEq for FrameBuf {
+    /// Byte for byte, wherever either frame is cut into parts; no copy.
     fn eq(&self, other: &FrameBuf) -> bool {
-        self.len == other.len && self.to_vec() == other.to_vec()
+        let (ours, theirs) = (self.parts(), other.parts());
+        self.len == other.len && ours.flat_map(Part::bytes).eq(theirs.flat_map(Part::bytes))
     }
 }
 impl Eq for FrameBuf {}
@@ -636,11 +730,8 @@ impl RecvChain {
     fn freeze_tail(&mut self) {
         if let Some((seg, filled)) = self.tail.take() {
             if filled > self.tail_taken {
-                self.frozen.push_back(Part {
-                    seg: Arc::new(seg),
-                    start: self.tail_taken,
-                    end: filled,
-                });
+                self.frozen
+                    .push_back(Part::freeze(seg, self.tail_taken, filled));
             }
             self.tail_taken = 0;
         }
@@ -653,34 +744,10 @@ impl RecvChain {
         if off + out.len() > self.len {
             return false;
         }
-        let mut skip = off;
-        let mut done = 0;
-        // Two-phase copy: frozen parts first, then the live tail.
-        for p in &self.frozen {
-            let b = p.bytes();
-            if skip >= b.len() {
-                skip -= b.len();
-                continue;
-            }
-            let avail = &b[skip..];
-            skip = 0;
-            let n = avail.len().min(out.len() - done);
-            out[done..done + n].copy_from_slice(&avail[..n]);
-            done += n;
-            if done == out.len() {
-                return true;
-            }
-        }
-        if let Some((seg, filled)) = &self.tail {
-            let b = &seg.bytes()[self.tail_taken..*filled];
-            if skip < b.len() {
-                let avail = &b[skip..];
-                let n = avail.len().min(out.len() - done);
-                out[done..done + n].copy_from_slice(&avail[..n]);
-                done += n;
-            }
-        }
-        done == out.len()
+        let tail = self.tail.iter();
+        let tail = tail.map(|(seg, filled)| &seg.bytes()[self.tail_taken..*filled]);
+        copy_across(self.frozen.iter().map(Part::bytes).chain(tail), off, out);
+        true
     }
 
     /// Consumes the first `n` buffered bytes as a [`FrameBuf`] sharing
@@ -708,7 +775,7 @@ impl RecvChain {
             let p = self.frozen.front_mut().expect("enough frozen bytes");
             let take = p.len().min(n - frame.len);
             frame.push(Part {
-                seg: Arc::clone(&p.seg),
+                seg: p.seg.clone(),
                 start: p.start,
                 end: p.start + take,
             });
@@ -726,6 +793,51 @@ impl RecvChain {
 mod tests {
     use super::*;
 
+    /// Counts the heap traffic of the calling thread, so that a test
+    /// can say "allocates nothing" while its neighbours run.
+    #[allow(unsafe_code)]
+    mod heap {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static TRAFFIC: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+        }
+
+        /// `(allocations, frees)` this thread has made so far.
+        pub fn traffic() -> (u64, u64) {
+            TRAFFIC.with(Cell::get)
+        }
+
+        fn count(allocs: u64, frees: u64) {
+            // `try_with`: a thread on its way out may allocate after
+            // its thread-locals are gone.
+            let _ = TRAFFIC.try_with(|t| t.set((t.get().0 + allocs, t.get().1 + frees)));
+        }
+
+        struct Counting;
+
+        // SAFETY: every call is forwarded unchanged to the system
+        // allocator; the only addition is a thread-local counter bump.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                count(1, 0);
+                System.alloc(layout)
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                count(0, 1);
+                System.dealloc(ptr, layout)
+            }
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                count(1, 0);
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: Counting = Counting;
+    }
+
     #[test]
     fn pool_lease_release_cycle() {
         let pool = SegPool::new(2, 64);
@@ -733,7 +845,7 @@ mod tests {
         let a = pool.try_lease().unwrap();
         let b = pool.try_lease().unwrap();
         assert!(pool.try_lease().is_none(), "pool exhausted");
-        assert_ne!(a.id(), b.id());
+        assert_ne!(a.bytes().as_ptr(), b.bytes().as_ptr());
         drop(a);
         assert_eq!(pool.available(), 1);
         let c = pool.try_lease().unwrap();
@@ -750,14 +862,115 @@ mod tests {
         let pool = SegPool::new(1, 32);
         let a = pool.lease();
         let b = pool.lease(); // pool empty → heap
-        assert!(a.is_pooled());
-        assert!(!b.is_pooled());
-        assert_eq!(b.capacity(), 32);
+        assert_eq!(pool.stats().heap_fallbacks, 1, "b is a heap segment");
+        assert_eq!(b.bytes().len(), 32);
         drop(b);
         assert_eq!(pool.available(), 0, "heap seg does not enter the pool");
         drop(a);
         assert_eq!(pool.available(), 1);
         assert_eq!(pool.stats().heap_fallbacks, 1);
+    }
+
+    #[test]
+    fn a_frozen_heap_segment_is_one_block_freed_once() {
+        let pool = SegPool::new(1, 32);
+        let _pooled = pool.lease();
+        let (allocs, frees) = heap::traffic();
+        let mut seg = pool.lease(); // pool empty → heap
+        assert_eq!(
+            heap::traffic().0,
+            allocs + 1,
+            "count and bytes share a block"
+        );
+        seg.bytes_mut().fill(7);
+        let shared = seg.freeze();
+        let clones = [shared.clone(), shared.clone()];
+        drop(shared);
+        assert!(clones.iter().all(|c| c.bytes() == [7; 32]));
+        assert_eq!(heap::traffic(), (allocs + 1, frees), "clones keep it");
+        drop(clones);
+        assert_eq!(heap::traffic(), (allocs + 1, frees + 1));
+        assert_eq!(pool.available(), 0, "and it never enters the pool");
+    }
+
+    #[test]
+    fn clones_dropped_on_other_threads_return_every_slot() {
+        let rounds: u8 = if cfg!(miri) { 20 } else { 250 };
+        let pool = SegPool::new(4, 32);
+        // One thread fills, freezes and clones; the clones' drops on
+        // two other threads race its own. A slot recycled under a live
+        // handle would show the next round's fill.
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (tx, rx) = std::sync::mpsc::channel::<(u8, SegRef)>();
+                    s.spawn(move || {
+                        for (round, seg) in rx {
+                            assert!(seg.bytes().iter().all(|&b| b == round));
+                        }
+                    });
+                    tx
+                })
+                .collect();
+            for round in 0..rounds {
+                let mut seg = pool.lease();
+                seg.bytes_mut().fill(round);
+                let shared = seg.freeze();
+                for tx in &readers {
+                    tx.send((round, shared.clone())).unwrap();
+                }
+            }
+        });
+        assert_eq!(pool.available(), 4, "every slot came back, once");
+        let s = pool.stats();
+        assert_eq!(s.leased - s.heap_fallbacks, s.released);
+    }
+
+    #[test]
+    fn freezing_a_17_segment_chain_allocates_nothing() {
+        let pool = SegPool::new(32, DEFAULT_SEG_SIZE);
+        let mut chain = BufChain::with_headroom(&pool, 12);
+        chain.put(&vec![0x5A; 64 << 10]);
+        chain.prepend(&[1; 12]);
+        let before = heap::traffic();
+        let frame = chain.into_frame();
+        assert_eq!(heap::traffic(), before, "the segment list moved");
+        assert_eq!(frame.parts().count(), 17);
+        assert_eq!(frame.len(), 12 + (64 << 10));
+        assert_eq!(pool.available(), 32 - 17);
+        drop(frame);
+        assert_eq!(pool.available(), 32);
+    }
+
+    #[test]
+    fn a_frame_past_unused_headroom_starts_in_the_second_segment() {
+        let pool = SegPool::new(4, 8);
+        let mut chain = BufChain::with_headroom(&pool, 8);
+        chain.put(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let frame = chain.into_frame();
+        assert_eq!(
+            &frame.slices()[..],
+            &[&[1u8, 2, 3, 4, 5, 6, 7, 8][..], &[9][..]]
+        );
+        assert_eq!(pool.available(), 2, "the empty head went straight back");
+        assert!(BufChain::with_headroom(&pool, 8).into_frame().is_empty());
+    }
+
+    #[test]
+    fn frames_compare_by_bytes_not_by_cut() {
+        let data: Vec<u8> = (0..40).collect();
+        let cut_at = |seg: usize| {
+            let mut chain = BufChain::with_headroom(&SegPool::new(8, seg), 0);
+            chain.put(&data);
+            chain.into_frame()
+        };
+        assert_eq!(cut_at(7), cut_at(16));
+        assert_eq!(cut_at(16), FrameBuf::from_vec(data.clone()));
+        let mut other = data.clone();
+        other[39] ^= 1;
+        assert_ne!(cut_at(7), FrameBuf::from_vec(other));
+        assert_ne!(cut_at(7), FrameBuf::from_vec(data[..39].to_vec()));
+        assert_eq!(FrameBuf::default(), FrameBuf::from_vec(Vec::new()));
     }
 
     #[test]
@@ -769,11 +982,10 @@ mod tests {
         assert_eq!(chain.body_len(), 50);
         chain.prepend(&[0xAA, 0xBB]);
         assert_eq!(chain.frame_len(), 52);
-        let flat = chain.to_vec();
+        let frame = chain.into_frame();
+        let flat = frame.to_vec();
         assert_eq!(&flat[..2], &[0xAA, 0xBB]);
         assert_eq!(&flat[2..], &data[..]);
-        let frame = chain.into_frame();
-        assert_eq!(frame.to_vec(), flat);
         assert!(frame.as_single().is_none(), "50+ bytes span 16-byte segs");
     }
 
@@ -784,7 +996,7 @@ mod tests {
         chain.pad(3);
         chain.put(&[7]);
         chain.prepend(&[1; 12]);
-        let flat = chain.to_vec();
+        let flat = chain.into_frame().to_vec();
         assert_eq!(flat.len(), 16);
         assert_eq!(&flat[..12], &[1; 12]);
         assert_eq!(&flat[12..], &[0, 0, 0, 7]);
@@ -905,7 +1117,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..iters {
                         let seg = pool.lease();
-                        assert_eq!(seg.capacity(), 64);
+                        assert_eq!(seg.bytes().len(), 64);
                         if i % 3 == 0 {
                             let extra = pool.try_lease();
                             drop(extra);

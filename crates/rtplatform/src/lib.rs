@@ -23,9 +23,10 @@
 
 #![warn(missing_docs)]
 // `deny`, not `forbid`: the modules that need `unsafe` (`ring`, the
-// Vyukov MPMC queue, and the C-library FFI in `poll` and `heap`) opt
-// back in locally; every other module — and every crate above this
-// one — stays unsafe-free.
+// Vyukov MPMC queue, the pool slots inside `bufchain`, and the
+// C-library FFI in `poll` and `heap`) opt back in locally; every other
+// module — and every crate above this one — stays unsafe-free, and
+// `scripts/check.sh` fails on `unsafe` anywhere else.
 #![deny(unsafe_code)]
 
 use std::time::Duration;

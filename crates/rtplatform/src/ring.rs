@@ -8,11 +8,12 @@
 //! disambiguation check `crossbeam`'s `ArrayQueue` uses (a stamp one
 //! lap behind is only *possibly* full — the head pointer decides).
 //!
-//! This is the only module in the workspace that contains `unsafe`
-//! code; everything above it (`rtsched` buffers and queues, `rtmem`
-//! pools, `compadres-core` message pools) builds on this ring and
-//! stays `#![forbid(unsafe_code)]`. The CI miri job exercises exactly
-//! this module plus its direct consumers.
+//! One of the few modules in the workspace that contain `unsafe`
+//! code (`scripts/check.sh` holds the list); everything above it
+//! (`rtsched` buffers and queues, `rtmem` pools, `compadres-core`
+//! message pools) builds on this ring and stays
+//! `#![forbid(unsafe_code)]`. The CI miri job exercises this module
+//! plus its direct consumers.
 
 #![allow(unsafe_code)]
 
