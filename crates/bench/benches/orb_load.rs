@@ -168,7 +168,7 @@ impl Driver {
             while inbuf.len() >= HEADER_LEN {
                 let mut header = [0u8; HEADER_LEN];
                 header.copy_from_slice(&inbuf[..HEADER_LEN]);
-                let body = giop::body_size(&header).expect("server sends valid GIOP");
+                let (_, _, body) = giop::parse_header(&header).expect("server sends valid GIOP");
                 if inbuf.len() < HEADER_LEN + body {
                     break;
                 }

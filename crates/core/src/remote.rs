@@ -12,26 +12,16 @@
 //! * [`RemotePort`] — the sending stub: looks like an out-port, encodes
 //!   messages with [`BytesCodec`] and ships them.
 //!
-//! Wire format per message: `u8` priority, `u32` big-endian payload
-//! length (at most [`MAX_FRAME`]), payload bytes. The message type must
-//! implement [`BytesCodec`];
-//! type identity is checked at the receiving side against the in-port's
-//! bound Rust type, so a mismatched pairing fails loudly, not silently.
-//!
-//! ## Trace context (DESIGN.md §5g)
-//!
-//! Priorities occupy `[1, 99]`, so the high bit of the priority byte is
-//! free: when set, a 16-byte trace preamble — `u32` trace id, `u16`
-//! parent span id, `u16` reserved, `u64` remaining deadline budget in
-//! nanoseconds (all big-endian, budget `0` = no deadline) — precedes the
-//! payload *inside* the length-counted region. The sender stamps it from
-//! the thread-local span of the caller ([`rtobs::span::current`]); the
-//! exporter adopts it ([`Observer::adopt_remote`]) so the injected
-//! message continues the sender's trace with the budget re-anchored to
-//! the local clock. Clocks never cross the wire, only budgets. Untraced
-//! sends are byte-identical to the legacy format, and because the
-//! preamble lives inside the counted length a receiver that ignores the
-//! flag never loses its stream position.
+//! Each message crosses as the ORBs' frames do: a GIOP oneway `Request`
+//! to the object key `port` ([`rtplatform::giop`]), its body the
+//! message's [`BytesCodec`] bytes, its priority in RT-CORBA's
+//! `RTCorbaPriority` service context ([`giop::PRIORITY_CONTEXT_SLOT`]) and,
+//! when the send is traced, the sender's trace context in
+//! [`giop::TRACE_CONTEXT_SLOT`] (DESIGN.md §5g): the exporter adopts it
+//! ([`Observer::adopt_remote`]) with the budget re-anchored to its own
+//! clock. [`giop::MAX_BODY`] is the one frame limit. Type identity is
+//! checked at the receiving side against the in-port's bound Rust type,
+//! so a mismatched pairing fails loudly, not silently.
 //!
 //! ## Fault model
 //!
@@ -49,15 +39,19 @@
 //! observer is attached ([`RemotePort::set_observer`]; the exporter uses
 //! its app's observer automatically).
 
-use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use rtobs::{CounterId, EventKind, GaugeId, Observer};
+use rtplatform::bufchain::{FrameBuf, SegPool};
+use rtplatform::cdr::Endian;
 use rtplatform::fault::{DegradeMode, FaultPolicy};
+use rtplatform::giop::{self, MessageView, HEADER_LEN, PRIORITY_CONTEXT_SLOT, TRACE_CONTEXT_SLOT};
 use rtplatform::poll::Acceptor;
 use rtplatform::sync::Mutex;
 
@@ -68,22 +62,10 @@ use crate::runtime::App;
 use crate::smm::BytesCodec;
 use rtsched::Priority;
 
-/// High bit of the wire priority byte: a trace preamble follows the
-/// length word. Free because [`Priority`] values are clamped to `< 100`.
-const TRACE_FLAG: u8 = 0x80;
-
-/// Bytes of trace preamble when [`TRACE_FLAG`] is set: `u32` trace id,
-/// `u16` parent span, `u16` reserved, `u64` budget ns (big-endian).
-const TRACE_PREAMBLE: usize = 16;
-
-/// Largest length word either side accepts (payload plus trace
-/// preamble): [`RemotePort::send`] refuses to frame more, and the
-/// exporter drops a connection that claims more.
-pub const MAX_FRAME: usize = 64 << 20;
-
-/// Trace context carried by a flagged frame: `(trace_id, parent_span,
-/// budget_ns)` with budget `0` meaning "no deadline".
-type WireTrace = (u32, u16, u64);
+/// The object key every remote-port frame is addressed to, and its
+/// operation.
+const PORT_KEY: &[u8] = b"port";
+const PORT_OP: &str = "push";
 
 /// `127.0.0.1:0`: loopback, port chosen by the kernel.
 pub(crate) const LOOPBACK_ANY: SocketAddr =
@@ -91,24 +73,6 @@ pub(crate) const LOOPBACK_ANY: SocketAddr =
 
 fn io_err(e: std::io::Error) -> CompadresError {
     CompadresError::Model(format!("remote link I/O failure: {e}"))
-}
-
-/// Writes all of `head` then `payload` with vectored writes, resuming
-/// across partial writes; the usual path is one `writev` for both.
-fn write_all_parts(w: &mut impl Write, mut head: &[u8], mut payload: &[u8]) -> std::io::Result<()> {
-    while !head.is_empty() || !payload.is_empty() {
-        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(payload)]) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                let of_head = n.min(head.len());
-                head = &head[of_head..];
-                payload = &payload[n - of_head..];
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -134,10 +98,10 @@ struct ExportShared {
     shutdown: AtomicBool,
     received: AtomicU64,
     rejected: AtomicU64,
-    /// A clone of every accepted stream, so shutdown can sever it while
-    /// its thread is blocked reading.
-    conns: Mutex<Vec<TcpStream>>,
-    conn_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Every live connection by id: a clone of its stream, so shutdown
+    /// can sever it while its thread is blocked reading, and the thread.
+    /// A connection removes its own entry when it ends.
+    conns: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
 }
 
 /// Serves a local in-port to the network: every message received on the
@@ -155,9 +119,9 @@ impl std::fmt::Debug for PortExporter {
 }
 
 /// Outcome of one framed read on an exporter connection.
-enum FrameRead<M> {
-    /// A complete frame arrived, possibly carrying a trace context.
-    Frame(Priority, Option<WireTrace>, M),
+enum FrameRead {
+    /// A complete frame of this many bytes is at the front of the buffer.
+    Frame(usize),
     /// The recv deadline elapsed *between* frames: the link is idle, not
     /// faulty. The caller re-checks shutdown and keeps listening.
     Idle,
@@ -165,21 +129,20 @@ enum FrameRead<M> {
     /// the stream position is now mid-message, so the connection must be
     /// dropped.
     Stalled,
-    /// End of stream or a fatal error (including an oversized claim).
+    /// End of stream or a fatal error (including a header that is not
+    /// GIOP or declares more than [`giop::MAX_BODY`]).
     Dead,
 }
 
-/// Reads one `priority + len + payload` frame, tolerating idle timeouts
-/// only at the frame boundary (before any byte of a message is consumed).
-///
-/// `buf` is the connection's reusable receive buffer: the payload lands
-/// in it and the trace preamble and message body are decoded in place
-/// over that one buffer — no per-frame allocation on a warm connection.
-fn read_frame<M: BytesCodec>(stream: &mut TcpStream, buf: &mut Vec<u8>) -> FrameRead<M> {
+/// Reads one GIOP frame into `buf` (the connection's reusable receive
+/// buffer), tolerating idle timeouts only at the frame boundary (before
+/// any byte of a message is consumed). The header is validated before
+/// anything is allocated for the body.
+fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> FrameRead {
+    let mut header = [0u8; HEADER_LEN];
     // First byte: an idle timeout here is benign.
-    let mut first = [0u8; 1];
     loop {
-        match stream.read(&mut first) {
+        match stream.read(&mut header[..1]) {
             Ok(0) => return FrameRead::Dead,
             Ok(_) => break,
             Err(e) if is_timeout(&e) => return FrameRead::Idle,
@@ -188,37 +151,52 @@ fn read_frame<M: BytesCodec>(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Frame
         }
     }
     // From here on we are mid-frame: a timeout means the sender stalled.
-    let mut rest = [0u8; 4];
-    match stream.read_exact(&mut rest) {
+    match stream.read_exact(&mut header[1..]) {
         Ok(()) => {}
         Err(e) if is_timeout(&e) => return FrameRead::Stalled,
         Err(_) => return FrameRead::Dead,
     }
-    let traced = first[0] & TRACE_FLAG != 0;
-    let priority = Priority::new(first[0] & !TRACE_FLAG);
-    let len = u32::from_be_bytes(rest) as usize;
-    if len > MAX_FRAME || (traced && len < TRACE_PREAMBLE) {
-        return FrameRead::Dead; // oversized or malformed claim: drop
-    }
+    let Ok((_, _, body)) = giop::parse_header(&header) else {
+        return FrameRead::Dead; // not GIOP, or an oversized claim: drop
+    };
+    let len = HEADER_LEN + body;
     if buf.len() < len {
         buf.resize(len, 0);
     }
-    let payload = &mut buf[..len];
-    match stream.read_exact(payload) {
-        Ok(()) => {
-            let (trace, body) = if traced {
-                let trace_id = u32::from_be_bytes(payload[0..4].try_into().unwrap());
-                let parent = u16::from_be_bytes(payload[4..6].try_into().unwrap());
-                let budget = u64::from_be_bytes(payload[8..16].try_into().unwrap());
-                (Some((trace_id, parent, budget)), &payload[TRACE_PREAMBLE..])
-            } else {
-                (None, &payload[..])
-            };
-            FrameRead::Frame(priority, trace, M::decode(body))
-        }
+    buf[..HEADER_LEN].copy_from_slice(&header);
+    match stream.read_exact(&mut buf[HEADER_LEN..len]) {
+        Ok(()) => FrameRead::Frame(len),
         Err(e) if is_timeout(&e) => FrameRead::Stalled,
         Err(_) => FrameRead::Dead,
     }
+}
+
+/// What the exporter injects from one frame: the priority, the sender's
+/// trace context (`(trace_id, parent_span, budget_ns)`, as
+/// [`giop::decode_trace_slot`] reads it) and the message body.
+type PortFrame<'a> = (Priority, Option<(u32, u16, u64)>, Cow<'a, [u8]>);
+
+/// Decodes one frame (its bytes as [`giop::decode_view`] takes them) into
+/// a [`PortFrame`]. `None` — the connection is dropped — for anything
+/// but a `Request` to [`PORT_KEY`]. Service contexts are advisory: a
+/// missing or malformed priority slot reads as [`Priority::NORM`], a
+/// missing or malformed trace slot as untraced.
+fn decode_port_frame<'a>(parts: &'a [&'a [u8]]) -> Option<PortFrame<'a>> {
+    let Ok(MessageView::Request(req)) = giop::decode_view(parts) else {
+        return None;
+    };
+    if *req.object_key != *PORT_KEY {
+        return None;
+    }
+    let priority = req
+        .service_context
+        .iter()
+        .find(|(id, _)| *id == PRIORITY_CONTEXT_SLOT)
+        .and_then(|(_, value)| Some(u16::from_be_bytes((*value).try_into().ok()?)))
+        .map_or(Priority::NORM, |p| {
+            Priority::new(u8::try_from(p).unwrap_or(u8::MAX))
+        });
+    Some((priority, req.trace_context(), req.body))
 }
 
 impl PortExporter {
@@ -286,22 +264,30 @@ impl PortExporter {
             shutdown: AtomicBool::new(false),
             received: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
-            conn_handles: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
         });
 
         let sh = Arc::clone(&shared);
         let name = format!("compadres-export-{instance}-{port}");
+        let mut next_id = 0u64;
         let acceptor = Acceptor::spawn(listener, &name, move |stream| {
-            if let Ok(clone) = stream.try_clone() {
-                sh.conns.lock().push(clone);
-            }
+            let Ok(clone) = stream.try_clone() else {
+                return; // a connection shutdown could not sever
+            };
+            next_id += 1;
+            let id = next_id;
             let sh2 = Arc::clone(&sh);
+            // Inserted under the lock the thread's own removal takes, so
+            // the entry exists before the thread can end.
+            let mut conns = sh.conns.lock();
             let handle = std::thread::Builder::new()
                 .name("compadres-export-conn".into())
-                .spawn(move || serve_conn::<M>(&sh2, stream));
+                .spawn(move || {
+                    serve_conn::<M>(&sh2, stream);
+                    sh2.conns.lock().remove(&id);
+                });
             if let Ok(h) = handle {
-                sh.conn_handles.lock().push(h);
+                conns.insert(id, (clone, h));
             }
         })
         .map_err(io_err)?;
@@ -334,7 +320,7 @@ impl PortExporter {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.acceptor.stop();
-        for s in self.shared.conns.lock().iter() {
+        for (s, _) in self.shared.conns.lock().values() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -346,16 +332,16 @@ impl Drop for PortExporter {
         // slip past the severing below.
         self.acceptor.join();
         self.shutdown();
-        let handles: Vec<_> = std::mem::take(&mut *self.shared.conn_handles.lock());
-        for h in handles {
+        let conns = std::mem::take(&mut *self.shared.conns.lock());
+        for (_, h) in conns.into_values() {
             let _ = h.join();
         }
     }
 }
 
 /// One exporter connection: reads frames until the peer goes away,
-/// stalls mid-frame or the exporter shuts down, injecting each message
-/// into `instance.port`.
+/// stalls mid-frame, sends something that is not a remote-port frame or
+/// the exporter shuts down, injecting each message into `instance.port`.
 fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, mut stream: TcpStream) {
     let recv_timeout = sh.link.policy().recv_timeout;
     let _ = stream.set_nodelay(true);
@@ -363,8 +349,13 @@ fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, mut stream: TcpStream)
     sh.obs.gauge_add(sh.conns_live, 1);
     let mut buf = Vec::new();
     while !sh.shutdown.load(Ordering::SeqCst) {
-        match read_frame::<M>(&mut stream, &mut buf) {
-            FrameRead::Frame(priority, trace, msg) => {
+        match read_frame(&mut stream, &mut buf) {
+            FrameRead::Frame(len) => {
+                let parts = [&buf[..len]];
+                let Some((priority, trace, body)) = decode_port_frame(&parts) else {
+                    break;
+                };
+                let msg = M::decode(&body);
                 sh.received.fetch_add(1, Ordering::Relaxed);
                 sh.obs.inc(sh.rx_frames);
                 // Adopt the sender's trace so the injected message
@@ -408,12 +399,17 @@ fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, mut stream: TcpStream)
 }
 
 /// What [`RemotePort`] keeps under its one lock: the link's mutable
-/// half, where it points, and the resend queue.
+/// half, where it points, the resend queue, and what a send encodes in.
 struct SendState {
     link: LinkState<TcpStream>,
     addr: SocketAddr,
     /// Whole wire frames awaiting resend ([`DegradeMode::DropOldest`]).
-    pending: VecDeque<Vec<u8>>,
+    pending: VecDeque<FrameBuf>,
+    /// The message's bytes, reused from send to send.
+    body: Vec<u8>,
+    /// The segments frames are built in: a small message fits one, so a
+    /// send leases one and returns it.
+    pool: SegPool,
 }
 
 /// The sending stub of a remote connection: a typed handle that encodes
@@ -467,6 +463,8 @@ impl<M: Message + BytesCodec> RemotePort<M> {
                 link: state,
                 addr,
                 pending: VecDeque::new(),
+                body: Vec::new(),
+                pool: SegPool::new(8, 1024),
             }),
             sent: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
@@ -500,11 +498,10 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         }
     }
 
-    /// Writes a frame given as header + payload with vectored I/O, so
-    /// the wire header never has to be assembled into one `Vec` with the
-    /// payload. The link tears the stream down if this fails.
-    fn write(&self, stream: &mut TcpStream, head: &[u8], payload: &[u8]) -> std::io::Result<()> {
-        let r = write_all_parts(stream, head, payload).and_then(|()| stream.flush());
+    /// Writes a frame with vectored I/O, its segments never copied
+    /// together. The link tears the stream down if this fails.
+    fn write(&self, stream: &mut TcpStream, frame: &FrameBuf) -> std::io::Result<()> {
+        let r = frame.write_all_to(stream).and_then(|()| stream.flush());
         if r.as_ref().is_err_and(is_timeout) {
             self.link
                 .note_deadline_miss(self.link.policy().send_timeout);
@@ -523,63 +520,63 @@ impl<M: Message + BytesCodec> RemotePort<M> {
     ///
     /// # Errors
     ///
-    /// A message that encodes to more than [`MAX_FRAME`] bytes, in every
-    /// mode and before the link is touched: the receiver would drop the
+    /// A message whose frame exceeds [`giop::MAX_BODY`], in every mode
+    /// and before the link is touched: the receiver would drop the
     /// connection on it every time it was retried. Otherwise I/O
     /// failures after the retry budget is exhausted — only in
     /// [`DegradeMode::Fail`]; the degraded modes swallow the loss and
     /// count it instead.
     pub fn send(&self, msg: &M, priority: impl Into<Priority>) -> Result<()> {
-        let mut payload = Vec::new();
-        msg.encode(&mut payload);
+        let prio = u16::from(priority.into().value()).to_be_bytes();
         let span = rtobs::span::current();
-        let traced = span.is_active();
-        let preamble = if traced { TRACE_PREAMBLE } else { 0 };
-        let len = payload.len() + preamble;
-        if len > MAX_FRAME {
-            return Err(CompadresError::Model(format!(
-                "remote message of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"
-            )));
-        }
-        // The wire header (priority byte, length word, optional trace
-        // preamble) is built on the stack and sent alongside the payload
-        // with a vectored write — the frame is never assembled into one
-        // contiguous buffer.
-        let mut head = [0u8; 5 + TRACE_PREAMBLE];
-        let prio = priority.into().value();
-        head[0] = if traced { prio | TRACE_FLAG } else { prio };
-        head[1..5].copy_from_slice(&(len as u32).to_be_bytes());
-        if traced {
-            // Remaining budget, re-derived by the peer against its own
-            // clock; 0 = no deadline, overruns propagate as a 1 ns stub
-            // so the receiver still flags them.
-            let observer = self.link.observer();
-            let budget = match observer {
-                Some((obs, _)) => match obs.budget_remaining(span) {
-                    i64::MIN => 0,
-                    left if left <= 0 => 1,
-                    left => left as u64,
-                },
-                None => 0,
-            };
-            head[5..9].copy_from_slice(&span.trace_id.to_be_bytes());
-            head[9..11].copy_from_slice(&span.span_id.to_be_bytes());
-            head[11..13].copy_from_slice(&0u16.to_be_bytes());
-            head[13..21].copy_from_slice(&budget.to_be_bytes());
-            if let Some((obs, entity)) = observer {
-                obs.record_span(EventKind::SpanRemoteSend, entity, budget, span);
-            }
-        }
-        let head = &head[..5 + preamble];
+        let observer = self.link.observer();
+        // Remaining budget, re-derived by the peer against its own
+        // clock; 0 = no deadline, overruns propagate as a 1 ns stub so
+        // the receiver still flags them.
+        let budget = match observer {
+            Some((obs, _)) if span.is_active() => match obs.budget_remaining(span) {
+                i64::MIN => 0,
+                left if left <= 0 => 1,
+                left => left as u64,
+            },
+            _ => 0,
+        };
+        let trace = giop::trace_slot(span.trace_id, span.span_id, budget);
+        let contexts: [(u32, &[u8]); 2] =
+            [(PRIORITY_CONTEXT_SLOT, &prio), (TRACE_CONTEXT_SLOT, &trace)];
+        let contexts = &contexts[..1 + usize::from(span.is_active())];
         let policy = self.link.policy();
 
         let mut guard = self.state.lock();
         let st = &mut *guard;
+        st.body.clear();
+        msg.encode(&mut st.body);
+        let frame = giop::encode_request_chain(
+            0,
+            false,
+            PORT_KEY,
+            PORT_OP,
+            &st.body,
+            contexts,
+            Endian::Big,
+            &st.pool,
+        );
+        if frame.len() - HEADER_LEN > giop::MAX_BODY {
+            let len = st.body.len();
+            st.body = Vec::new();
+            return Err(CompadresError::Model(format!(
+                "remote message of {len} bytes exceeds the {}-byte frame limit",
+                giop::MAX_BODY
+            )));
+        }
+        if let Some((obs, entity)) = observer.filter(|_| span.is_active()) {
+            obs.record_span(EventKind::SpanRemoteSend, entity, budget, span);
+        }
         let addr = st.addr;
         if policy.degrade == DegradeMode::DropOldest {
             // Never sleeps on backoff. The backlog goes first to keep
             // the order; a frame that cannot go out now joins it.
-            let write = |s: &mut TcpStream| self.write(s, head, &payload);
+            let write = |s: &mut TcpStream| self.write(s, &frame);
             if self.flush(st)
                 && self
                     .link
@@ -588,9 +585,7 @@ impl<M: Message + BytesCodec> RemotePort<M> {
                 self.sent.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
-            // Only a frame that must survive in the resend queue is ever
-            // assembled into one contiguous buffer.
-            st.pending.push_back([head, payload.as_slice()].concat());
+            st.pending.push_back(frame);
             while st.pending.len() > policy.pending_cap {
                 st.pending.pop_front();
                 self.note_shed();
@@ -600,7 +595,7 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         let sent = self.link.send(
             &mut st.link,
             || Self::dial(addr, policy),
-            |s| self.write(s, head, &payload),
+            |s| self.write(s, &frame),
         );
         match sent {
             Ok(()) => {
@@ -623,10 +618,11 @@ impl<M: Message + BytesCodec> RemotePort<M> {
             link,
             addr,
             pending,
+            ..
         } = st;
         while let Some(frame) = pending.front() {
             let dial = || Self::dial(*addr, self.link.policy());
-            if !self.link.offer(link, dial, |s| self.write(s, frame, &[])) {
+            if !self.link.offer(link, dial, |s| self.write(s, frame)) {
                 return false;
             }
             pending.pop_front();
@@ -689,6 +685,7 @@ mod tests {
     use super::*;
     use crate::builder::AppBuilder;
     use crate::runtime::HandlerCtx;
+    use std::net::TcpListener;
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
@@ -894,5 +891,177 @@ mod tests {
         let (app, _rx) = receiver_app();
         assert!(PortExporter::bind::<Telemetry>(&app, "S", "Bogus").is_err());
         assert!(PortExporter::bind::<Telemetry>(&app, "Nobody", "In").is_err());
+    }
+
+    #[test]
+    fn connections_leave_the_table_when_they_end() {
+        let (app, rx) = receiver_app();
+        let exporter = PortExporter::bind::<Telemetry>(&app, "S", "In").unwrap();
+        for id in 0..50 {
+            let sender = RemotePort::<Telemetry>::connect(exporter.local_addr()).unwrap();
+            sender
+                .send(&Telemetry { id, value: 0 }, Priority::NORM)
+                .unwrap();
+            rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let live = exporter.shared.conns.lock().len();
+            if live == 0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{live} ended connections kept");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    const MSG: Telemetry = Telemetry { id: 7, value: -70 };
+
+    /// What a real `RemotePort` writes, read off a raw listener: `MSG`
+    /// at priority 30, untraced and then inside the returned trace.
+    fn captured_frames() -> (Vec<u8>, Vec<u8>, rtobs::SpanCtx) {
+        let listener = TcpListener::bind(LOOPBACK_ANY).unwrap();
+        let sender = RemotePort::<Telemetry>::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut wire, _) = listener.accept().unwrap();
+        let obs = Arc::new(Observer::new());
+        sender.set_observer(&obs);
+        sender.send(&MSG, Priority::new(30)).unwrap();
+        let root = obs.new_trace(Some(5_000_000_000));
+        rtobs::span::with_span(root, || sender.send(&MSG, Priority::new(30)).unwrap());
+        let mut read = || {
+            let mut frame = vec![0u8; HEADER_LEN];
+            wire.read_exact(&mut frame).unwrap();
+            let (_, _, body) = giop::parse_header(frame[..].try_into().unwrap()).unwrap();
+            frame.resize(HEADER_LEN + body, 0);
+            wire.read_exact(&mut frame[HEADER_LEN..]).unwrap();
+            frame
+        };
+        (read(), read(), root)
+    }
+
+    #[test]
+    fn remote_port_frames_are_giop_oneway_requests() {
+        let (plain, traced, root) = captured_frames();
+        for (frame, is_traced) in [(plain, false), (traced, true)] {
+            assert_eq!(&frame[..4], b"GIOP");
+            let parts = [&frame[..]];
+            let Ok(MessageView::Request(req)) = giop::decode_view(&parts) else {
+                panic!("not a GIOP request: {frame:?}");
+            };
+            assert!(!req.response_expected, "a oneway");
+            assert_eq!((&*req.object_key, &*req.operation), (PORT_KEY, PORT_OP));
+            assert_eq!(Telemetry::decode(&req.body), MSG);
+            let slots: Vec<_> = req.service_context.iter().collect();
+            assert_eq!(
+                slots[0],
+                (PRIORITY_CONTEXT_SLOT, Cow::Borrowed(&[0, 30][..]))
+            );
+            assert_eq!(slots.len(), 1 + usize::from(is_traced));
+            let trace = req.trace_context().map(|(id, parent, _)| (id, parent));
+            assert_eq!(trace, is_traced.then_some((root.trace_id, root.span_id)));
+        }
+    }
+
+    /// The exporter's decoder, fed seeded mutations of real frames —
+    /// truncations, bit flips, wrong message types and keys, absurd
+    /// lengths, missing and garbled slots — never panics, lends only
+    /// bodies inside the frame, and yields only valid priorities.
+    #[test]
+    fn port_frame_decoder_survives_mutated_frames() {
+        let check = |frame: &[u8]| -> Option<Priority> {
+            let parts = [frame];
+            let (priority, _, body) = decode_port_frame(&parts)?;
+            assert!((1..=99).contains(&priority.value()), "{priority:?}");
+            let Cow::Borrowed(body) = body else {
+                panic!("a one-part frame lends its body");
+            };
+            let (frame, body) = (frame.as_ptr_range(), body.as_ptr_range());
+            assert!(frame.start <= body.start && body.end <= frame.end);
+            Some(priority)
+        };
+        let (plain, traced, _) = captured_frames();
+        assert_eq!(check(&plain), Some(Priority::new(30)));
+        assert_eq!(check(&traced), Some(Priority::new(30)));
+        // Slots are advisory: missing, short, long, out of range or
+        // repeated, the frame still goes in.
+        type Contexts<'a> = &'a [(u32, &'a [u8])];
+        let slots: [(Contexts, u8); 9] = [
+            (&[], Priority::NORM.value()),
+            (&[(PRIORITY_CONTEXT_SLOT, &[])], Priority::NORM.value()),
+            (&[(PRIORITY_CONTEXT_SLOT, &[7])], Priority::NORM.value()),
+            (
+                &[(PRIORITY_CONTEXT_SLOT, &[0, 0, 9])],
+                Priority::NORM.value(),
+            ),
+            (&[(PRIORITY_CONTEXT_SLOT, &[0, 0])], 1),
+            (&[(PRIORITY_CONTEXT_SLOT, &[1, 0])], 99),
+            (
+                &[
+                    (PRIORITY_CONTEXT_SLOT, &[0, 42]),
+                    (PRIORITY_CONTEXT_SLOT, &[0, 7]),
+                ],
+                42,
+            ),
+            (
+                &[
+                    (TRACE_CONTEXT_SLOT, &[1, 2, 3]),
+                    (PRIORITY_CONTEXT_SLOT, &[0, 8]),
+                ],
+                8,
+            ),
+            (
+                &[(TRACE_CONTEXT_SLOT, &[0; 16]), (0xDEAD, &[9; 5])],
+                Priority::NORM.value(),
+            ),
+        ];
+        let pool = SegPool::new(4, 256);
+        let mut bases = vec![plain, traced];
+        for (contexts, want) in slots {
+            let frame = giop::encode_request_chain(
+                0,
+                false,
+                PORT_KEY,
+                PORT_OP,
+                &[1; 12],
+                contexts,
+                Endian::Big,
+                &pool,
+            );
+            let frame = frame.to_vec();
+            assert_eq!(check(&frame), Some(Priority::new(want)), "{contexts:?}");
+            bases.push(frame);
+        }
+        let mut rng = rtplatform::rng::SplitMix64::new(0x5EED);
+        for base in &bases {
+            for cut in 0..base.len() {
+                check(&base[..cut]);
+            }
+            for msg_type in [1, 2, 5, 6, 0xFF] {
+                let mut f = base.clone();
+                f[7] = msg_type;
+                assert_eq!(check(&f), None, "message type {msg_type}");
+            }
+            let key = base.windows(4).position(|w| w == PORT_KEY).unwrap();
+            let mut f = base.clone();
+            f[key] ^= 0x20;
+            assert_eq!(check(&f), None, "a different key");
+            // Every aligned word, the header's size included, claims
+            // something absurd.
+            for at in (8..base.len() - 3).step_by(4) {
+                for claim in [0, 1, 0x7FFF_FFFF, u32::MAX, base.len() as u32] {
+                    let mut f = base.clone();
+                    f[at..at + 4].copy_from_slice(&claim.to_be_bytes());
+                    check(&f);
+                }
+            }
+            for _ in 0..2_000 {
+                let mut f = base.clone();
+                for _ in 0..rng.range_usize(1, 4) {
+                    let bit = rng.below(f.len() * 8);
+                    f[bit / 8] ^= 1 << (bit % 8);
+                }
+                check(&f);
+            }
+        }
     }
 }

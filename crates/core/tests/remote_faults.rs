@@ -204,7 +204,7 @@ fn exporter_shutdown_joins_connection_threads() {
 
 #[test]
 fn stalled_sender_is_dropped_not_wedged() {
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::TcpStream;
 
     let (app, rx) = sink_app();
@@ -215,9 +215,9 @@ fn stalled_sender_is_dropped_not_wedged() {
     let exporter = PortExporter::bind_with::<Ping>(&app, "S", "In", policy).unwrap();
     let addr = exporter.local_addr();
 
-    // A raw socket that sends half a frame and then stalls forever.
+    // A raw socket that sends half a GIOP header and then stalls forever.
     let mut stall = TcpStream::connect(addr).unwrap();
-    stall.write_all(&[30, 0, 0]).unwrap(); // priority + 2 of 4 length bytes
+    stall.write_all(b"GIOP\x01\x00").unwrap(); // 6 of 12 header bytes
     stall.flush().unwrap();
 
     // The exporter must notice the stall within the recv deadline...
@@ -233,6 +233,12 @@ fn stalled_sender_is_dropped_not_wedged() {
     let sender = RemotePort::<Ping>::connect(addr).unwrap();
     sender.send(&Ping { n: 7 }, Priority::NORM).unwrap();
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 7);
+    // The dropped connection is closed, not held open: the staller
+    // reads end of stream instead of waiting on a socket nobody serves.
+    stall
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    assert_eq!(stall.read(&mut [0u8; 1]).unwrap(), 0, "EOF");
 }
 
 #[test]

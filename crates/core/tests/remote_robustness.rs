@@ -7,10 +7,11 @@ use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use compadres_core::remote::{PortExporter, RemotePort, MAX_FRAME};
+use compadres_core::remote::{PortExporter, RemotePort};
 use compadres_core::smm::BytesCodec;
 use compadres_core::{App, AppBuilder, HandlerCtx, Priority};
 use rtplatform::fault::{DegradeMode, FaultPolicy};
+use rtplatform::giop;
 
 #[derive(Debug, Default, Clone, PartialEq)]
 struct Ping {
@@ -77,9 +78,9 @@ fn oversized_frame_claim_drops_connection_not_app() {
     let (app, rx) = app_with_sink();
     let exporter = PortExporter::bind::<Ping>(&app, "S", "In").unwrap();
 
-    // A hostile sender claims a 1 GiB frame.
+    // A hostile sender claims a 1 GiB GIOP request.
     let mut evil = TcpStream::connect(exporter.local_addr()).unwrap();
-    let mut frame = vec![5u8]; // priority
+    let mut frame = b"GIOP\x01\x00\x00\x00".to_vec(); // 1.0, big-endian, Request
     frame.extend_from_slice(&(1u32 << 30).to_be_bytes());
     frame.extend_from_slice(&[0u8; 64]);
     evil.write_all(&frame).unwrap();
@@ -104,7 +105,7 @@ fn oversized_frame_claim_drops_connection_not_app() {
 fn oversized_message_is_refused_before_it_reaches_the_link() {
     let (app, rx) = app_with_sink();
     let exporter = PortExporter::bind::<Ping>(&app, "S", "In").unwrap();
-    let poison = Blob(vec![0; MAX_FRAME + 1]);
+    let poison = Blob(vec![0; giop::MAX_BODY + 1]);
     for degrade in [DegradeMode::Fail, DegradeMode::DropOldest] {
         let policy = FaultPolicy {
             degrade,
@@ -134,9 +135,9 @@ fn truncated_stream_is_harmless() {
     let (app, rx) = app_with_sink();
     let exporter = PortExporter::bind::<Ping>(&app, "S", "In").unwrap();
 
-    // Half a header, then hang up.
+    // Half a GIOP header, then hang up.
     let mut flaky = TcpStream::connect(exporter.local_addr()).unwrap();
-    flaky.write_all(&[9, 0, 0]).unwrap();
+    flaky.write_all(b"GIOP\x01\x00").unwrap();
     drop(flaky);
 
     let sender = RemotePort::<Ping>::connect(exporter.local_addr()).unwrap();

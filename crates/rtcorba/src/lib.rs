@@ -33,10 +33,8 @@
 #![forbid(unsafe_code)]
 
 pub mod builder;
-pub mod cdr;
 pub mod chaos;
 pub mod corb;
-pub mod giop;
 pub mod ior;
 pub mod naming;
 pub mod reactor;
@@ -46,6 +44,7 @@ pub mod transport;
 pub mod zen;
 
 pub use builder::{ClientBuilder, ServerBuilder};
+pub use rtplatform::{cdr, giop};
 
 /// How an invocation should be performed, shared by
 /// [`corb::CompadresClient::invoke_with`] and

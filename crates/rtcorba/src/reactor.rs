@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rtobs::{CounterId, GaugeId, HistId, Observer};
-use rtplatform::bufchain::{FrameBuf, RecvChain, SegPool};
+use rtplatform::bufchain::{FrameBuf, RecvChain, SegPool, MAX_IOVECS};
 use rtplatform::park::Gate;
 use rtplatform::poll::{Interest, PollEvent, Poller, Waker};
 use rtplatform::ring::MpmcRing;
@@ -52,7 +52,7 @@ use rtplatform::sync::Mutex;
 
 use crate::cdr::Endian;
 use crate::giop::{self, HEADER_LEN};
-use crate::transport::{Connection, TransportError, MAX_IOVECS};
+use crate::transport::{Connection, TransportError};
 
 /// Token of the listening socket in the reactor's poller.
 const TOKEN_LISTENER: u64 = 0;
@@ -574,8 +574,8 @@ fn read_ready(
             }
             break;
         }
-        let body = match giop::body_size(&header) {
-            Ok(b) => b,
+        let body = match giop::parse_header(&header) {
+            Ok((_, _, b)) => b,
             Err(_) => {
                 // Bad magic or absurd size: this is not a GIOP stream.
                 // Tell the peer (MessageError), then hang up once the

@@ -8,7 +8,7 @@
 //! announcing the body size — so the ORB code is transport-agnostic.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -301,7 +301,7 @@ impl Connection for TcpConn {
     /// (`writev`), advancing across partial writes.
     fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
         let mut w = self.writer.lock();
-        write_all_vectored(&mut *w, frame)?;
+        frame.write_all_to(&mut *w)?;
         w.flush()?;
         Ok(())
     }
@@ -316,7 +316,7 @@ impl Connection for TcpConn {
         let mut r = self.reader.lock();
         let mut header = [0u8; HEADER_LEN];
         read_exact_or_closed(&mut *r, &mut header)?;
-        let body_len = giop::body_size(&header).map_err(TransportError::Protocol)?;
+        let (_, _, body_len) = giop::parse_header(&header).map_err(TransportError::Protocol)?;
         let mut frame = vec![0u8; HEADER_LEN + body_len];
         frame[..HEADER_LEN].copy_from_slice(&header);
         read_exact_or_closed(&mut *r, &mut frame[HEADER_LEN..])?;
@@ -334,31 +334,6 @@ impl Connection for TcpConn {
     fn close(&self) {
         let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
     }
-}
-
-/// Most buffer segments gathered into a single vectored write.
-pub(crate) const MAX_IOVECS: usize = 64;
-
-/// Writes every byte of `frame` via `write_vectored`, pointing a stack
-/// `IoSlice` list at what is left after each partial write. Falls back
-/// to per-slice `write_all` only when the writer reports a zero-length
-/// vectored write (a writer that ignores vectoring).
-pub(crate) fn write_all_vectored(w: &mut impl Write, frame: &FrameBuf) -> std::io::Result<()> {
-    let mut skip = 0usize;
-    while skip < frame.len() {
-        let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
-        let set = frame.io_slices_from(skip, &mut iov);
-        let n = w.write_vectored(&iov[..set])?;
-        if n == 0 {
-            for s in &iov[..set] {
-                w.write_all(s)?;
-                skip += s.len();
-            }
-            continue;
-        }
-        skip += n;
-    }
-    Ok(())
 }
 
 fn read_exact_or_closed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), TransportError> {

@@ -160,7 +160,7 @@ fn framing_survives_byte_by_byte_writes() {
     // Read the reply (header, then declared body).
     let mut header = [0u8; 12];
     raw.read_exact(&mut header).unwrap();
-    let body_len = rtcorba::giop::body_size(&header).unwrap();
+    let (_, _, body_len) = rtcorba::giop::parse_header(&header).unwrap();
     let mut reply = vec![0u8; 12 + body_len];
     reply[..12].copy_from_slice(&header);
     raw.read_exact(&mut reply[12..]).unwrap();

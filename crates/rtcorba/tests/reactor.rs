@@ -13,8 +13,8 @@ use rtcorba::cdr::Endian;
 use rtcorba::chaos::{FaultPlan, FaultyConn};
 use rtcorba::corb::CompadresServer;
 use rtcorba::giop::{
-    self, body_size, encode_trace_slot, GiopError, Message, ReplyStatus, RequestMessage,
-    HEADER_LEN, TRACE_CONTEXT_SLOT,
+    self, parse_header, trace_slot, GiopError, Message, ReplyStatus, RequestMessage, HEADER_LEN,
+    TRACE_CONTEXT_SLOT,
 };
 use rtcorba::reactor::ReactorConfig;
 use rtcorba::service::{ObjectRegistry, Servant};
@@ -40,7 +40,7 @@ fn decode(frame: &[u8]) -> Result<Message, GiopError> {
 fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
     let mut header = [0u8; HEADER_LEN];
     stream.read_exact(&mut header).expect("reply header");
-    let body = body_size(&header).expect("reply header parses");
+    let (_, _, body) = parse_header(&header).expect("reply header parses");
     let mut frame = header.to_vec();
     frame.resize(HEADER_LEN + body, 0);
     stream
@@ -62,7 +62,7 @@ fn dripped_request_yields_single_complete_reply() {
         operation: "echo".into(),
         body: vec![0xAB; 100],
         service_context: vec![
-            (TRACE_CONTEXT_SLOT, encode_trace_slot(0x0DD_BA11, 3, 42)),
+            (TRACE_CONTEXT_SLOT, trace_slot(0x0DD_BA11, 3, 42).to_vec()),
             (0xBEEF, vec![1, 2, 3, 4, 5]),
         ],
     };

@@ -15,8 +15,8 @@
 
 use rtcorba::cdr::{CdrDecoder, CdrEncoder, CdrSink, Endian};
 use rtcorba::giop::{
-    decode_view, encode_close, encode_error, encode_trace_slot, peek_trace_parts, GiopError,
-    Message, ReplyMessage, ReplyStatus, RequestMessage, TRACE_CONTEXT_SLOT,
+    decode_view, encode_close, encode_error, peek_trace_parts, trace_slot, GiopError, Message,
+    ReplyMessage, ReplyStatus, RequestMessage, TRACE_CONTEXT_SLOT,
 };
 use rtplatform::bufchain::{BufChain, SegPool};
 use rtplatform::rng::SplitMix64;
@@ -51,11 +51,12 @@ fn random_contexts(rng: &mut SplitMix64) -> Vec<(u32, Vec<u8>)> {
             if rng.chance(0.3) {
                 (
                     TRACE_CONTEXT_SLOT,
-                    encode_trace_slot(
+                    trace_slot(
                         rng.next_u64() as u32 | 1,
                         rng.next_u64() as u16,
                         rng.next_u64(),
-                    ),
+                    )
+                    .to_vec(),
                 )
             } else {
                 (rng.next_u64() as u32, random_bytes(rng, 32))
@@ -574,7 +575,10 @@ fn golden_request(traced: bool) -> RequestMessage {
         body: vec![1, 2, 3, 4, 5],
         service_context: if traced {
             vec![
-                (TRACE_CONTEXT_SLOT, encode_trace_slot(0xC0FFEE, 9, 250_000)),
+                (
+                    TRACE_CONTEXT_SLOT,
+                    trace_slot(0xC0FFEE, 9, 250_000).to_vec(),
+                ),
                 (0xDEAD_BEEF, vec![9, 9, 9]),
             ]
         } else {
@@ -587,7 +591,10 @@ fn golden_reply(status: ReplyStatus) -> ReplyMessage {
     let (body, service_context) = match status {
         ReplyStatus::NoException => (
             vec![0xAA, 0xBB, 0xCC],
-            vec![(TRACE_CONTEXT_SLOT, encode_trace_slot(0xC0FFEE, 9, 250_000))],
+            vec![(
+                TRACE_CONTEXT_SLOT,
+                trace_slot(0xC0FFEE, 9, 250_000).to_vec(),
+            )],
         ),
         ReplyStatus::SystemException => (b"boom".to_vec(), Vec::new()),
         ReplyStatus::ObjectNotExist => (Vec::new(), Vec::new()),

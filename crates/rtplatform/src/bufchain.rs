@@ -37,7 +37,7 @@
 //! and alignment model.
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -49,6 +49,9 @@ pub use slot::{Seg, SegRef};
 /// (header + small body) fits in one segment, small enough that a
 /// pool of a few hundred stays cache- and footprint-friendly.
 pub const DEFAULT_SEG_SIZE: usize = 4096;
+
+/// Most regions gathered into one vectored write.
+pub const MAX_IOVECS: usize = 64;
 
 /// Pool slots and the two handles on them: all of this module's
 /// `unsafe`. A pool owns its slots (buffer + handle count) for life
@@ -619,6 +622,31 @@ impl FrameBuf {
             skip = 0;
         }
         set
+    }
+
+    /// Writes every byte of the frame to `w` with vectored writes,
+    /// pointing a stack `IoSlice` list at what is left after each
+    /// partial write — the one send loop every socket uses. Falls back
+    /// to per-region `write_all` only when the writer reports a
+    /// zero-length vectored write (a writer that ignores vectoring).
+    pub fn write_all_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut skip = 0;
+        while skip < self.len {
+            let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+            let set = self.io_slices_from(skip, &mut iov);
+            match w.write_vectored(&iov[..set]) {
+                Ok(0) => {
+                    for s in &iov[..set] {
+                        w.write_all(s)?;
+                        skip += s.len();
+                    }
+                }
+                Ok(n) => skip += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// Copies the frame into one `Vec` (compatibility/cold paths).

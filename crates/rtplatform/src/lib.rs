@@ -1,7 +1,12 @@
-//! # rtplatform — simulated execution platforms for the Compadres paper
+//! # rtplatform — the substrate every Compadres crate stands on
 //!
-//! The paper's first experiment (Table 2, Fig. 9) runs the same co-located
-//! client–server round trip on three platforms:
+//! std-only primitives (`sync`, `atomic`, `park`, the lock-free `ring`,
+//! `heap`, seeded `rng`, `fault` policies); the wire every socket speaks
+//! — `bufchain` segments frames are built and reassembled in, `poll`'s
+//! epoll loop and acceptor, [`cdr`] marshalling and [`giop`] framing, the
+//! one codec of both ORBs and core's remote ports; and the simulated
+//! execution platforms of the paper's first experiment (Table 2, Fig. 9),
+//! which runs the same co-located client–server round trip on three:
 //!
 //! 1. **TimeSys RI** — the RTSJ reference implementation on a real-time
 //!    Linux kernel: small, tightly bounded jitter (55 µs in the paper);
@@ -33,8 +38,10 @@ use std::time::Duration;
 
 pub mod atomic;
 pub mod bufchain;
+pub mod cdr;
 pub mod chk;
 pub mod fault;
+pub mod giop;
 pub mod heap;
 pub mod park;
 pub mod poll;

@@ -62,8 +62,11 @@ run cargo test -q --offline --workspace
 # The repo's benchmark (BENCHMARK.json) is a package of its own that
 # compiles against the crates' public surface: build it and run its
 # harness tests here, so an API removal that breaks it fails tier 1.
-run cargo build --release --offline --manifest-path benchmark/Cargo.toml
-run cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# `--locked`: a change to the crate graph (a new crate, a new
+# dependency) would rewrite `benchmark/Cargo.lock`, which ordinary PRs
+# may not touch; it fails here instead of quietly editing that file.
+run cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+run cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Fixed-seed rtcheck subset: deterministic differential conformance,
 # linearizability, membership/failover spec, and shard-map property
