@@ -40,20 +40,18 @@
 //! its app's observer automatically).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
 use rtobs::{CounterId, EventKind, GaugeId, Observer};
 use rtplatform::bufchain::{FrameBuf, SegPool};
 use rtplatform::cdr::Endian;
 use rtplatform::fault::{DegradeMode, FaultPolicy};
 use rtplatform::giop::{self, MessageView, HEADER_LEN, PRIORITY_CONTEXT_SLOT, TRACE_CONTEXT_SLOT};
-use rtplatform::poll::Acceptor;
 use rtplatform::sync::Mutex;
+use rtplatform::transport::{Connection, TcpConn, TcpServer, TransportError};
 
 use crate::error::{CompadresError, Result};
 use crate::link::{Link, LinkState};
@@ -71,15 +69,8 @@ const PORT_OP: &str = "push";
 pub(crate) const LOOPBACK_ANY: SocketAddr =
     SocketAddr::new(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST), 0);
 
-fn io_err(e: std::io::Error) -> CompadresError {
+fn io_err(e: impl std::fmt::Display) -> CompadresError {
     CompadresError::Model(format!("remote link I/O failure: {e}"))
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-    )
 }
 
 /// What the exporter and its threads share. The [`Link`] carries the
@@ -95,79 +86,21 @@ struct ExportShared {
     rx_rejected: CounterId,
     conns_live: GaugeId,
     link: Link,
-    shutdown: AtomicBool,
     received: AtomicU64,
     rejected: AtomicU64,
-    /// Every live connection by id: a clone of its stream, so shutdown
-    /// can sever it while its thread is blocked reading, and the thread.
-    /// A connection removes its own entry when it ends.
-    conns: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
 }
 
 /// Serves a local in-port to the network: every message received on the
 /// socket is injected into `instance.port` as if a local component had
 /// sent it.
 pub struct PortExporter {
-    acceptor: Acceptor,
+    server: TcpServer,
     shared: Arc<ExportShared>,
 }
 
 impl std::fmt::Debug for PortExporter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "PortExporter({})", self.local_addr())
-    }
-}
-
-/// Outcome of one framed read on an exporter connection.
-enum FrameRead {
-    /// A complete frame of this many bytes is at the front of the buffer.
-    Frame(usize),
-    /// The recv deadline elapsed *between* frames: the link is idle, not
-    /// faulty. The caller re-checks shutdown and keeps listening.
-    Idle,
-    /// The recv deadline elapsed *inside* a frame: the sender stalled and
-    /// the stream position is now mid-message, so the connection must be
-    /// dropped.
-    Stalled,
-    /// End of stream or a fatal error (including a header that is not
-    /// GIOP or declares more than [`giop::MAX_BODY`]).
-    Dead,
-}
-
-/// Reads one GIOP frame into `buf` (the connection's reusable receive
-/// buffer), tolerating idle timeouts only at the frame boundary (before
-/// any byte of a message is consumed). The header is validated before
-/// anything is allocated for the body.
-fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> FrameRead {
-    let mut header = [0u8; HEADER_LEN];
-    // First byte: an idle timeout here is benign.
-    loop {
-        match stream.read(&mut header[..1]) {
-            Ok(0) => return FrameRead::Dead,
-            Ok(_) => break,
-            Err(e) if is_timeout(&e) => return FrameRead::Idle,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return FrameRead::Dead,
-        }
-    }
-    // From here on we are mid-frame: a timeout means the sender stalled.
-    match stream.read_exact(&mut header[1..]) {
-        Ok(()) => {}
-        Err(e) if is_timeout(&e) => return FrameRead::Stalled,
-        Err(_) => return FrameRead::Dead,
-    }
-    let Ok((_, _, body)) = giop::parse_header(&header) else {
-        return FrameRead::Dead; // not GIOP, or an oversized claim: drop
-    };
-    let len = HEADER_LEN + body;
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    buf[..HEADER_LEN].copy_from_slice(&header);
-    match stream.read_exact(&mut buf[HEADER_LEN..len]) {
-        Ok(()) => FrameRead::Frame(len),
-        Err(e) if is_timeout(&e) => FrameRead::Stalled,
-        Err(_) => FrameRead::Dead,
     }
 }
 
@@ -261,42 +194,20 @@ impl PortExporter {
             conns_live: observer.gauge("remote_conns_live"),
             obs: observer,
             link,
-            shutdown: AtomicBool::new(false),
             received: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            conns: Mutex::new(HashMap::new()),
         });
 
         let sh = Arc::clone(&shared);
         let name = format!("compadres-export-{instance}-{port}");
-        let mut next_id = 0u64;
-        let acceptor = Acceptor::spawn(listener, &name, move |stream| {
-            let Ok(clone) = stream.try_clone() else {
-                return; // a connection shutdown could not sever
-            };
-            next_id += 1;
-            let id = next_id;
-            let sh2 = Arc::clone(&sh);
-            // Inserted under the lock the thread's own removal takes, so
-            // the entry exists before the thread can end.
-            let mut conns = sh.conns.lock();
-            let handle = std::thread::Builder::new()
-                .name("compadres-export-conn".into())
-                .spawn(move || {
-                    serve_conn::<M>(&sh2, stream);
-                    sh2.conns.lock().remove(&id);
-                });
-            if let Ok(h) = handle {
-                conns.insert(id, (clone, h));
-            }
-        })
-        .map_err(io_err)?;
-        Ok(PortExporter { acceptor, shared })
+        let server = TcpServer::spawn(listener, &name, move |conn| serve_conn::<M>(&sh, conn))
+            .map_err(io_err)?;
+        Ok(PortExporter { server, shared })
     }
 
     /// The address remote senders should connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.acceptor.local_addr()
+        self.server.local_addr()
     }
 
     /// Messages received over the network so far.
@@ -316,83 +227,63 @@ impl PortExporter {
     }
 
     /// Stops accepting new connections and severs every live one so
-    /// their threads exit promptly (joined in `Drop`) instead of leaking.
+    /// their threads exit promptly (joined on drop) instead of leaking.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.acceptor.stop();
-        for (s, _) in self.shared.conns.lock().values() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
+        self.server.shutdown();
     }
 }
 
-impl Drop for PortExporter {
-    fn drop(&mut self) {
-        // The acceptor first: once it is joined no new connection can
-        // slip past the severing below.
-        self.acceptor.join();
-        self.shutdown();
-        let conns = std::mem::take(&mut *self.shared.conns.lock());
-        for (_, h) in conns.into_values() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One exporter connection: reads frames until the peer goes away,
-/// stalls mid-frame, sends something that is not a remote-port frame or
-/// the exporter shuts down, injecting each message into `instance.port`.
-fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, mut stream: TcpStream) {
+/// One exporter connection: reads frames until the peer goes away or is
+/// severed, stalls mid-frame or sends something that is not a
+/// remote-port frame, injecting each message into `instance.port`.
+fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, conn: TcpConn) {
     let recv_timeout = sh.link.policy().recv_timeout;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(recv_timeout));
+    let _ = conn.set_deadline(Some(recv_timeout));
     sh.obs.gauge_add(sh.conns_live, 1);
     let mut buf = Vec::new();
-    while !sh.shutdown.load(Ordering::SeqCst) {
-        match read_frame(&mut stream, &mut buf) {
-            FrameRead::Frame(len) => {
-                let parts = [&buf[..len]];
-                let Some((priority, trace, body)) = decode_port_frame(&parts) else {
-                    break;
-                };
-                let msg = M::decode(&body);
-                sh.received.fetch_add(1, Ordering::Relaxed);
-                sh.obs.inc(sh.rx_frames);
-                // Adopt the sender's trace so the injected message
-                // continues it; deliver() then mints a child of this
-                // span.
-                let span = match trace {
-                    Some((tid, parent, budget)) if sh.obs.tracing() => {
-                        let s = sh.obs.adopt_remote(tid, parent, budget);
-                        sh.obs
-                            .record_span(EventKind::SpanRemoteRecv, sh.entity, budget, s);
-                        s
-                    }
-                    _ => rtobs::SpanCtx::NONE,
-                };
-                let injected = rtobs::span::with_span(span, || {
-                    sh.app.send_to(&sh.instance, &sh.port, msg, priority)
-                });
-                if span.is_active() {
-                    // Close the adopted span: on a synchronous pipeline
-                    // its duration brackets the local processing, so
-                    // stitched trees attribute self-time to this side
-                    // instead of the sender's wire hop.
-                    let left = sh.obs.budget_remaining(span);
-                    sh.obs
-                        .record_span(EventKind::SpanEnd, sh.entity, left as u64, span);
-                }
-                if injected.is_err() {
-                    sh.rejected.fetch_add(1, Ordering::Relaxed);
-                    sh.obs.inc(sh.rx_rejected);
-                }
-            }
-            FrameRead::Idle => {}
-            FrameRead::Stalled => {
+    loop {
+        let len = match conn.recv_into(&mut buf) {
+            Ok(Some(len)) => len,
+            Ok(None) => continue, // an idle link
+            Err(TransportError::Deadline) => {
                 sh.link.note_deadline_miss(recv_timeout);
                 break;
             }
-            FrameRead::Dead => break,
+            Err(_) => break,
+        };
+        let parts = [&buf[..len]];
+        let Some((priority, trace, body)) = decode_port_frame(&parts) else {
+            break;
+        };
+        let msg = M::decode(&body);
+        sh.received.fetch_add(1, Ordering::Relaxed);
+        sh.obs.inc(sh.rx_frames);
+        // Adopt the sender's trace so the injected message continues
+        // it; deliver() then mints a child of this span.
+        let span = match trace {
+            Some((tid, parent, budget)) if sh.obs.tracing() => {
+                let s = sh.obs.adopt_remote(tid, parent, budget);
+                sh.obs
+                    .record_span(EventKind::SpanRemoteRecv, sh.entity, budget, s);
+                s
+            }
+            _ => rtobs::SpanCtx::NONE,
+        };
+        let injected = rtobs::span::with_span(span, || {
+            sh.app.send_to(&sh.instance, &sh.port, msg, priority)
+        });
+        if span.is_active() {
+            // Close the adopted span: on a synchronous pipeline its
+            // duration brackets the local processing, so stitched trees
+            // attribute self-time to this side instead of the sender's
+            // wire hop.
+            let left = sh.obs.budget_remaining(span);
+            sh.obs
+                .record_span(EventKind::SpanEnd, sh.entity, left as u64, span);
+        }
+        if injected.is_err() {
+            sh.rejected.fetch_add(1, Ordering::Relaxed);
+            sh.obs.inc(sh.rx_rejected);
         }
     }
     sh.obs.gauge_sub(sh.conns_live, 1);
@@ -401,7 +292,7 @@ fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, mut stream: TcpStream)
 /// What [`RemotePort`] keeps under its one lock: the link's mutable
 /// half, where it points, the resend queue, and what a send encodes in.
 struct SendState {
-    link: LinkState<TcpStream>,
+    link: LinkState<TcpConn>,
     addr: SocketAddr,
     /// Whole wire frames awaiting resend ([`DegradeMode::DropOldest`]).
     pending: VecDeque<FrameBuf>,
@@ -455,7 +346,7 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         // the seed from the port keeps runs reproducible enough while
         // separating streams of co-located senders.
         let mut state = link.state(0x9E37_79B9_7F4A_7C15 ^ u64::from(addr.port()));
-        link.retarget(&mut state, || Self::dial(addr, link.policy()))
+        link.retarget(&mut state, || TcpConn::connect_with(addr, link.policy()))
             .map_err(io_err)?;
         Ok(RemotePort {
             link,
@@ -483,13 +374,6 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         let _ = self.sheds_id.set(obs.counter("remote_sheds_total"));
     }
 
-    fn dial(addr: SocketAddr, policy: &FaultPolicy) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&addr, policy.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(policy.send_timeout))?;
-        Ok(stream)
-    }
-
     fn note_shed(&self) {
         let n = self.sheds.fetch_add(1, Ordering::Relaxed) + 1;
         if let (Some((obs, entity)), Some(&id)) = (self.link.observer(), self.sheds_id.get()) {
@@ -498,15 +382,15 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         }
     }
 
-    /// Writes a frame with vectored I/O, its segments never copied
-    /// together. The link tears the stream down if this fails.
-    fn write(&self, stream: &mut TcpStream, frame: &FrameBuf) -> std::io::Result<()> {
-        let r = frame.write_all_to(stream).and_then(|()| stream.flush());
-        if r.as_ref().is_err_and(is_timeout) {
-            self.link
-                .note_deadline_miss(self.link.policy().send_timeout);
-        }
-        r
+    /// Writes one frame, counting a write that runs into the send
+    /// deadline. The link tears the connection down if this fails.
+    fn ship(&self, conn: &TcpConn, frame: &FrameBuf) -> std::result::Result<(), TransportError> {
+        conn.send_chain(frame).inspect_err(|e| {
+            if matches!(e, TransportError::Deadline) {
+                let deadline = self.link.policy().send_timeout;
+                self.link.note_deadline_miss(deadline);
+            }
+        })
     }
 
     /// Sends one message at `priority`. Mirrors a local
@@ -576,11 +460,11 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         if policy.degrade == DegradeMode::DropOldest {
             // Never sleeps on backoff. The backlog goes first to keep
             // the order; a frame that cannot go out now joins it.
-            let write = |s: &mut TcpStream| self.write(s, &frame);
+            let dial = || TcpConn::connect_with(addr, policy);
             if self.flush(st)
                 && self
                     .link
-                    .offer(&mut st.link, || Self::dial(addr, policy), write)
+                    .offer(&mut st.link, dial, |c| self.ship(c, &frame))
             {
                 self.sent.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
@@ -594,8 +478,8 @@ impl<M: Message + BytesCodec> RemotePort<M> {
         }
         let sent = self.link.send(
             &mut st.link,
-            || Self::dial(addr, policy),
-            |s| self.write(s, &frame),
+            || TcpConn::connect_with(addr, policy),
+            |c| self.ship(c, &frame),
         );
         match sent {
             Ok(()) => {
@@ -621,8 +505,8 @@ impl<M: Message + BytesCodec> RemotePort<M> {
             ..
         } = st;
         while let Some(frame) = pending.front() {
-            let dial = || Self::dial(*addr, self.link.policy());
-            if !self.link.offer(link, dial, |s| self.write(s, frame)) {
+            let dial = || TcpConn::connect_with(*addr, self.link.policy());
+            if !self.link.offer(link, dial, |c| self.ship(c, frame)) {
                 return false;
             }
             pending.pop_front();
@@ -642,7 +526,9 @@ impl<M: Message + BytesCodec> RemotePort<M> {
     pub(crate) fn retarget(&self, addr: SocketAddr) -> Result<()> {
         let mut st = self.state.lock();
         self.link
-            .retarget(&mut st.link, || Self::dial(addr, self.link.policy()))
+            .retarget(&mut st.link, || {
+                TcpConn::connect_with(addr, self.link.policy())
+            })
             .map_err(io_err)?;
         st.addr = addr;
         self.flush(&mut st);
@@ -685,7 +571,7 @@ mod tests {
     use super::*;
     use crate::builder::AppBuilder;
     use crate::runtime::HandlerCtx;
-    use std::net::TcpListener;
+    use std::io::Read;
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
@@ -891,28 +777,6 @@ mod tests {
         let (app, _rx) = receiver_app();
         assert!(PortExporter::bind::<Telemetry>(&app, "S", "Bogus").is_err());
         assert!(PortExporter::bind::<Telemetry>(&app, "Nobody", "In").is_err());
-    }
-
-    #[test]
-    fn connections_leave_the_table_when_they_end() {
-        let (app, rx) = receiver_app();
-        let exporter = PortExporter::bind::<Telemetry>(&app, "S", "In").unwrap();
-        for id in 0..50 {
-            let sender = RemotePort::<Telemetry>::connect(exporter.local_addr()).unwrap();
-            sender
-                .send(&Telemetry { id, value: 0 }, Priority::NORM)
-                .unwrap();
-            rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let live = exporter.shared.conns.lock().len();
-            if live == 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "{live} ended connections kept");
-            std::thread::sleep(Duration::from_millis(10));
-        }
     }
 
     const MSG: Telemetry = Telemetry { id: 7, value: -70 };

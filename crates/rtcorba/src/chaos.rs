@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use compadres_core::link::{Link, LinkState};
 use rtobs::Observer;
+use rtplatform::bufchain::FrameBuf;
 use rtplatform::fault::FaultPolicy;
 use rtplatform::rng::SplitMix64;
 use rtplatform::sync::Mutex;
@@ -181,8 +182,8 @@ impl Connection for FaultyConn {
     /// receive path, which keeps the schedule a function of the frames
     /// actually delivered (a dropped *reply* and a dropped *request* look
     /// identical to the requester anyway — no bytes before the deadline).
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
-        self.inner.send_frame(frame)
+    fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
+        self.inner.send_chain(frame)
     }
 
     fn recv_frame(&self) -> Result<Vec<u8>, TransportError> {
@@ -297,14 +298,14 @@ impl ReconnectingConn {
 }
 
 impl Connection for ReconnectingConn {
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
         self.link.send(
             &mut self.state.lock(),
             || self.dial(),
             // Broken pipe (or send deadline): the link drops its handle
             // and redials; close the connection for a receiver that may
             // still hold one.
-            |conn| conn.send_frame(frame).inspect_err(|_| conn.close()),
+            |conn| conn.send_chain(frame).inspect_err(|_| conn.close()),
         )
     }
 
@@ -349,7 +350,7 @@ mod tests {
     use super::*;
     use crate::transport::loopback_pair;
 
-    fn frame_of(n: u8) -> Vec<u8> {
+    fn frame_of(n: u8) -> FrameBuf {
         let pool = rtplatform::bufchain::SegPool::new(1, 256);
         let body = [n; 64];
         crate::giop::encode_request_chain(
@@ -362,7 +363,6 @@ mod tests {
             crate::cdr::Endian::Big,
             &pool,
         )
-        .to_vec()
     }
 
     #[test]
@@ -374,7 +374,7 @@ mod tests {
                 .set_deadline(Some(Duration::from_millis(10)))
                 .unwrap();
             for i in 0..200u8 {
-                a.send_frame(&frame_of(i)).unwrap();
+                a.send_chain(&frame_of(i)).unwrap();
             }
             let mut delivered = 0u64;
             while faulty.recv_frame().is_ok() {
@@ -396,8 +396,8 @@ mod tests {
         let (a, b) = loopback_pair();
         let faulty = FaultyConn::new(Arc::new(b), FaultPlan::quiet(1));
         for i in 0..50u8 {
-            a.send_frame(&frame_of(i)).unwrap();
-            assert_eq!(faulty.recv_frame().unwrap(), frame_of(i));
+            a.send_chain(&frame_of(i)).unwrap();
+            assert_eq!(faulty.recv_frame().unwrap(), frame_of(i).to_vec());
         }
         assert_eq!(faulty.injected(), FaultCounts::default());
     }
@@ -411,15 +411,15 @@ mod tests {
             let (client, server) = loopback_pair();
             std::thread::spawn(move || {
                 if let Ok(f) = server.recv_frame() {
-                    let _ = server.send_frame(&f);
+                    let _ = server.send_chain(&FrameBuf::from_vec(f));
                 }
                 server.close();
             });
             Ok(Arc::new(client) as Arc<dyn Connection>)
         });
         for i in 0..5u8 {
-            conn.send_frame(&frame_of(i)).unwrap();
-            assert_eq!(conn.recv_frame().unwrap(), frame_of(i));
+            conn.send_chain(&frame_of(i)).unwrap();
+            assert_eq!(conn.recv_frame().unwrap(), frame_of(i).to_vec());
             // Second recv on the same link hits the hangup and poisons it.
             assert!(conn.recv_frame().is_err());
         }
@@ -438,7 +438,7 @@ mod tests {
             attempts2.fetch_add(1, Ordering::Relaxed);
             Err(TransportError::Closed)
         });
-        assert!(conn.send_frame(&frame_of(0)).is_err());
+        assert!(conn.send_chain(&frame_of(0)).is_err());
         assert_eq!(attempts.load(Ordering::Relaxed), 4, "1 try + 3 retries");
         assert_eq!(conn.retries(), 3);
     }

@@ -675,7 +675,8 @@ impl CompadresServer {
                             // Undecodable frame: answer MessageError so the
                             // peer fails fast instead of waiting out its
                             // reply deadline.
-                            let _ = conn.send_frame(&giop::encode_error(endian));
+                            let error = giop::encode_error(endian).to_vec();
+                            let _ = conn.send_chain(&FrameBuf::from_vec(error));
                         }
                     }
                     Ok(())

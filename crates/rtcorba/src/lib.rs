@@ -15,8 +15,9 @@
 //! generic over its byte sink, one decoder over borrowed parts), [`giop`]
 //! message framing (chain encode, in-place decode; owned messages are a
 //! conversion), [`transport`] (TCP, plus an in-process [`Connection`]
-//! test double), and [`service`] servant dispatch. Servers and clients
-//! are built with [`ServerBuilder`] / [`ClientBuilder`].
+//! test double), and [`service`] servant dispatch; the first three live
+//! in `rtplatform`, beneath core, and are re-exported here. Servers and
+//! clients are built with [`ServerBuilder`] / [`ClientBuilder`].
 //!
 //! [`Connection`]: transport::Connection
 //!
@@ -40,11 +41,10 @@ pub mod naming;
 pub mod reactor;
 pub mod service;
 pub mod shard;
-pub mod transport;
 pub mod zen;
 
 pub use builder::{ClientBuilder, ServerBuilder};
-pub use rtplatform::{cdr, giop};
+pub use rtplatform::{cdr, giop, transport};
 
 /// How an invocation should be performed, shared by
 /// [`corb::CompadresClient::invoke_with`] and

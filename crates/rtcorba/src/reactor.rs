@@ -22,7 +22,7 @@
 //!   process the same connection concurrently — so pipelined requests
 //!   on one connection are answered in order;
 //! * workers reply through a [`ReactorConn`] (a [`Connection`] whose
-//!   `send_frame` enqueues bytes on the connection's outbox and nudges
+//!   `send_chain` enqueues the frame on the connection's outbox and nudges
 //!   the reactor through an eventfd [`rtplatform::poll::Waker`]), which
 //!   means the handler pipeline — spans, fault replies,
 //!   service-context echoing — sees an ordinary [`Connection`].
@@ -111,7 +111,7 @@ impl Default for ReactorConfig {
 /// buffers without coalescing — decode it in place
 /// ([`crate::giop::decode_view`] over [`FrameBuf::slices`]). Replies
 /// (if any) go back through the connection's
-/// [`Connection::send_chain`]/[`Connection::send_frame`].
+/// [`Connection::send_chain`].
 pub type FrameFn = Box<dyn FnMut(&Arc<dyn Connection>, FrameBuf) + Send>;
 
 /// State shared between the reactor thread, the workers and every
@@ -183,7 +183,7 @@ struct OutBuf {
 }
 
 /// The worker-facing half of a reactor connection. Implements
-/// [`Connection`]: `send_frame` enqueues on the outbox and nudges the
+/// [`Connection`]: `send_chain` enqueues on the outbox and nudges the
 /// reactor; `recv_frame` is unsupported (inbound frames are delivered to
 /// the [`FrameFn`], never pulled).
 pub struct ReactorConn {
@@ -209,10 +209,6 @@ impl std::fmt::Debug for ReactorConn {
 }
 
 impl Connection for ReactorConn {
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
-        self.send_chain(&FrameBuf::from_vec(frame.to_vec()))
-    }
-
     fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
         if self.closing.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
@@ -581,7 +577,8 @@ fn read_ready(
                 // Tell the peer (MessageError), then hang up once the
                 // reply has flushed.
                 shared.obs.inc(shared.protocol_errors);
-                let _ = entry.conn.send_frame(&giop::encode_error(Endian::native()));
+                let error = giop::encode_error(Endian::native()).to_vec();
+                let _ = entry.conn.send_chain(&FrameBuf::from_vec(error));
                 entry.conn.closing.store(true, Ordering::SeqCst);
                 let discard = entry.chain.len();
                 let _ = entry.chain.take_frame(discard);
@@ -804,7 +801,8 @@ mod tests {
         let srv =
             ReactorServer::spawn(echo_handler, Observer::new(), ReactorConfig::default()).unwrap();
         let conn = TcpConn::connect(srv.addr()).unwrap();
-        conn.send_frame(b"this is not giop at all.....").unwrap();
+        let garbage = b"this is not giop at all.....".to_vec();
+        conn.send_chain(&FrameBuf::from_vec(garbage)).unwrap();
         let frame = conn.recv_frame().unwrap();
         match decode_view(&[&frame]) {
             Ok(MessageView::Error) => {}

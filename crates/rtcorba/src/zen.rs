@@ -11,11 +11,10 @@
 //! Policy checking is omitted, as in the paper's experiment.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use rtplatform::bufchain::{SegPool, DEFAULT_SEG_SIZE};
-use rtplatform::poll::Acceptor;
+use rtplatform::bufchain::{FrameBuf, SegPool, DEFAULT_SEG_SIZE};
 use rtplatform::sync::Mutex;
 
 use rtmem::{Ctx, MemoryModel, ScopePool, Wedge};
@@ -23,7 +22,7 @@ use rtmem::{Ctx, MemoryModel, ScopePool, Wedge};
 use crate::cdr::Endian;
 use crate::giop::{self, MessageView, ReplyStatus};
 use crate::service::ObjectRegistry;
-use crate::transport::{Connection, TcpConn, TransportError};
+use crate::transport::{Connection, TcpConn, TcpServer, TransportError};
 use crate::{InvokeOptions, OrbError};
 
 const TRANSPORT_SCOPE: usize = 64 << 10;
@@ -217,17 +216,16 @@ impl ZenClient {
     }
 }
 
-/// Handle to a running hand-coded server ORB: an acceptor thread plus
-/// one `zen-transport` thread per client — the paper's RTZen comparator
-/// architecture.
+/// Handle to a running hand-coded server ORB: a [`TcpServer`] with one
+/// `zen-transport` thread per client — the paper's RTZen comparator
+/// architecture. Dropping it severs and joins every connection.
 pub struct ZenServer {
-    shutdown: Arc<AtomicBool>,
-    acceptor: Acceptor,
+    server: TcpServer,
 }
 
 impl std::fmt::Debug for ZenServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ZenServer({:?})", self.acceptor.local_addr())
+        write!(f, "ZenServer({:?})", self.server.local_addr())
     }
 }
 
@@ -241,14 +239,10 @@ struct ServerCore {
     request_pool: ScopePool,
     seg_pool: SegPool,
     endian: Endian,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl ServerCore {
-    fn new(
-        registry: Arc<ObjectRegistry>,
-        shutdown: Arc<AtomicBool>,
-    ) -> Result<ServerCore, OrbError> {
+    fn new(registry: Arc<ObjectRegistry>) -> Result<ServerCore, OrbError> {
         let model = MemoryModel::new();
         let poa_scope = model.create_scoped(TRANSPORT_SCOPE)?;
         let poa_wedge = Wedge::pin_from_base(&model, poa_scope)?;
@@ -261,61 +255,53 @@ impl ServerCore {
             request_pool,
             seg_pool: SegPool::new(SERVER_POOL_SEGS, DEFAULT_SEG_SIZE),
             endian: Endian::native(),
-            shutdown,
         })
     }
 
     /// Serves one connection until it closes: POA scope → per-connection
     /// transport scope → per-request processing scope.
-    fn serve_connection(&self, conn: Arc<dyn Connection>) {
+    fn serve_connection(&self, conn: TcpConn) {
         let mut ctx = Ctx::no_heap(&self.model);
-        let transport_scope = match self.model.create_scoped(TRANSPORT_SCOPE) {
-            Ok(r) => r,
-            Err(_) => return,
+        let Ok(transport_scope) = self.model.create_scoped(TRANSPORT_SCOPE) else {
+            return;
         };
         let _ = ctx.enter(self.poa_scope, |ctx| {
-            let _ = ctx.enter(transport_scope, |ctx| loop {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let frame = match conn.recv_frame() {
-                    Ok(f) => f,
-                    Err(_) => break,
-                };
-                let Ok(lease) = self.request_pool.acquire() else {
-                    break;
-                };
-                let request_region = lease.region();
-                let outcome = ctx.enter(request_region, |_ctx| {
-                    // Decode in place over the received buffer: the key,
-                    // operation and body are borrowed views, and the
-                    // reply marshals into pool-leased segments sent with
-                    // vectored I/O — no staging copy either way.
-                    let parts = [&frame[..]];
-                    match giop::decode_view(&parts) {
-                        Ok(MessageView::Request(req)) => {
-                            let reply = self.registry.dispatch_view(&req);
-                            if req.response_expected {
-                                conn.send_chain(&reply.encode_chain(self.endian, &self.seg_pool))
-                                    .is_ok()
-                            } else {
-                                true
+            let _ = ctx.enter(transport_scope, |ctx| {
+                while let Ok(frame) = conn.recv_frame() {
+                    let Ok(lease) = self.request_pool.acquire() else {
+                        break;
+                    };
+                    let request_region = lease.region();
+                    let outcome = ctx.enter(request_region, |_ctx| {
+                        // Decode in place over the received buffer: the key,
+                        // operation and body are borrowed views, and the
+                        // reply marshals into pool-leased segments sent with
+                        // vectored I/O — no staging copy either way.
+                        let parts = [&frame[..]];
+                        match giop::decode_view(&parts) {
+                            Ok(MessageView::Request(req)) => {
+                                let reply = self.registry.dispatch_view(&req);
+                                if req.response_expected {
+                                    let out = reply.encode_chain(self.endian, &self.seg_pool);
+                                    conn.send_chain(&out).is_ok()
+                                } else {
+                                    true
+                                }
+                            }
+                            Ok(_) => false, // CloseConnection, or not a request
+                            Err(_) => {
+                                // Tell the peer its frame was garbage before
+                                // hanging up, so it fails fast instead of
+                                // waiting out its reply deadline.
+                                let error = giop::encode_error(self.endian).to_vec();
+                                let _ = conn.send_chain(&FrameBuf::from_vec(error));
+                                false
                             }
                         }
-                        Ok(MessageView::CloseConnection) => false,
-                        Ok(_) => false,
-                        Err(_) => {
-                            // Tell the peer its frame was garbage before
-                            // hanging up, so it fails fast instead of
-                            // waiting out its reply deadline.
-                            let _ = conn.send_frame(&giop::encode_error(self.endian));
-                            false
-                        }
+                    });
+                    if !matches!(outcome, Ok(true)) {
+                        break;
                     }
-                });
-                match outcome {
-                    Ok(true) => {}
-                    _ => break,
                 }
             });
         });
@@ -324,38 +310,26 @@ impl ServerCore {
 }
 
 impl ZenServer {
-    /// Binds `127.0.0.1:0` and spawns the acceptor thread.
+    /// Binds `127.0.0.1:0` and starts serving it.
     pub(crate) fn serve(registry: Arc<ObjectRegistry>) -> Result<ZenServer, OrbError> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let core = Arc::new(ServerCore::new(registry, Arc::clone(&shutdown))?);
+        let core = ServerCore::new(registry)?;
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(TransportError::Io)?;
-        let acceptor = Acceptor::spawn(listener, "zen-acceptor", move |stream| {
-            if let Ok(conn) = TcpConn::new(stream) {
-                let core2 = Arc::clone(&core);
-                let _ = std::thread::Builder::new()
-                    .name("zen-transport".into())
-                    .spawn(move || core2.serve_connection(Arc::new(conn)));
-            }
+        let server = TcpServer::spawn(listener, "zen-transport", move |conn| {
+            core.serve_connection(conn)
         })
         .map_err(TransportError::Io)?;
-        Ok(ZenServer { shutdown, acceptor })
+        Ok(ZenServer { server })
     }
 
     /// The TCP address clients connect to (always `Some`).
     pub fn addr(&self) -> Option<SocketAddr> {
-        Some(self.acceptor.local_addr())
+        Some(self.server.local_addr())
     }
 
-    /// Stops accepting and serving; the acceptor is joined on drop.
+    /// Stops accepting and severs every connection, so no further
+    /// request is answered; the threads are joined on drop.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.acceptor.stop();
-    }
-}
-
-impl Drop for ZenServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.server.shutdown();
     }
 }
 
@@ -367,7 +341,7 @@ impl Drop for ZenServer {
 /// Bind, connection or memory-architecture failures.
 pub fn loopback_echo_pair() -> Result<(ZenServer, ZenClient), OrbError> {
     let server = ZenServer::serve(ObjectRegistry::with_echo())?;
-    let client = ZenClient::tcp(server.acceptor.local_addr())?;
+    let client = ZenClient::tcp(server.server.local_addr())?;
     Ok((server, client))
 }
 
@@ -402,6 +376,53 @@ mod tests {
             vec![3, 2, 1]
         );
         server.shutdown();
+    }
+
+    /// Threads named by `ZenServer`: its acceptor and one per connection.
+    fn zen_threads() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|e| std::fs::read_to_string(e.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("zen-transport"))
+            .count()
+    }
+
+    #[test]
+    fn shutdown_severs_every_connection() {
+        use std::time::{Duration, Instant};
+
+        let server = ZenServer::serve(ObjectRegistry::with_echo()).unwrap();
+        let addr = server.addr().unwrap();
+        let client = ZenClient::tcp(addr).unwrap();
+        assert_eq!(client.invoke(b"echo", "echo", &[1]).unwrap(), vec![1]);
+        // A raw connection, answered once so it is past the acceptor.
+        let raw = TcpConn::connect(addr).unwrap();
+        let pool = SegPool::new(1, 256);
+        let request =
+            giop::encode_request_chain(1, true, b"echo", "echo", &[2], &[], Endian::Big, &pool);
+        raw.send_chain(&request).unwrap();
+        raw.recv_frame().unwrap();
+
+        server.shutdown();
+        assert!(
+            client.invoke(b"echo", "echo", &[3]).is_err(),
+            "a stopped server answers nothing"
+        );
+        raw.set_deadline(Some(Duration::from_secs(1))).unwrap();
+        assert!(
+            matches!(raw.recv_frame(), Err(TransportError::Closed)),
+            "a stopped server hangs up rather than going silent"
+        );
+        // Other tests' servers end with them; poll rather than expect an
+        // instantaneous zero.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while zen_threads() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "zen-transport threads outlived shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     #[test]

@@ -24,10 +24,10 @@ use rtcorba::giop::{self, GiopError, ReplyMessage, ReplyStatus};
 use rtcorba::service::ObjectRegistry;
 use rtcorba::transport::{loopback_pair, Connection, TcpConn, TransportError};
 use rtcorba::{ClientBuilder, OrbError, ServerBuilder};
-use rtplatform::bufchain::SegPool;
+use rtplatform::bufchain::{FrameBuf, SegPool};
 use rtplatform::fault::FaultPolicy;
 
-fn reply_frame() -> Vec<u8> {
+fn reply_frame() -> FrameBuf {
     ReplyMessage {
         request_id: 1,
         status: ReplyStatus::NoException,
@@ -35,7 +35,6 @@ fn reply_frame() -> Vec<u8> {
         service_context: Vec::new(),
     }
     .encode_chain(Endian::Big, &SegPool::new(1, 64))
-    .to_vec()
 }
 
 #[test]
@@ -51,7 +50,7 @@ fn dropped_reply_maps_to_deadline() {
     client
         .set_deadline(Some(Duration::from_millis(50)))
         .unwrap();
-    server.send_frame(&reply_frame()).unwrap();
+    server.send_chain(&reply_frame()).unwrap();
     match client.recv_frame() {
         Err(TransportError::Deadline) => {}
         other => panic!("dropped reply must map to Deadline, got {other:?}"),
@@ -71,7 +70,7 @@ fn stalled_reply_maps_to_deadline() {
     });
     let policy = FaultPolicy::tight(); // 100 ms deadlines
     let conn = TcpConn::connect_with(addr, &policy).unwrap();
-    conn.send_frame(&reply_frame()).unwrap();
+    conn.send_chain(&reply_frame()).unwrap();
     match conn.recv_frame() {
         Err(TransportError::Deadline) => {}
         other => panic!("stalled reply must map to Deadline, got {other:?}"),
@@ -108,7 +107,7 @@ fn injected_disconnect_maps_to_closed() {
             ..FaultPlan::quiet(7)
         },
     );
-    server.send_frame(&reply_frame()).unwrap();
+    server.send_chain(&reply_frame()).unwrap();
     match client.recv_frame() {
         Err(TransportError::Closed) => {}
         other => panic!("injected disconnect must map to Closed, got {other:?}"),
@@ -126,7 +125,7 @@ fn truncated_frame_maps_to_short_body() {
             ..FaultPlan::quiet(7)
         },
     );
-    server.send_frame(&reply_frame()).unwrap();
+    server.send_chain(&reply_frame()).unwrap();
     // The truncated frame still arrives (bytes made it), but violates
     // the declared GIOP size — surfacing at decode as ShortBody, which
     // the ORB wraps in `TransportError::Protocol` semantics.
@@ -168,7 +167,8 @@ fn oversize_reply_declaration_fails_the_invocation_with_protocol() {
     let guard = std::thread::spawn(move || {
         let conn = TcpConn::new(listener.accept().unwrap().0).unwrap();
         conn.recv_frame().unwrap();
-        conn.send_frame(&OVERSIZE_HEADER).unwrap();
+        let oversize = FrameBuf::from_vec(OVERSIZE_HEADER.to_vec());
+        conn.send_chain(&oversize).unwrap();
         // Stay connected: the client must fail on the header alone, not
         // on the stream ending under a 4 GiB read.
         let _ = conn.recv_frame();

@@ -19,7 +19,7 @@ use rtcorba::giop::{
 use rtcorba::reactor::ReactorConfig;
 use rtcorba::service::{ObjectRegistry, Servant};
 use rtcorba::transport::{Connection, TcpConn};
-use rtplatform::bufchain::SegPool;
+use rtplatform::bufchain::{FrameBuf, SegPool};
 
 fn reactor_server() -> CompadresServer {
     rtcorba::ServerBuilder::new(ObjectRegistry::with_echo())
@@ -136,7 +136,7 @@ fn truncated_reply_from_reactor_maps_to_short_body() {
         body: vec![7; 64],
         service_context: Vec::new(),
     };
-    conn.send_frame(&encode(&req)).unwrap();
+    conn.send_chain(&FrameBuf::from_vec(encode(&req))).unwrap();
     let frame = conn.recv_frame().unwrap();
     match decode(&frame) {
         Err(GiopError::ShortBody { declared, actual }) => {

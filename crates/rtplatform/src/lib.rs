@@ -4,7 +4,9 @@
 //! `heap`, seeded `rng`, `fault` policies); the wire every socket speaks
 //! — `bufchain` segments frames are built and reassembled in, `poll`'s
 //! epoll loop and acceptor, [`cdr`] marshalling and [`giop`] framing, the
-//! one codec of both ORBs and core's remote ports; and the simulated
+//! one codec of both ORBs and core's remote ports, and [`transport`], the
+//! one blocking GIOP connection and thread-per-connection server they
+//! run on; and the simulated
 //! execution platforms of the paper's first experiment (Table 2, Fig. 9),
 //! which runs the same co-located client–server round trip on three:
 //!
@@ -49,6 +51,7 @@ pub mod ring;
 pub mod rng;
 pub mod small;
 pub mod sync;
+pub mod transport;
 
 use rng::SplitMix64;
 

@@ -382,20 +382,14 @@ impl Acceptor {
     pub fn stop(&self) {
         self.stop.wake();
     }
-
-    /// Stops the thread and waits for it, and so for the `on_conn` call
-    /// it may be inside: after this no further connection is handed out.
-    pub fn join(&mut self) {
-        self.stop();
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for Acceptor {
     fn drop(&mut self) {
-        self.join();
+        self.stop();
+        if let Some(h) = self.thread.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -540,7 +534,7 @@ mod tests {
         assert_eq!(unsafe { listen(listener.as_raw_fd(), 1) }, 0);
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        let mut acceptor = Acceptor::spawn(listener, "test-acceptor", move |_stream| {
+        let acceptor = Acceptor::spawn(listener, "test-acceptor", move |_stream| {
             entered_tx.send(()).unwrap();
             let _ = release_rx.recv();
         })
@@ -560,7 +554,7 @@ mod tests {
 
         acceptor.stop();
         release_tx.send(()).unwrap();
-        acceptor.join();
+        drop(acceptor);
         assert!(
             entered_rx.try_recv().is_err(),
             "a stopped acceptor hands out no more connections"

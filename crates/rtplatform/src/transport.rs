@@ -4,25 +4,28 @@
 //! connected via loopback network" (§3.3), which is [`TcpConn`] to
 //! `127.0.0.1`. [`LoopbackConn`] is the in-process [`Connection`] that
 //! tests put under a client ORB or a `chaos` wrapper when no server is
-//! wanted. Both frame messages exactly the same way — a GIOP header
-//! announcing the body size — so the ORB code is transport-agnostic.
+//! wanted. Both frame messages as GIOP does, so the ORB code is
+//! transport-agnostic. Every blocking GIOP socket — both ORBs' clients,
+//! ZenOrb's server, core's remote ports — is a [`TcpConn`]; [`TcpServer`]
+//! serves them, a thread per connection.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rtplatform::bufchain::FrameBuf;
-use rtplatform::fault::FaultPolicy;
-use rtplatform::sync::{Condvar, Mutex};
-
+use crate::bufchain::FrameBuf;
+use crate::fault::FaultPolicy;
 use crate::giop::{self, HEADER_LEN};
+use crate::poll::Acceptor;
+use crate::sync::{Condvar, Mutex};
 
 /// Transport errors.
 ///
 /// Each injectable network fault class maps to exactly one variant (the
-/// mapping is exercised by `tests/fault_mapping.rs`):
+/// mapping is exercised by rtcorba's `tests/fault_mapping.rs`):
 ///
 /// | fault class                  | variant        |
 /// |------------------------------|----------------|
@@ -33,16 +36,15 @@ use crate::giop::{self, HEADER_LEN};
 #[derive(Debug)]
 pub enum TransportError {
     /// Underlying socket error.
-    Io(std::io::Error),
+    Io(io::Error),
     /// The peer closed the connection.
     Closed,
     /// The incoming frame violated GIOP framing.
     Protocol(giop::GiopError),
     /// The operation did not complete before its configured deadline
-    /// (see [`Connection::set_deadline`] and
-    /// [`rtplatform::fault::FaultPolicy`]). The connection itself may
-    /// still be usable, but a caller that cannot tell a late reply from
-    /// a lost one should drop it and reconnect.
+    /// (see [`Connection::set_deadline`] and [`FaultPolicy`]). The
+    /// connection itself may still be usable, but a caller that cannot
+    /// tell a late reply from a lost one should drop it and reconnect.
     Deadline,
 }
 
@@ -59,49 +61,26 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-impl From<std::io::Error> for TransportError {
-    fn from(e: std::io::Error) -> Self {
-        if is_timeout(&e) {
-            TransportError::Deadline
-        } else {
-            TransportError::Io(e)
+impl From<io::Error> for TransportError {
+    /// A socket timeout — `TimedOut` or `WouldBlock`, by platform.
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => TransportError::Deadline,
+            _ => TransportError::Io(e),
         }
     }
-}
-
-/// Socket timeouts surface as `TimedOut` or `WouldBlock` depending on
-/// platform; both mean "the deadline elapsed".
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-    )
 }
 
 /// A bidirectional, framed GIOP connection.
 pub trait Connection: Send + Sync {
-    /// Sends one complete GIOP frame.
+    /// Sends one complete GIOP frame held as a segment chain. [`TcpConn`]
+    /// scatters the segments into the socket with vectored writes, never
+    /// copying them together; decorators forward the chain unchanged.
     ///
     /// # Errors
     ///
     /// I/O failures or a closed peer.
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError>;
-
-    /// Sends one complete GIOP frame held as a segment chain. The
-    /// default coalesces into a `Vec` for transports without
-    /// scatter-gather; [`TcpConn`] overrides it with a vectored write
-    /// so chain segments reach the socket without being copied
-    /// together first.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or a closed peer.
-    fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
-        match frame.as_single() {
-            Some(bytes) => self.send_frame(bytes),
-            None => self.send_frame(&frame.to_vec()),
-        }
-    }
+    fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError>;
 
     /// Receives one complete GIOP frame (header + body), blocking.
     ///
@@ -210,7 +189,7 @@ pub fn loopback_pair() -> (LoopbackConn, LoopbackConn) {
 }
 
 impl Connection for LoopbackConn {
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
         self.tx.push(frame.to_vec())
     }
 
@@ -287,16 +266,44 @@ impl TcpConn {
         stream.set_read_timeout(Some(policy.recv_timeout))?;
         TcpConn::new(stream)
     }
+
+    /// Receives one frame into `buf[..len]`, `buf` reused from frame to
+    /// frame: it grows only for a frame larger than any before. A recv
+    /// deadline that passes before the frame's first byte is `Ok(None)`,
+    /// an idle link that stays usable; one that passes inside a frame is
+    /// [`TransportError::Deadline`], and the connection must be dropped.
+    ///
+    /// # Errors
+    ///
+    /// As [`recv_frame`](Connection::recv_frame); `buf` does not grow for
+    /// a header declaring more than [`giop::MAX_BODY`].
+    pub fn recv_into(&self, buf: &mut Vec<u8>) -> Result<Option<usize>, TransportError> {
+        let mut r = self.reader.lock();
+        let mut header = [0u8; HEADER_LEN];
+        let got = loop {
+            match r.read(&mut header) {
+                Ok(0) => return Err(TransportError::Closed),
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => match TransportError::from(e) {
+                    TransportError::Deadline => return Ok(None),
+                    e => return Err(e),
+                },
+            }
+        };
+        read_exact_or_closed(&mut *r, &mut header[got..])?;
+        let (_, _, body) = giop::parse_header(&header).map_err(TransportError::Protocol)?;
+        let len = HEADER_LEN + body;
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        buf[..HEADER_LEN].copy_from_slice(&header);
+        read_exact_or_closed(&mut *r, &mut buf[HEADER_LEN..len])?;
+        Ok(Some(len))
+    }
 }
 
 impl Connection for TcpConn {
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
-        let mut w = self.writer.lock();
-        w.write_all(frame)?;
-        w.flush()?;
-        Ok(())
-    }
-
     /// Scatter-gathers the chain's segments straight into the socket
     /// (`writev`), advancing across partial writes.
     fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
@@ -306,20 +313,11 @@ impl Connection for TcpConn {
         Ok(())
     }
 
-    /// Receives one frame. With a recv deadline armed, a timeout returns
-    /// [`TransportError::Deadline`]; if it strikes *mid-frame* the stream
-    /// position is inside a message, so the connection must be dropped,
-    /// not reused — exactly what the retry layers do. A header that
-    /// declares more than the frame limit is a
-    /// [`TransportError::Protocol`] and nothing is allocated for it.
+    /// [`TcpConn::recv_into`] a fresh `Vec`; an idle deadline is [`TransportError::Deadline`] too.
     fn recv_frame(&self) -> Result<Vec<u8>, TransportError> {
-        let mut r = self.reader.lock();
-        let mut header = [0u8; HEADER_LEN];
-        read_exact_or_closed(&mut *r, &mut header)?;
-        let (_, _, body_len) = giop::parse_header(&header).map_err(TransportError::Protocol)?;
-        let mut frame = vec![0u8; HEADER_LEN + body_len];
-        frame[..HEADER_LEN].copy_from_slice(&header);
-        read_exact_or_closed(&mut *r, &mut frame[HEADER_LEN..])?;
+        let mut frame = Vec::new();
+        self.recv_into(&mut frame)?
+            .ok_or(TransportError::Deadline)?;
         Ok(frame)
     }
 
@@ -339,36 +337,117 @@ impl Connection for TcpConn {
 fn read_exact_or_closed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), TransportError> {
     match r.read_exact(buf) {
         Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(TransportError::Closed),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(TransportError::Closed),
         Err(e) => Err(e.into()),
+    }
+}
+
+/// A [`TcpServer`]'s live connections by id: a clone of the stream to
+/// sever it by, and its thread. Each is removed by its thread as it ends.
+type Conns = Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>;
+
+/// A thread-per-connection GIOP server: an [`Acceptor`] hands each
+/// accepted stream to a thread of its own that serves it as a
+/// [`TcpConn`]. Shutdown severs through the table's clone, not
+/// [`TcpConn::close`], which would wait behind a blocked reply write.
+pub struct TcpServer {
+    local_addr: SocketAddr,
+    acceptor: Mutex<Option<Acceptor>>,
+    conns: Arc<Conns>,
+}
+
+impl TcpServer {
+    /// Runs `serve` on every connection accepted on `listener`, each on
+    /// its own thread; all the server's threads are called `name`.
+    ///
+    /// # Errors
+    ///
+    /// Poller, waker or thread creation failures.
+    pub fn spawn(
+        listener: TcpListener,
+        name: &str,
+        serve: impl Fn(TcpConn) + Send + Sync + 'static,
+    ) -> io::Result<TcpServer> {
+        let conns = Arc::new(Mutex::new(HashMap::new()));
+        let table = Arc::clone(&conns);
+        let serve = Arc::new(serve);
+        let thread_name = name.to_string();
+        let mut next_id = 0u64;
+        let acceptor = Acceptor::spawn(listener, name, move |stream| {
+            let (Ok(sever), Ok(conn)) = (stream.try_clone(), TcpConn::new(stream)) else {
+                return;
+            };
+            next_id += 1;
+            let id = next_id;
+            let (serve, table2) = (Arc::clone(&serve), Arc::clone(&table));
+            // Inserted under the lock the thread's own removal takes, so
+            // the entry exists before the thread can end.
+            let mut conns = table.lock();
+            let handle = std::thread::Builder::new()
+                .name(thread_name.clone())
+                .spawn(move || {
+                    serve(conn);
+                    drop(serve); // so a dropped server holds nothing
+                    table2.lock().remove(&id);
+                });
+            if let Ok(h) = handle {
+                conns.insert(id, (sever, h));
+            }
+        })?;
+        Ok(TcpServer {
+            local_addr: acceptor.local_addr(),
+            acceptor: Mutex::new(Some(acceptor)),
+            conns,
+        })
+    }
+
+    /// The address the listener is bound to.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stops accepting — the acceptor is joined, so no connection is
+    /// handed out after — and severs every live connection, whose
+    /// threads then end; dropping the server also joins them.
+    pub fn shutdown(&self) {
+        drop(self.acceptor.lock().take());
+        for (stream, _) in self.conns.lock().values() {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
+
+impl Drop for TcpServer {
+    fn drop(&mut self) {
+        self.shutdown();
+        let live = std::mem::take(&mut *self.conns.lock());
+        for (_, h) in live.into_values() {
+            let _ = h.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bufchain::SegPool;
     use crate::cdr::Endian;
     use crate::giop::{decode_view, encode_request_chain, MessageView};
-    use rtplatform::bufchain::SegPool;
-    use std::net::TcpListener;
+    use std::time::Instant;
 
-    /// A request frame marshalled into `seg`-byte segments.
-    fn chain(response_expected: bool, endian: Endian, seg: usize) -> FrameBuf {
+    /// A request frame with a `body`-byte body, marshalled into
+    /// `seg`-byte segments.
+    fn chain_of(body: usize, endian: Endian, seg: usize) -> FrameBuf {
         let pool = SegPool::new(8, seg);
-        encode_request_chain(
-            1,
-            response_expected,
-            b"k",
-            "op",
-            &[5; 100],
-            &[],
-            endian,
-            &pool,
-        )
+        encode_request_chain(1, true, b"k", "op", &vec![5; body], &[], endian, &pool)
     }
 
-    fn frame() -> Vec<u8> {
-        chain(true, Endian::Big, 256).to_vec()
+    fn chain(endian: Endian, seg: usize) -> FrameBuf {
+        chain_of(100, endian, seg)
+    }
+
+    fn frame() -> FrameBuf {
+        chain(Endian::Big, 256)
     }
 
     /// A loopback listener and the address clients reach it at.
@@ -382,15 +461,22 @@ mod tests {
         TcpConn::new(listener.accept().unwrap().0).unwrap()
     }
 
+    /// A connected pair: a [`TcpConn`] and the raw stream at its peer.
+    fn raw_pair() -> (TcpConn, TcpStream) {
+        let (listener, addr) = listen();
+        let raw = TcpStream::connect(addr).unwrap();
+        (accept(&listener), raw)
+    }
+
     #[test]
     fn loopback_roundtrip() {
         let (a, b) = loopback_pair();
-        a.send_frame(&frame()).unwrap();
+        a.send_chain(&frame()).unwrap();
         let got = b.recv_frame().unwrap();
-        assert_eq!(got, frame());
+        assert_eq!(got, frame().to_vec());
         // And back.
-        b.send_frame(&frame()).unwrap();
-        assert_eq!(a.recv_frame().unwrap(), frame());
+        b.send_chain(&frame()).unwrap();
+        assert_eq!(a.recv_frame().unwrap(), frame().to_vec());
     }
 
     #[test]
@@ -401,7 +487,7 @@ mod tests {
         a.close();
         assert!(matches!(h.join().unwrap(), Err(TransportError::Closed)));
         assert!(matches!(
-            a.send_frame(&frame()),
+            a.send_chain(&frame()),
             Err(TransportError::Closed)
         ));
     }
@@ -413,10 +499,10 @@ mod tests {
             let conn = accept(&listener);
             let incoming = conn.recv_frame().unwrap();
             // Echo it straight back.
-            conn.send_frame(&incoming).unwrap();
+            conn.send_chain(&FrameBuf::from_vec(incoming)).unwrap();
         });
         let client = TcpConn::connect(addr).unwrap();
-        client.send_frame(&frame()).unwrap();
+        client.send_chain(&frame()).unwrap();
         let reply = client.recv_frame().unwrap();
         match decode_view(&[&reply]).unwrap() {
             MessageView::Request(r) => assert_eq!(r.body.len(), 100),
@@ -447,7 +533,7 @@ mod tests {
             (a, b)
         });
         let client = TcpConn::connect(addr).unwrap();
-        let chain = chain(true, Endian::Big, 64);
+        let chain = chain(Endian::Big, 64);
         assert!(chain.as_single().is_none(), "frame must span segments");
         client.send_chain(&chain).unwrap();
         client.send_chain(&chain).unwrap();
@@ -457,9 +543,9 @@ mod tests {
     }
 
     #[test]
-    fn loopback_send_chain_matches_send_frame() {
+    fn loopback_send_chain_is_exact() {
         let (a, b) = loopback_pair();
-        let chain = chain(false, Endian::Little, 32);
+        let chain = chain(Endian::Little, 32);
         assert!(chain.as_single().is_none(), "frame must span segments");
         a.send_chain(&chain).unwrap();
         assert_eq!(b.recv_frame().unwrap(), chain.to_vec());
@@ -478,9 +564,99 @@ mod tests {
         });
         let client = TcpConn::connect(addr).unwrap();
         for _ in 0..3 {
-            client.send_frame(&frame()).unwrap();
+            client.send_chain(&frame()).unwrap();
         }
         let sizes = server.join().unwrap();
         assert_eq!(sizes, vec![frame().len(); 3]);
+    }
+
+    #[test]
+    fn idle_deadline_at_a_frame_boundary_is_not_an_error() {
+        let (conn, mut raw) = raw_pair();
+        conn.set_deadline(Some(Duration::from_millis(30))).unwrap();
+        let mut buf = Vec::new();
+        assert!(matches!(conn.recv_into(&mut buf), Ok(None)), "idle");
+        // The link is still usable: the next frame reads whole.
+        raw.write_all(&frame().to_vec()).unwrap();
+        let len = conn.recv_into(&mut buf).unwrap().expect("a frame");
+        assert_eq!(&buf[..len], &frame().to_vec()[..]);
+    }
+
+    #[test]
+    fn deadline_inside_a_header_is_a_stall() {
+        let (conn, mut raw) = raw_pair();
+        conn.set_deadline(Some(Duration::from_millis(30))).unwrap();
+        raw.write_all(b"GIOP\x01\x00").unwrap(); // 6 of 12 header bytes
+        let mut buf = Vec::new();
+        assert!(matches!(
+            conn.recv_into(&mut buf),
+            Err(TransportError::Deadline)
+        ));
+    }
+
+    #[test]
+    fn oversize_header_is_refused_before_the_buffer_grows() {
+        let (conn, mut raw) = raw_pair();
+        let mut claim = b"GIOP\x01\x00\x00\x00".to_vec(); // a big-endian Request
+        claim.extend_from_slice(&(1u32 << 30).to_be_bytes()); // of 1 GiB
+        raw.write_all(&claim).unwrap();
+        let mut buf = Vec::with_capacity(64);
+        assert!(matches!(
+            conn.recv_into(&mut buf),
+            Err(TransportError::Protocol(_))
+        ));
+        assert_eq!(buf.capacity(), 64, "nothing sized for the claim");
+    }
+
+    #[test]
+    fn one_buffer_carries_many_frames() {
+        let (conn, mut raw) = raw_pair();
+        // The largest frame first: it sets the capacity for the rest.
+        let frames: Vec<Vec<u8>> = (0..100)
+            .map(|i| chain_of([4000, 10, 700, 0][i % 4], Endian::Big, 1024).to_vec())
+            .collect();
+        let sent = frames.clone();
+        let writer = std::thread::spawn(move || {
+            for f in &sent {
+                raw.write_all(f).unwrap();
+            }
+        });
+        let mut buf = Vec::new();
+        let mut cap = 0;
+        for (i, f) in frames.iter().enumerate() {
+            let len = conn.recv_into(&mut buf).unwrap().expect("a frame");
+            assert_eq!(&buf[..len], &f[..]);
+            if i == 0 {
+                cap = buf.capacity();
+            }
+            assert_eq!(buf.capacity(), cap, "frame {i} regrew the buffer");
+        }
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn connections_leave_the_table_when_they_end() {
+        let (listener, _) = listen();
+        let server = TcpServer::spawn(listener, "test-tcp-server", |conn| {
+            while let Ok(f) = conn.recv_frame() {
+                let _ = conn.send_chain(&FrameBuf::from_vec(f));
+            }
+        })
+        .unwrap();
+        for _ in 0..50 {
+            let client = TcpConn::connect(server.local_addr()).unwrap();
+            client.send_chain(&frame()).unwrap();
+            // Echoed, so the connection was in the table.
+            client.recv_frame().unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let live = server.conns.lock().len();
+            if live == 0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{live} ended connections kept");
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }

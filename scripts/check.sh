@@ -56,6 +56,23 @@ if grep -rnw --include='*.rs' 'unsafe' crates/*/src |
     exit 1
 fi
 
+# One-blocking-socket-layer lint: every blocking GIOP socket is opened,
+# read, written and stopped by rtplatform's `transport`. `TcpStream` in
+# production code (above a file's first `#[cfg(test)]`, as the line
+# count below reads it) stays there, in `poll`'s acceptor, in the
+# reactor and in the membership heartbeat (a 1-byte echo, not GIOP).
+echo "==> blocking-socket lint (crates/*/src)"
+stray=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /TcpStream/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ":" $0 }' |
+    grep -vE '^crates/(rtplatform/src/(transport|poll)|rtcorba/src/reactor|core/src/membership)\.rs:' || true)
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "FAIL: TcpStream outside rtplatform's transport and poll, the reactor and the heartbeat"
+    exit 1
+fi
+
 run cargo build --release --offline --workspace --bins --examples
 run cargo test -q --offline --workspace
 
