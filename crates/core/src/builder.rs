@@ -168,17 +168,10 @@ impl AppBuilder {
         M: Message,
         H: MessageHandler<M> + 'static,
     {
-        // Shared, not copied, into every activation's handler: the two
-        // names are only read to word a type-mismatch error.
-        let port_name: Arc<str> = port.into();
-        let port_def = self.cdl.component(class).and_then(|c| c.port(port));
-        let message_type: Arc<str> = port_def.map_or("", |p| &p.message_type).into();
+        // Every activation record's slot for this port shares `factory`.
+        let factory: Arc<dyn Fn() -> H + Send + Sync> = Arc::new(factory);
         let erased = Arc::new(move || {
-            Box::new(TypedHandler::new(
-                factory(),
-                Arc::clone(&port_name),
-                Arc::clone(&message_type),
-            )) as Box<dyn ErasedHandler>
+            Box::new(TypedHandler::new(Arc::clone(&factory))) as Box<dyn ErasedHandler>
         });
         self.handler_factories.insert(
             (class.to_string(), port.to_string()),

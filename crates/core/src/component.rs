@@ -67,41 +67,55 @@ where
     }
 }
 
-/// Object-safe handler used internally by ports.
+/// Object-safe handler slot used internally by ports: built once per
+/// activation record, filled at every activation and emptied at every
+/// deactivation.
 pub(crate) trait ErasedHandler: Send {
+    /// Puts a handler the user's factory has just built in the slot.
+    fn fill(&mut self);
+    /// Drops the slot's handler, keeping the slot.
+    fn clear(&mut self);
     fn process_any(&mut self, msg: &mut (dyn Any + Send), ctx: &mut HandlerCtx<'_>) -> Result<()>;
 }
 
 /// Builds a component object at every activation of an instance.
 pub(crate) type ComponentFactory = Arc<dyn Fn() -> Box<dyn Component> + Send + Sync>;
-/// Builds an in-port's handler at every activation of its instance.
+/// Builds an in-port's empty handler slot for a new activation record.
 pub(crate) type HandlerFactory = Arc<dyn Fn() -> Box<dyn ErasedHandler> + Send + Sync>;
 
 pub(crate) struct TypedHandler<M: Message, H: MessageHandler<M>> {
-    handler: H,
-    port: Arc<str>,
-    expected: Arc<str>,
+    factory: Arc<dyn Fn() -> H + Send + Sync>,
+    handler: Option<H>,
     _marker: PhantomData<fn(&mut M)>,
 }
 
 impl<M: Message, H: MessageHandler<M>> TypedHandler<M, H> {
-    pub(crate) fn new(handler: H, port: Arc<str>, expected: Arc<str>) -> Self {
+    pub(crate) fn new(factory: Arc<dyn Fn() -> H + Send + Sync>) -> Self {
         TypedHandler {
-            handler,
-            port,
-            expected,
+            factory,
+            handler: None,
             _marker: PhantomData,
         }
     }
 }
 
 impl<M: Message, H: MessageHandler<M>> ErasedHandler for TypedHandler<M, H> {
+    fn fill(&mut self) {
+        self.handler = Some((self.factory)());
+    }
+
+    fn clear(&mut self) {
+        self.handler = None;
+    }
+
     fn process_any(&mut self, msg: &mut (dyn Any + Send), ctx: &mut HandlerCtx<'_>) -> Result<()> {
+        let handler = self.handler.as_mut().expect("a held record is filled");
         match msg.downcast_mut::<M>() {
-            Some(typed) => self.handler.process(typed, ctx),
+            Some(typed) => handler.process(typed, ctx),
+            // Entry points check `TypeId` first: this only feeds a counter.
             None => Err(CompadresError::MessageTypeMismatch {
-                port: self.port.to_string(),
-                expected: self.expected.to_string(),
+                port: String::new(),
+                expected: String::new(),
             }),
         }
     }

@@ -16,7 +16,8 @@
 //! wedge, constructing the component object and its handlers, and running
 //! `start()`. When the last in-flight message leaves and no
 //! [`ChildHandle`] keeps it connected, the component is deactivated and its
-//! scope reclaimed. `connect()`/`disconnect()` (paper §2.2) are exposed as
+//! scope reclaimed — both in place, in the one activation record the
+//! instance keeps. `connect()`/`disconnect()` (paper §2.2) are exposed as
 //! [`HandlerCtx::connect`] and [`App::connect`].
 
 use std::any::TypeId;
@@ -33,7 +34,7 @@ use rtmem::{MemoryModel, RegionId, ScopeLease, ScopePool, Wedge};
 use rtobs::{span, CounterId, EventKind, HistId, Observer};
 use rtsched::{Priority, ThreadPool};
 
-use crate::component::{Component, ComponentFactory, ErasedHandler, HandlerFactory};
+use crate::component::{Component, ComponentFactory, ErasedHandler, HandlerFactory, NullComponent};
 use crate::error::{CompadresError, Result};
 use crate::message::{AnyPool, Envelope, Message, PooledMsg};
 use crate::model::{ComponentKind, PortAttrs};
@@ -77,7 +78,7 @@ pub(crate) struct InPort {
     pub instance: InstanceId,
     /// Position of this port's handler in its instance's activation.
     pub slot: usize,
-    /// Builds the handler at every activation of the instance.
+    /// Builds this port's handler slot in a new activation record.
     pub handler: HandlerFactory,
     pub message_type: String,
     pub type_id: TypeId,
@@ -103,8 +104,9 @@ pub(crate) struct InPort {
 
 /// One activation of an instance: the single record a delivery runs
 /// against, shared between the instance's state and the holds in
-/// flight. The fields are declared in teardown order (see
-/// [`AppCore::deactivate`]).
+/// flight. An instance keeps its record from one activation to the
+/// next: [`AppCore::deactivate`] empties it and [`AppCore::materialize`]
+/// refills it in place. The fields are declared in teardown order.
 struct Activation {
     /// One handler per wired in-port, indexed by [`InPort::slot`].
     handlers: Vec<Mutex<Box<dyn ErasedHandler>>>,
@@ -123,6 +125,20 @@ struct Activation {
 }
 
 impl Activation {
+    /// A record for `rt` with nothing in it: an empty handler slot per
+    /// wired in-port, a zero-sized component, no scope.
+    fn empty(rt: &InstanceRuntime, in_ports: &[InPort], immortal: RegionId) -> Activation {
+        let slot = |&(_, port): &(String, PortId)| Mutex::new((in_ports[port.0].handler)());
+        Activation {
+            handlers: rt.in_ports.iter().map(slot).collect(),
+            component: Mutex::new(Box::new(NullComponent)),
+            wedge: None,
+            lease: None,
+            region: immortal,
+            chain: SmallList::new(immortal),
+        }
+    }
+
     fn stop(&self) {
         let mut comp = self.component.lock();
         let _ = catch_unwind(AssertUnwindSafe(|| comp.stop()));
@@ -131,6 +147,8 @@ impl Activation {
 
 struct ActivationState {
     active: Option<Arc<Activation>>,
+    /// The emptied record the next activation refills; never shared.
+    spare: Option<Arc<Activation>>,
     /// `start()` has returned for `active`; holds are handed out only
     /// after that.
     started: bool,
@@ -203,6 +221,7 @@ impl InstanceRuntime {
             out_ports: Vec::new(),
             state: Mutex::new(ActivationState {
                 active: None,
+                spare: None,
                 started: false,
                 holds: 0,
             }),
@@ -423,11 +442,11 @@ impl AppCore {
                     parent = Some(self.hold(p, ctx.as_deref_mut())?);
                     g = rt.state.lock();
                 }
-                _ => break self.materialize(id, parent.as_ref())?,
+                _ => break self.materialize(id, parent.as_ref(), &mut g.spare)?,
             }
         };
         let held = Hold {
-            active: Arc::new(activation),
+            active: activation,
             count: count(),
         };
         g.active = Some(Arc::clone(&held.active));
@@ -465,12 +484,22 @@ impl AppCore {
         Ok(held)
     }
 
-    /// Builds the activation of `id`: region + wedge + component +
-    /// handlers, under `parent`'s region. The caller holds `id`'s state
-    /// lock and, through `parent`, the instance above it.
-    fn materialize(&self, id: InstanceId, parent: Option<&Hold<'_>>) -> Result<Activation> {
+    /// Fills the activation record of `id`: region + wedge + handlers +
+    /// component, under `parent`'s region. The record is `spare`, the
+    /// one the last deactivation emptied, or a new one on the first
+    /// activation. The caller holds `id`'s state lock and, through
+    /// `parent`, the instance above it.
+    fn materialize(
+        &self,
+        id: InstanceId,
+        parent: Option<&Hold<'_>>,
+        spare: &mut Option<Arc<Activation>>,
+    ) -> Result<Arc<Activation>> {
         let rt = self.runtime(id);
         let immortal = self.model.immortal();
+        // Everything that can fail comes before the record is taken: a
+        // failure drops the wedge, then the lease (teardown order), and
+        // leaves the record with the instance.
         let (region, chain, lease, wedge) = match self.declared(id).kind {
             ComponentKind::Immortal => (immortal, SmallList::new(immortal), None, None),
             ComponentKind::Scoped { .. } => {
@@ -490,18 +519,17 @@ impl AppCore {
                 (region, chain, lease, Some(wedge))
             }
         };
-        let handlers = rt
-            .in_ports
-            .iter()
-            .map(|&(_, port)| Mutex::new((self.in_ports[port.0].handler)()));
-        Ok(Activation {
-            handlers: handlers.collect(),
-            component: Mutex::new((rt.component)()),
-            wedge,
-            lease,
-            region,
-            chain,
-        })
+        let mut record = spare
+            .take()
+            .unwrap_or_else(|| Arc::new(Activation::empty(rt, &self.in_ports, immortal)));
+        let rec = Arc::get_mut(&mut record).expect("an inactive record has one owner");
+        rec.handlers.iter().for_each(|slot| slot.lock().fill());
+        *rec.component.lock() = (rt.component)();
+        rec.wedge = wedge;
+        rec.lease = lease;
+        rec.region = region;
+        rec.chain = chain;
+        Ok(record)
     }
 
     /// Gives one hold on `id` back; the last one on a scoped instance
@@ -526,22 +554,23 @@ impl AppCore {
 
     /// Tears one activation down in the order stop, handlers, component,
     /// wedge, lease, hold on the parent — so a parent is never reclaimed
-    /// under a child that still pins it.
-    fn deactivate(&self, id: InstanceId, active: Arc<Activation>) {
+    /// under a child that still pins it. The emptied record goes back to
+    /// the instance for its next activation.
+    fn deactivate(&self, id: InstanceId, mut active: Arc<Activation>) {
         active.stop();
-        // By value: the releasing hold dropped its clone first, so this
-        // is the last reference — except under shutdown() with a delivery
-        // still in flight, whose hold then drops the record (in the same
-        // order: the fields are declared in it).
-        if let Some(last) = Arc::into_inner(active) {
-            drop(last.handlers);
-            drop(last.component);
-            drop(last.wedge); // reclaims the region if nothing else pins it
-            drop(last.lease); // returns the region to its pool
+        // The releasing hold dropped its clone first, so this is the
+        // last reference — except under shutdown() with a delivery still
+        // in flight, whose hold then drops the record (in the same order:
+        // the fields are declared in it) and the next one is built anew.
+        let rt = self.runtime(id);
+        if let Some(rec) = Arc::get_mut(&mut active) {
+            rec.handlers.iter().for_each(|slot| slot.lock().clear());
+            *rec.component.lock() = Box::new(NullComponent); // zero-sized: no allocation
+            drop(rec.wedge.take()); // reclaims the region if nothing else pins it
+            drop(rec.lease.take()); // returns the region to its pool
+            rt.state.lock().spare = Some(active);
         }
-        self.runtime(id)
-            .deactivations
-            .fetch_add(1, Ordering::Relaxed);
+        rt.deactivations.fetch_add(1, Ordering::Relaxed);
         if let Some(parent) = self.declared(id).parent {
             self.release(parent);
         }

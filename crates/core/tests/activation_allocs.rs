@@ -1,13 +1,15 @@
 //! Allocation guard for the activation slow path (ROADMAP aim 3): what
 //! one activation of a scoped component costs on the heap, beyond the
-//! message that triggered it.
+//! message that triggered it, and what a failed activation leaves
+//! behind.
 //!
 //! One `#[test]` in this file on purpose: the counter is process-wide,
 //! and a second test thread would pollute it.
 
 mod common;
 
-use compadres_core::{AppBuilder, HandlerCtx, Priority};
+use compadres_core::{AppBuilder, CompadresError, HandlerCtx, Priority};
+use rtmem::RtmemError;
 
 #[derive(Debug, Default, Clone)]
 struct Num {
@@ -23,8 +25,9 @@ const CDL: &str = r#"
   </Component>
 </Components>"#;
 
-/// Root (immortal) → Mid (scoped, level 1) → Leaf (scoped, level 2):
-/// Leaf sits at depth 3 and its one in-port is connected to nothing.
+/// Root (immortal) → Mid (scoped, level 1) → {Leaf, Leaf2} (scoped,
+/// level 2): Leaf sits at depth 3 and its one in-port is connected to
+/// nothing; Leaf2 shares level 2's one pooled scope with it.
 const CCL: &str = r#"
 <Application>
   <ApplicationName>Depth3</ApplicationName>
@@ -43,6 +46,10 @@ const CCL: &str = r#"
           </Port>
         </Connection>
       </Component>
+      <Component>
+        <InstanceName>Leaf2</InstanceName><ClassName>Shell</ClassName>
+        <ComponentType>Scoped</ComponentType><ScopeLevel>2</ScopeLevel>
+      </Component>
     </Component>
   </Component>
   <RTSJAttributes>
@@ -55,18 +62,14 @@ const CCL: &str = r#"
 fn an_activation_allocates_within_its_budget() {
     const WARM_UP: u64 = 50;
     const MESSAGES: u64 = 500;
-    /// Measured: exactly 3 (the parent commit: 8), by call site —
-    /// `AppCore::hold`: the one `Arc<Activation>` the record lives in;
-    /// `AppCore::materialize`: the handler table (one `Vec`) and, per
-    /// wired in-port, the boxed handler (1 for Leaf's one port).
-    /// `Box<dyn Component>` is free here because `NullComponent` is
-    /// zero-sized — a component with state adds one. What went: the
-    /// region chain (inline in the record to four levels), the two
-    /// names `TypedHandler` kept a copy of for its mismatch error (now
-    /// shared with the factory), and the `rtmem::Ctx` `start()` ran on —
-    /// its scope stack and that stack's first growth — since `start()`
-    /// now runs on the delivering thread's context.
-    const BUDGET_PER_ACTIVATION: u64 = 3;
+    /// Measured: exactly 0 (3 while every activation built its record:
+    /// the `Arc<Activation>`, its handler table and the boxed handler).
+    /// Leaf keeps one record from its first activation on; an
+    /// activation refills its handler slot and component in place and a
+    /// deactivation empties them, swapping in a `NullComponent`, which
+    /// is zero-sized. What the user's factories build is theirs: a
+    /// component with state, or a handler that boxes, adds its own.
+    const BUDGET_PER_ACTIVATION: u64 = 0;
 
     let app = AppBuilder::from_xml(CDL, CCL)
         .unwrap()
@@ -108,11 +111,41 @@ fn an_activation_allocates_within_its_budget() {
         1 + WARM_UP + MESSAGES,
         "one activation per message"
     );
-
-    assert!(
-        ephemeral - resident <= BUDGET_PER_ACTIVATION * MESSAGES,
-        "{:.2} allocations per activation ({ephemeral} ephemeral - {resident} resident over \
-         {MESSAGES} messages), budget {BUDGET_PER_ACTIVATION}",
-        (ephemeral - resident) as f64 / MESSAGES as f64
+    common::assert_budget(
+        ephemeral as i64 - resident as i64,
+        MESSAGES,
+        BUDGET_PER_ACTIVATION,
+        "activation",
     );
+
+    // Leaf2 holds level 2's one scope, so Leaf cannot activate: the
+    // failure gives back what it took and leaves Leaf's record to it.
+    let leaf2 = app.connect("Leaf2").unwrap();
+    for _ in 0..3 {
+        let err = app
+            .send_to("Leaf", "In", Num { value: 7 }, Priority::new(5))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CompadresError::Memory(RtmemError::PoolExhausted { level: 2 })
+            ),
+            "{err}"
+        );
+        assert!(!app.is_active("Leaf").unwrap());
+    }
+    drop(leaf2);
+    assert_eq!(app.activations_of("Leaf").unwrap(), 1 + WARM_UP + MESSAGES);
+
+    // With the scope back, Leaf activates on the record it kept.
+    let recovered = send(MESSAGES);
+    common::assert_budget(
+        recovered as i64 - resident as i64,
+        MESSAGES,
+        BUDGET_PER_ACTIVATION,
+        "activation after a failed one",
+    );
+    let stats = app.stats();
+    assert_eq!(stats.messages_processed, 2 * WARM_UP + 3 * MESSAGES);
+    assert_eq!((stats.handler_errors, stats.handler_panics), (0, 0));
 }

@@ -32,3 +32,20 @@ static GLOBAL: Counting = Counting;
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
+
+/// Holds `allocated`, counted over `ops` operations, to exactly
+/// `budget` per operation: above it is a regression, and half an
+/// allocation or more below it leaves the guard's list of the sites it
+/// counts stale.
+pub fn assert_budget(allocated: i64, ops: u64, budget: u64, per: &str) {
+    let each = allocated as f64 / ops as f64;
+    assert!(
+        each <= budget as f64,
+        "{each:.2} allocations per {per} ({allocated} in {ops}), budget {budget}"
+    );
+    assert!(
+        each > budget as f64 - 0.5,
+        "{each:.2} allocations per {per} ({allocated} in {ops}), under the budget of \
+         {budget}: lower the budget and update the list of sites it names"
+    );
+}

@@ -100,7 +100,7 @@ fn a_sync_round_trip_allocates_only_its_two_handoff_tails() {
     /// `compadres_core` allocates nothing per delivery — a hold clones
     /// one `Arc`, the message objects are pooled, the journal is a
     /// preallocated ring — so the budget is the measurement, no slack.
-    /// ROADMAP zero-allocation (a) says what these two wait for.
+    /// ROADMAP item 1 says what these two wait for.
     const BUDGET_PER_ROUND_TRIP: u64 = 2;
 
     let replies = Arc::new(AtomicU64::new(0));
@@ -145,9 +145,10 @@ fn a_sync_round_trip_allocates_only_its_two_handoff_tails() {
 
     assert_eq!(replies.load(Ordering::Relaxed), WARM_UP + ROUND_TRIPS);
     assert_eq!(app.stats().messages_processed, 3 * (WARM_UP + ROUND_TRIPS));
-    assert!(
-        allocated <= BUDGET_PER_ROUND_TRIP * ROUND_TRIPS,
-        "{allocated} allocations in {ROUND_TRIPS} round trips ({:.2} per round trip, budget {BUDGET_PER_ROUND_TRIP})",
-        allocated as f64 / ROUND_TRIPS as f64
+    common::assert_budget(
+        allocated as i64,
+        ROUND_TRIPS,
+        BUDGET_PER_ROUND_TRIP,
+        "round trip",
     );
 }

@@ -16,27 +16,23 @@ use rtcorba::corb::loopback_echo_pair;
 fn an_echo_allocates_within_its_budget() {
     const WARM_UP: u64 = 100;
     const REQUESTS: u64 = 1_000;
-    /// Measured: exactly 9 (14 before pool slots carried their own
-    /// counts and the client and the workers kept a context), by call
-    /// site —
+    /// Measured: exactly 3 (9 while every per-request activation
+    /// built its record, 14 before pool slots carried their own counts
+    /// and the client and the workers kept a context), all pinned by
+    /// interfaces the benchmark implements or calls: the `Vec` a
+    /// `Servant` returns; the `Vec` `TcpConn::recv_frame` returns,
+    /// which `invoke` cuts down to the reply body and hands to its
+    /// caller; the boxed payload of `App::send_to_on`, by which the
+    /// reactor's worker injects the frame into the POA in-port.
     ///
-    /// * pinned by interfaces the benchmark implements or calls (3):
-    ///   the `Vec` a `Servant` returns; the `Vec` `TcpConn::recv_frame`
-    ///   returns, which `invoke` cuts down to the reply body and hands
-    ///   to its caller; the boxed payload of `App::send_to_on`, by
-    ///   which the reactor's worker injects the frame into the POA
-    ///   in-port;
-    /// * the per-request `ClientProcessing` and `ServerProcessing`
-    ///   activations, Fig. 10's create/destroy (3 each = 6): the
-    ///   `Arc<Activation>` record, its handler table (one `Vec`) and
-    ///   the boxed handler — `activation_allocs.rs` in core names the
-    ///   same three.
-    ///
-    /// Freezing a filled segment takes nothing (`steady_state_allocs_64k.rs`
-    /// holds the 64 KiB echo, 34 segments a request, to the same), and
-    /// nothing on the path grows a buffer it already has: the budget
-    /// is the measurement, no slack.
-    const BUDGET_PER_REQUEST: u64 = 9;
+    /// The per-request `ClientProcessing` and `ServerProcessing`
+    /// activations, Fig. 10's create/destroy, refill their instance's
+    /// record and take nothing (`activation_allocs.rs` in core holds
+    /// one activation to 0). Freezing a filled segment takes nothing
+    /// (`steady_state_allocs_64k.rs` holds the 64 KiB echo, 34 segments
+    /// a request, to the same), and nothing on the path grows a buffer
+    /// it already has: the budget is the measurement, no slack.
+    const BUDGET_PER_REQUEST: u64 = 3;
 
     let (_server, client) = loopback_echo_pair().unwrap();
     let echo = |payload: &[u8], n: u64| {
@@ -50,9 +46,5 @@ fn an_echo_allocates_within_its_budget() {
     let small = [0x5Au8; 64];
     echo(&small, WARM_UP);
     let allocated = echo(&small, REQUESTS);
-    assert!(
-        allocated <= BUDGET_PER_REQUEST * REQUESTS,
-        "{allocated} allocations in {REQUESTS} echoes ({:.2} per echo, budget {BUDGET_PER_REQUEST})",
-        allocated as f64 / REQUESTS as f64
-    );
+    common::assert_budget(allocated as i64, REQUESTS, BUDGET_PER_REQUEST, "echo");
 }
