@@ -303,6 +303,7 @@ impl AppBuilder {
             // A "Shared" pool serves all such ports of one instance;
             // "Dedicated" ports get their own.
             let mut shared_pool = None;
+            let instance_name: Arc<str> = vi.name.as_str().into();
             for (port, &attrs) in &vi.port_attrs {
                 let port_def = class.port(port).expect("validated");
                 debug_assert_eq!(port_def.direction, PortDirection::In);
@@ -361,7 +362,8 @@ impl AppBuilder {
                 let wired = &mut instances[vi.id.0].in_ports;
                 wired.push((port.clone(), PortId(in_ports.len())));
                 in_ports.push(InPort {
-                    name: port.clone(),
+                    name: port.as_str().into(),
+                    instance_name: Arc::clone(&instance_name),
                     instance: vi.id,
                     slot: wired.len() - 1,
                     handler: Arc::clone(&reg.factory),

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by the Compadres framework.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +38,9 @@ pub enum CompadresError {
     /// The component's in-port buffer was full and rejected the message.
     BufferFull {
         /// Target instance.
-        instance: String,
+        instance: Arc<str>,
         /// Target in-port.
-        port: String,
+        port: Arc<str>,
     },
     /// The message was shed by per-priority-band admission control: the
     /// in-port buffer was over the band's watermark while capacity was
@@ -47,9 +48,9 @@ pub enum CompadresError {
     /// `rtplatform::fault::AdmissionPolicy`).
     Shed {
         /// Target instance.
-        instance: String,
+        instance: Arc<str>,
         /// Target in-port.
-        port: String,
+        port: Arc<str>,
         /// Priority of the shed message.
         priority: u8,
     },

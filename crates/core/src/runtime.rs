@@ -32,7 +32,7 @@ use rtplatform::sync::{Condvar, Mutex};
 
 use rtmem::{MemoryModel, RegionId, ScopeLease, ScopePool, Wedge};
 use rtobs::{span, CounterId, EventKind, HistId, Observer};
-use rtsched::{Priority, ThreadPool};
+use rtsched::{Priority, Task, ThreadPool};
 
 use crate::component::{Component, ComponentFactory, ErasedHandler, HandlerFactory, NullComponent};
 use crate::error::{CompadresError, Result};
@@ -62,7 +62,7 @@ pub(crate) enum Dispatch {
     Synchronous,
     /// Buffered, pool-served dispatch.
     Async {
-        pool: Arc<ThreadPool<rtmem::Ctx>>,
+        pool: Arc<ThreadPool<rtmem::Ctx, Delivery>>,
         /// Per-priority-band admission watermarks: below the buffer size,
         /// low bands are refused first so the remaining slots stay
         /// reserved for higher-priority traffic. `disabled()` admits
@@ -71,10 +71,41 @@ pub(crate) enum Dispatch {
     },
 }
 
+/// One accepted message on its way to an asynchronous in-port: what a
+/// port's pool queues. Plain data, so handing a message to a worker
+/// clones one `Arc` and allocates nothing.
+pub(crate) struct Delivery {
+    core: Arc<AppCore>,
+    to: PortId,
+    env: Envelope,
+}
+
+impl Task<rtmem::Ctx> for Delivery {
+    fn run(self, ctx: &mut rtmem::Ctx, priority: Priority) {
+        let Delivery { core, to, env } = self;
+        let port = &core.in_ports[to.0];
+        port.inflight.fetch_sub(1, Ordering::SeqCst);
+        let delivered = core.process_envelope(ctx, port, env, priority, true);
+        if delivered.is_err() {
+            // The sender is long gone and the envelope is recycled: the
+            // counters and the journal are the only trace this message
+            // leaves.
+            let s = &core.stats;
+            s.obs.inc(s.undeliverable);
+            s.obs.inc(port.undeliverable);
+            let occupied = port.inflight.load(Ordering::Relaxed);
+            s.obs
+                .record(EventKind::Undeliverable, port.entity, occupied as u64);
+        }
+    }
+}
+
 /// One wired in-port: everything a delivery needs, resolved at build.
 pub(crate) struct InPort {
-    /// Port name, kept for error values only.
-    pub name: String,
+    /// Port and instance names, kept for error values only: a refusal
+    /// names its port with two reference counts, not two allocations.
+    pub name: Arc<str>,
+    pub instance_name: Arc<str>,
     pub instance: InstanceId,
     /// Position of this port's handler in its instance's activation.
     pub slot: usize,
@@ -678,37 +709,20 @@ impl AppCore {
                             u64::from(priority.value()),
                         );
                         return Err(CompadresError::Shed {
-                            instance: self.declared(port.instance).name.clone(),
-                            port: port.name.clone(),
+                            instance: Arc::clone(&port.instance_name),
+                            port: Arc::clone(&port.name),
                             priority: priority.value(),
                         });
                     }
                     obs.inc(self.stats.buffer_rejections);
                     obs.record(EventKind::BufferDrop, port.entity, limit as u64);
                     return Err(CompadresError::BufferFull {
-                        instance: self.declared(port.instance).name.clone(),
-                        port: port.name.clone(),
+                        instance: Arc::clone(&port.instance_name),
+                        port: Arc::clone(&port.name),
                     });
                 }
                 let core = Arc::clone(self);
-                let mut env_cell = Some(env);
-                let accepted = pool.execute(priority, move |ctx, prio| {
-                    let env = env_cell.take().expect("job runs once");
-                    let port = &core.in_ports[to.0];
-                    port.inflight.fetch_sub(1, Ordering::SeqCst);
-                    if core.process_envelope(ctx, port, env, prio, true).is_err() {
-                        // The sender is long gone and the envelope is
-                        // recycled: the counters and the journal are the
-                        // only trace this message leaves.
-                        let s = &core.stats;
-                        s.obs.inc(s.undeliverable);
-                        s.obs.inc(port.undeliverable);
-                        let occupied = port.inflight.load(Ordering::Relaxed);
-                        s.obs
-                            .record(EventKind::Undeliverable, port.entity, occupied as u64);
-                    }
-                });
-                if !accepted {
+                if !pool.submit(priority, Delivery { core, to, env }) {
                     port.inflight.fetch_sub(1, Ordering::SeqCst);
                     return Err(CompadresError::ShutDown);
                 }
@@ -1330,5 +1344,20 @@ impl Drop for App {
         if !self.core.shutdown.load(Ordering::SeqCst) {
             self.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each priority band of a port's pool preallocates a 256-slot ring
+    /// of these, and every slot a ring uses is eventually touched: the
+    /// slot's size is resident memory on every asynchronous workload.
+    /// Anything more per job belongs in the envelope it already carries.
+    #[test]
+    fn a_queued_delivery_stays_within_96_bytes() {
+        let size = std::mem::size_of::<(rtobs::SpanCtx, Delivery)>();
+        assert!(size <= 96, "a queued delivery is {size} bytes");
     }
 }

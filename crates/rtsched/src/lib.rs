@@ -25,7 +25,7 @@ mod thread;
 mod time;
 
 pub use periodic::PeriodicTimer;
-pub use pool::{Job, PoolConfig, ThreadPool};
+pub use pool::{Job, PoolConfig, Task, ThreadPool};
 pub use priority::Priority;
 pub use queue::{PriorityFifo, PushRefusal};
 pub use thread::{current_priority, with_priority};

@@ -12,14 +12,28 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rtobs::{CounterId, EventKind, GaugeId, HistId, Observer};
+use rtobs::{CounterId, EventKind, GaugeId, HistId, Observer, SpanCtx};
 use rtplatform::sync::Mutex;
 
 use crate::priority::Priority;
 use crate::queue::PriorityFifo;
 
-/// A unit of work: runs at the priority of the message that triggered it.
+/// A unit of work, queued by value (a task that is plain data reaches its
+/// worker without touching the heap) and run once with the worker's
+/// state, at the priority of the message that triggered it.
+pub trait Task<S>: Send + 'static {
+    /// Runs the task on a worker.
+    fn run(self, state: &mut S, priority: Priority);
+}
+
+/// The boxed-closure task.
 pub type Job<S> = Box<dyn FnOnce(&mut S, Priority) + Send + 'static>;
+
+impl<S: 'static> Task<S> for Job<S> {
+    fn run(self, state: &mut S, priority: Priority) {
+        self(state, priority)
+    }
+}
 
 /// Pool configuration, mirroring the CCL `PortAttributes` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,14 +78,15 @@ struct PoolObs {
 /// pop's park/notify handshake across up to this many jobs.
 const DISPATCH_BATCH: usize = 8;
 
-struct PoolShared<S> {
-    queue: PriorityFifo<Job<S>>,
+struct PoolShared<J> {
+    /// Each task with the submitter's trace context.
+    queue: PriorityFifo<(SpanCtx, J)>,
     live: AtomicUsize,
     /// Jobs accepted but not yet fully finished (queued or running).
     /// It has no gap between a worker popping a job and starting it —
     /// which "queue empty and nobody running" has — so
     /// [`ThreadPool::wait_idle`] observing zero really means quiescent,
-    /// and [`ThreadPool::execute`] growing on it misses no job.
+    /// and [`ThreadPool::submit`] growing on it misses no job.
     pending: AtomicUsize,
     spawned_total: AtomicU64,
     executed: AtomicU64,
@@ -80,20 +95,21 @@ struct PoolShared<S> {
 }
 
 /// A dynamic thread pool whose workers carry per-worker state of type `S`
-/// (the framework uses this for each worker's memory-model context).
+/// (the framework uses this for each worker's memory-model context) and
+/// run tasks of type `J` (boxed closures unless said otherwise).
 ///
 /// Workers start at `min_threads`; when a job is submitted and every live
 /// worker is busy, a new worker is spawned up to `max_threads`. Each job
 /// runs at its message priority (priority inheritance). Worker panics are
 /// contained and counted.
-pub struct ThreadPool<S: Send + 'static> {
-    shared: Arc<PoolShared<S>>,
+pub struct ThreadPool<S: Send + 'static, J: Task<S> = Job<S>> {
+    shared: Arc<PoolShared<J>>,
     config: PoolConfig,
     factory: Arc<dyn Fn() -> S + Send + Sync>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl<S: Send + 'static> std::fmt::Debug for ThreadPool<S> {
+impl<S: Send + 'static, J: Task<S>> std::fmt::Debug for ThreadPool<S, J> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("config", &self.config)
@@ -103,7 +119,7 @@ impl<S: Send + 'static> std::fmt::Debug for ThreadPool<S> {
     }
 }
 
-impl<S: Send + 'static> ThreadPool<S> {
+impl<S: Send + 'static, J: Task<S>> ThreadPool<S, J> {
     /// Creates a pool; `factory` builds the per-worker state on the worker
     /// thread itself.
     ///
@@ -166,7 +182,7 @@ impl<S: Send + 'static> ThreadPool<S> {
                     if let Some(o) = shared.obs.get() {
                         o.obs.observe(o.batch, batch.len() as u64);
                     }
-                    for (priority, job) in batch {
+                    for (priority, (span, job)) in batch {
                         if let Some(o) = shared.obs.get() {
                             o.obs.gauge_add(o.busy, 1);
                             o.obs.gauge_set(o.depth, shared.queue.len() as u64);
@@ -180,10 +196,11 @@ impl<S: Send + 'static> ThreadPool<S> {
                             }
                         }
                         // Priority inheritance: run the handler at the
-                        // message's priority.
+                        // message's priority, under the submitter's span.
                         crate::thread::with_priority(priority, || {
-                            let outcome =
-                                catch_unwind(AssertUnwindSafe(|| job(&mut state, priority)));
+                            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                                rtobs::span::with_span(span, || job.run(&mut state, priority))
+                            }));
                             if outcome.is_ok() {
                                 shared.executed.fetch_add(1, Ordering::Relaxed);
                             } else {
@@ -239,25 +256,17 @@ impl<S: Send + 'static> ThreadPool<S> {
         let _ = self.shared.obs.set(hook);
     }
 
-    /// Submits a job at `priority`. Grows the pool if all workers are busy
-    /// and the maximum has not been reached. Returns `false` after
+    /// Submits a task at `priority`. Grows the pool if all workers are
+    /// busy and the maximum has not been reached. Returns `false` after
     /// [`ThreadPool::shutdown`].
     ///
     /// The submitter's trace context ([`rtobs::span::current`]) is
-    /// captured here and re-installed around the job on the worker, so a
-    /// traced invocation survives the thread handoff.
-    pub fn execute(
-        &self,
-        priority: Priority,
-        job: impl FnOnce(&mut S, Priority) + Send + 'static,
-    ) -> bool {
+    /// queued with the task and re-installed around it on the worker, so
+    /// a traced invocation survives the thread handoff.
+    pub fn submit(&self, priority: Priority, job: J) -> bool {
         if self.shared.queue.is_closed() {
             return false;
         }
-        let span = rtobs::span::current();
-        let job = move |state: &mut S, prio: Priority| {
-            rtobs::span::with_span(span, || job(state, prio));
-        };
         // Grow when the jobs in the pool would occupy every live worker.
         // Counted from `pending`, like `wait_idle`: a job a worker has
         // popped but not yet started is neither queued nor running.
@@ -267,7 +276,8 @@ impl<S: Send + 'static> ThreadPool<S> {
             self.spawn_worker();
         }
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        match self.shared.queue.push_with_len(priority, Box::new(job)) {
+        let item = (rtobs::span::current(), job);
+        match self.shared.queue.push_with_len(priority, item) {
             Some(len) => {
                 if let Some(o) = self.shared.obs.get() {
                     // gauge_set tracks the HWM: the backlog peak.
@@ -330,7 +340,18 @@ impl<S: Send + 'static> ThreadPool<S> {
     }
 }
 
-impl<S: Send + 'static> Drop for ThreadPool<S> {
+impl<S: Send + 'static> ThreadPool<S> {
+    /// Submits a closure at `priority`; see [`ThreadPool::submit`].
+    pub fn execute(
+        &self,
+        priority: Priority,
+        job: impl FnOnce(&mut S, Priority) + Send + 'static,
+    ) -> bool {
+        self.submit(priority, Box::new(job))
+    }
+}
+
+impl<S: Send + 'static, J: Task<S>> Drop for ThreadPool<S, J> {
     fn drop(&mut self) {
         self.shared.queue.close();
         for h in self.handles.lock().drain(..) {
@@ -620,6 +641,65 @@ mod tests {
         let v = seen.lock();
         assert_eq!(v[0], span, "worker ran under the submitter's span");
         assert_eq!(v[1], rtobs::SpanCtx::NONE, "no residue on the worker");
+    }
+
+    /// A data task: what it saw is logged into the worker state, which
+    /// every worker shares.
+    #[derive(Clone, Copy)]
+    enum Probe {
+        Record(u32),
+        Panic,
+    }
+
+    type Log = Arc<Mutex<Vec<(u32, Priority, Priority, rtobs::SpanCtx)>>>;
+
+    impl Task<Log> for Probe {
+        fn run(self, log: &mut Log, priority: Priority) {
+            match self {
+                Probe::Record(tag) => log.lock().push((
+                    tag,
+                    priority,
+                    crate::thread::current_priority(),
+                    rtobs::span::current(),
+                )),
+                Probe::Panic => panic!("handler bug"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_data_task_pool_keeps_the_closure_pools_guarantees() {
+        let log: Log = Arc::default();
+        let l = Arc::clone(&log);
+        let pool: ThreadPool<Log, Probe> = ThreadPool::new(
+            PoolConfig {
+                min_threads: 1,
+                max_threads: 1,
+                ..Default::default()
+            },
+            move || Arc::clone(&l),
+        );
+        let obs = Observer::new();
+        let span = obs.new_trace(Some(1_000_000));
+        assert!(rtobs::span::with_span(span, || {
+            pool.submit(Priority::new(42), Probe::Record(1))
+        }));
+        assert!(pool.submit(Priority::NORM, Probe::Panic));
+        assert!(pool.submit(Priority::NORM, Probe::Record(2)));
+        assert!(pool.wait_idle(Duration::from_secs(5)));
+        assert_eq!(pool.panicked(), 1);
+        assert_eq!(pool.executed(), 2, "the worker survived the panic");
+        assert_eq!(pool.live_threads(), 1);
+        let mut v = log.lock().clone();
+        v.sort_by_key(|e| e.0);
+        assert_eq!(
+            v,
+            vec![
+                (1, Priority::new(42), Priority::new(42), span),
+                (2, Priority::NORM, Priority::NORM, rtobs::SpanCtx::NONE),
+            ],
+            "priority inherited, submitter span carried, no residue"
+        );
     }
 
     #[test]
