@@ -261,7 +261,7 @@ fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, conn: TcpConn) {
         // Adopt the sender's trace so the injected message continues
         // it; deliver() then mints a child of this span.
         let span = match trace {
-            Some((tid, parent, budget)) if sh.obs.tracing() => {
+            Some((tid, parent, budget)) if sh.obs.enabled() => {
                 let s = sh.obs.adopt_remote(tid, parent, budget);
                 sh.obs
                     .record_span(EventKind::SpanRemoteRecv, sh.entity, budget, s);

@@ -658,30 +658,23 @@ impl AppCore {
         let port = &self.in_ports[to.0];
         let obs = &self.stats.obs;
         if obs.enabled() {
+            // The hop's span: a child of the sender's trace, or a fresh
+            // root for a message arriving from outside any trace. A few
+            // Copy words and one journal record, stamped with it.
+            let parent = span::current();
+            env.span = if parent.is_active() {
+                obs.child_span(parent)
+            } else {
+                obs.new_trace(None)
+            };
             env.enqueued_ns = obs.now_ns();
             obs.record_at(
                 EventKind::PortEnqueue,
                 port.entity,
                 u64::from(env.priority.value()),
                 env.enqueued_ns,
+                env.span,
             );
-            // Trace ingress: continue the sender's trace as a child hop,
-            // or mint a fresh root for a message arriving from outside
-            // any trace. A few Copy words and one journal record.
-            if obs.tracing() {
-                let parent = span::current();
-                env.span = if parent.is_active() {
-                    obs.child_span(parent)
-                } else {
-                    obs.new_trace(None)
-                };
-                obs.record_span(
-                    EventKind::SpanEnqueue,
-                    port.entity,
-                    env.span.deadline_ns,
-                    env.span,
-                );
-            }
         }
         let priority = env.priority;
         match &port.dispatch {
@@ -733,8 +726,8 @@ impl AppCore {
 
     /// Runs the handler for one envelope inside the target's memory area.
     /// `queued` is true on the async path (the envelope actually sat in a
-    /// buffer); sync hops skip the span-dequeue event — their wait is ~0
-    /// by construction and the reconstructor treats absence as such.
+    /// buffer); sync hops skip the dequeue event — their wait is ~0 by
+    /// construction and the reconstructor treats absence as such.
     fn process_envelope(
         self: &Arc<Self>,
         ctx: &mut rtmem::Ctx,
@@ -745,18 +738,17 @@ impl AppCore {
     ) -> Result<()> {
         // Dequeue edge of the trace: how long the envelope waited between
         // admission and a worker (or the sender's thread) picking it up.
+        // An envelope admitted while the observer was off was never
+        // stamped and has no wait to report.
         let entity = port.entity;
         let span_ctx = env.span;
-        if self.stats.obs.enabled() {
-            let wait_ns = self.stats.obs.now_ns().saturating_sub(env.enqueued_ns);
-            self.stats
-                .obs
-                .record(EventKind::PortDequeue, entity, wait_ns);
-            self.stats.obs.observe(self.stats.queue_wait, wait_ns);
-            if queued && span_ctx.is_active() {
-                self.stats
-                    .obs
-                    .record_span(EventKind::SpanDequeue, entity, wait_ns, span_ctx);
+        let obs = &self.stats.obs;
+        if obs.enabled() && env.enqueued_ns != 0 {
+            let now = obs.now_ns();
+            let wait_ns = now.saturating_sub(env.enqueued_ns);
+            obs.observe(self.stats.queue_wait, wait_ns);
+            if queued {
+                obs.record_at(EventKind::PortDequeue, entity, wait_ns, now, span_ctx);
             }
         }
         let held = self.hold(port.instance, Some(&mut *ctx))?;
@@ -779,6 +771,7 @@ impl AppCore {
                                 entity,
                                 u64::from(priority.value()),
                                 t0,
+                                span_ctx,
                             );
                         }
                         let outcome =
@@ -786,7 +779,6 @@ impl AppCore {
                         let s = &hctx.core.stats;
                         if started {
                             let elapsed = s.obs.now_ns().saturating_sub(t0);
-                            s.obs.record(EventKind::HandlerEnd, entity, elapsed);
                             s.obs.observe(s.handler_latency, elapsed);
                             // Close out the hop: remaining deadline
                             // budget (negative = overrun, counted

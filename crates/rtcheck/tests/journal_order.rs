@@ -125,7 +125,7 @@ fn concurrent_writers_never_duplicate_or_reorder_seqs() {
                     let mut rng = SplitMix64::new(seed ^ (w as u64) << 17);
                     for i in 0..OPS {
                         let payload = (w as u64) << 32 | i;
-                        j.record(EventKind::SpanEnqueue, w as u32, payload, stamp(payload));
+                        j.record(EventKind::PortEnqueue, w as u32, payload, stamp(payload));
                         if rng.chance(0.05) {
                             std::thread::yield_now();
                         }

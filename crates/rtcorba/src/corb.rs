@@ -488,16 +488,13 @@ impl CompadresClient {
         let obs = Arc::clone(self.app.observer());
         // The invocation is the root of a trace; every pipeline hop below
         // becomes a child span and inherits the deadline budget.
-        let root = if obs.tracing() {
+        let root = if obs.enabled() {
             obs.new_trace(budget.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)))
         } else {
             SpanCtx::NONE
         };
-        if root.is_active() {
-            obs.record_span(EventKind::SpanEnqueue, entity, root.deadline_ns, root);
-        }
         let t0 = obs.now_ns();
-        obs.record_at(EventKind::GiopRequest, entity, u64::from(request_id), t0);
+        obs.record_at(EventKind::GiopRequest, entity, request_id.into(), t0, root);
         let sent = span::with_span(root, || {
             let mut mem = self.ctx.lock();
             self.app
@@ -765,7 +762,7 @@ fn inject_frame(
 ) -> Result<(), compadres_core::CompadresError> {
     let obs = app.observer();
     let span = match giop::peek_trace_parts(&frame.slices()) {
-        Some((trace_id, parent, budget)) if obs.tracing() => {
+        Some((trace_id, parent, budget)) if obs.enabled() => {
             let entity = obs.register_entity("giop:wire");
             let s = obs.adopt_remote(trace_id, parent, budget);
             obs.record_span(EventKind::SpanRemoteRecv, entity, budget, s);

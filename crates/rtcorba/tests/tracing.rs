@@ -165,10 +165,11 @@ fn blown_budget_is_flagged_on_the_server_hop() {
 
 #[test]
 fn untraced_invocations_cross_old_style() {
-    // With tracing off, no context is attached and the server adopts
-    // nothing — the wire format degrades to the legacy frames.
+    // With the client's observer off, no span is minted, no context is
+    // attached and the server adopts nothing — the wire format
+    // degrades to the legacy frames.
     let (server, client) = loopback_echo_pair().unwrap();
-    client.app().observer().set_tracing(false);
+    client.app().observer().set_enabled(false);
     assert_eq!(client.invoke(b"echo", "echo", &[4]).unwrap(), vec![4]);
     client.app().wait_quiescent(Duration::from_secs(2));
     assert!(

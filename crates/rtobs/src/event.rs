@@ -14,17 +14,17 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum EventKind {
-    /// A message was enqueued on an in-port. `subject` = port entity,
-    /// `payload` = message priority.
+    /// A message was admitted at an in-port: the start of its hop.
+    /// `subject` = port entity, `payload` = message priority. The span
+    /// word carries the hop's own span; `t_ns` is the admission time.
     PortEnqueue = 1,
-    /// A message was dequeued for processing. `subject` = port entity,
-    /// `payload` = queue wait in nanoseconds.
+    /// A queued message left its buffer for a worker. `subject` = port
+    /// entity, `payload` = queue wait in nanoseconds. Synchronous hops
+    /// skip this event (their wait is ~0 by construction).
     PortDequeue = 2,
-    /// A handler invocation began. `subject` = port entity.
+    /// A handler invocation began, after the hold and the scope entry.
+    /// `subject` = port entity, `payload` = message priority.
     HandlerStart = 3,
-    /// A handler invocation finished. `subject` = port entity,
-    /// `payload` = handler latency in nanoseconds.
-    HandlerEnd = 4,
     /// A handler panicked. `subject` = port entity (or pool entity when
     /// raised by the thread pool).
     HandlerPanic = 5,
@@ -44,8 +44,9 @@ pub enum EventKind {
     /// A leased scope was returned to its pool. `subject` = pool entity,
     /// `payload` = scopes currently leased.
     PoolRelease = 11,
-    /// A GIOP request left the client. `subject` = operation entity,
-    /// `payload` = request id.
+    /// A GIOP request left the client: the start of the invocation's
+    /// root span, which the span word carries. `subject` = operation
+    /// entity, `payload` = request id.
     GiopRequest = 12,
     /// A GIOP reply was matched to its request. `subject` = operation
     /// entity, `payload` = round-trip nanoseconds.
@@ -67,16 +68,7 @@ pub enum EventKind {
     /// A remote operation missed its deadline. `subject` = remote-link
     /// entity, `payload` = the deadline in nanoseconds.
     RemoteDeadlineMiss = 18,
-    /// A traced message was admitted at an ingress port. `subject` =
-    /// port entity, `payload` = the span's absolute deadline in
-    /// local-epoch nanoseconds (`0` = none). The span word carries the
-    /// hop's identity; `t_ns` is the admission time.
-    SpanEnqueue = 19,
-    /// A traced message left its queue for a worker. `subject` = port
-    /// entity, `payload` = queue wait in nanoseconds. Sync-dispatched
-    /// hops skip this event (wait is ~0 by construction).
-    SpanDequeue = 20,
-    /// A traced hop finished. `subject` = port or operation entity,
+    /// A hop finished. `subject` = port or operation entity,
     /// `payload` = remaining deadline budget as `i64` bits (negative =
     /// overrun; `i64::MIN` when the span carried no deadline).
     SpanEnd = 21,
@@ -130,7 +122,6 @@ impl EventKind {
             1 => EventKind::PortEnqueue,
             2 => EventKind::PortDequeue,
             3 => EventKind::HandlerStart,
-            4 => EventKind::HandlerEnd,
             5 => EventKind::HandlerPanic,
             6 => EventKind::BufferDrop,
             7 => EventKind::ScopeEnter,
@@ -145,8 +136,6 @@ impl EventKind {
             16 => EventKind::RemoteReconnect,
             17 => EventKind::RemoteShed,
             18 => EventKind::RemoteDeadlineMiss,
-            19 => EventKind::SpanEnqueue,
-            20 => EventKind::SpanDequeue,
             21 => EventKind::SpanEnd,
             22 => EventKind::SpanRemoteSend,
             23 => EventKind::SpanRemoteRecv,
@@ -168,7 +157,6 @@ impl EventKind {
             EventKind::PortEnqueue => "port.enqueue",
             EventKind::PortDequeue => "port.dequeue",
             EventKind::HandlerStart => "handler.start",
-            EventKind::HandlerEnd => "handler.end",
             EventKind::HandlerPanic => "handler.panic",
             EventKind::BufferDrop => "buffer.drop",
             EventKind::ScopeEnter => "scope.enter",
@@ -183,8 +171,6 @@ impl EventKind {
             EventKind::RemoteReconnect => "remote.reconnect",
             EventKind::RemoteShed => "remote.shed",
             EventKind::RemoteDeadlineMiss => "remote.deadline_miss",
-            EventKind::SpanEnqueue => "span.enqueue",
-            EventKind::SpanDequeue => "span.dequeue",
             EventKind::SpanEnd => "span.end",
             EventKind::SpanRemoteSend => "span.remote_send",
             EventKind::SpanRemoteRecv => "span.remote_recv",

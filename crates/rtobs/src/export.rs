@@ -136,12 +136,7 @@ impl Observer {
                 _ => self.entity_name(e.subject),
             };
             let payload = match e.kind {
-                EventKind::PortDequeue
-                | EventKind::HandlerEnd
-                | EventKind::GiopReply
-                | EventKind::SpanDequeue => {
-                    format!("{}ns", e.payload)
-                }
+                EventKind::PortDequeue | EventKind::GiopReply => format!("{}ns", e.payload),
                 EventKind::SpanEnd => format!("left={}ns", fmt_budget(e.payload as i64)),
                 _ => e.payload.to_string(),
             };
@@ -216,8 +211,9 @@ pub struct SpanNode {
     pub budget_left_ns: Option<i64>,
     /// Budget granted to a remote peer, if this hop crossed a link.
     pub remote_budget_ns: Option<u64>,
-    /// Non-span events (retries, sheds, panics, drops) that happened
-    /// while this hop was the current context.
+    /// Fault events (retries, sheds, drops, panics, deadline misses)
+    /// attributed to this hop, plus its remote hand-offs. The hop's own
+    /// lifecycle is structure, not notes.
     pub notes: Vec<String>,
     /// Indexes of child hops within the forest.
     pub children: Vec<usize>,
@@ -311,11 +307,11 @@ impl SpanForest {
     fn apply(&mut self, idx: usize, e: &Event, obs: &Observer) {
         let node = &mut self.nodes[idx];
         match e.kind {
-            EventKind::SpanEnqueue => {
+            EventKind::PortEnqueue | EventKind::GiopRequest => {
                 node.start_ns = Some(e.t_ns);
                 node.entity = obs.entity_name(e.subject);
             }
-            EventKind::SpanDequeue => node.wait_ns = Some(e.payload),
+            EventKind::PortDequeue => node.wait_ns = Some(e.payload),
             EventKind::SpanEnd => {
                 node.end_ns = Some(e.t_ns);
                 if node.entity.is_empty() {
@@ -339,6 +335,15 @@ impl SpanForest {
                 node.notes
                     .push(format!("adopted remote, budget {}", fmt_ns(e.payload)));
             }
+            // Lifecycle edges already shaped the node (or belong to a
+            // scope or pool, not to the hop).
+            EventKind::HandlerStart
+            | EventKind::GiopReply
+            | EventKind::ScopeEnter
+            | EventKind::ScopeExit
+            | EventKind::ScopeReclaim
+            | EventKind::PoolAcquire
+            | EventKind::PoolRelease => {}
             // Any other event stamped with this span context becomes an
             // annotation: this is how fault-layer retries and sheds stay
             // attributable to the invocation that suffered them.
@@ -695,10 +700,12 @@ mod tests {
         let port_b = obs.register_entity("b.in");
 
         let root = obs.new_trace(Some(1_000_000));
-        obs.record_span(EventKind::SpanEnqueue, port_a, root.deadline_ns, root);
+        obs.record_span(EventKind::PortEnqueue, port_a, 20, root);
+        obs.record_span(EventKind::HandlerStart, port_a, 20, root);
         let child = obs.child_span(root);
-        obs.record_span(EventKind::SpanEnqueue, port_b, child.deadline_ns, child);
-        obs.record_span(EventKind::SpanDequeue, port_b, 250, child);
+        obs.record_span(EventKind::PortEnqueue, port_b, 20, child);
+        obs.record_span(EventKind::PortDequeue, port_b, 250, child);
+        obs.record_span(EventKind::HandlerStart, port_b, 20, child);
         obs.record_span(EventKind::SpanEnd, port_b, 400_000u64, child);
         // Root overruns its budget.
         obs.record_span(EventKind::SpanEnd, port_a, (-5_000i64) as u64, root);
@@ -719,6 +726,11 @@ mod tests {
         assert!(!cn.overrun());
         assert_eq!(cn.parent, root.span_id);
         assert_eq!(cn.wait_ns, Some(250));
+        assert_eq!(cn.entity, "b.in");
+        assert!(
+            rn.notes.is_empty() && cn.notes.is_empty(),
+            "lifecycle edges are not notes"
+        );
         assert_eq!(forest.overrun_traces(), vec![root.trace_id]);
         let path = forest.critical_path(root.trace_id);
         assert_eq!(path.len(), 2, "root -> child critical path");
@@ -745,12 +757,11 @@ mod tests {
         let poa = server.register_entity("ThePoa.Incoming");
 
         let root = client.new_trace(Some(2_000_000));
-        client.record_span(EventKind::SpanEnqueue, op, root.deadline_ns, root);
+        client.record_at(EventKind::GiopRequest, op, 1, client.now_ns(), root);
         client.record_span(EventKind::SpanRemoteSend, op, 1_500_000, root);
 
         let adopted = server.adopt_remote(root.trace_id, root.span_id, 1_500_000);
         server.record_span(EventKind::SpanRemoteRecv, poa, 1_500_000, adopted);
-        server.record_span(EventKind::SpanEnqueue, poa, adopted.deadline_ns, adopted);
         server.record_span(EventKind::SpanEnd, poa, 900_000u64, adopted);
 
         client.record_span(EventKind::SpanEnd, op, 300_000u64, root);
@@ -768,6 +779,12 @@ mod tests {
             .find(|n| n.span_id == adopted.span_id)
             .unwrap();
         assert_eq!(sn.parent, root.span_id, "server hop parents to client span");
+        let client_root = &forest.nodes()[rn];
+        assert_eq!(
+            client_root.entity, "giop:echo",
+            "GIOP request names the root"
+        );
+        assert!(client_root.duration_ns().is_some(), "request to end timed");
         assert!(
             forest.nodes()[rn].children.contains(
                 &forest

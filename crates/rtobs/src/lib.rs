@@ -56,7 +56,6 @@ const DEFAULT_HISTS: usize = 64;
 pub struct Observer {
     enabled: AtomicBool,
     verbose: AtomicBool,
-    tracing: AtomicBool,
     epoch: Instant,
     journal: Journal,
     registry: Registry,
@@ -96,7 +95,6 @@ impl Observer {
         Arc::new(Observer {
             enabled: AtomicBool::new(true),
             verbose: AtomicBool::new(false),
-            tracing: AtomicBool::new(true),
             epoch: Instant::now(),
             journal: Journal::with_capacity(events),
             registry: Registry::with_capacity(counters, gauges, hists),
@@ -117,9 +115,11 @@ impl Observer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns event/histogram recording on or off. Counters and gauges
-    /// keep counting either way — they back `AppStats`-style
-    /// accounting that must stay truthful.
+    /// Turns event/histogram recording, and with it causal tracing, on
+    /// or off: a disabled observer mints no span, so nothing it sends
+    /// carries a trace context. Counters and gauges keep counting
+    /// either way — they back `AppStats`-style accounting that must
+    /// stay truthful.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -139,19 +139,6 @@ impl Observer {
     /// Opts into high-frequency detail events ([`Observer::verbose`]).
     pub fn set_verbose(&self, on: bool) {
         self.verbose.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether causal tracing is active: new root spans are minted at
-    /// ingress and span events are journaled. On by default; gated
-    /// behind [`Observer::enabled`] like every journal write.
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.enabled() && self.tracing.load(Ordering::Relaxed)
-    }
-
-    /// Turns causal tracing on or off independently of the journal.
-    pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::Relaxed);
     }
 
     // ---- entities ------------------------------------------------------
@@ -194,13 +181,13 @@ impl Observer {
         }
     }
 
-    /// Records an event with an explicit timestamp (for callers that
-    /// already read the clock); span-stamped like [`Observer::record`].
+    /// Records an event about `span` with an explicit timestamp, for
+    /// callers that already read the clock and know the hop.
     #[inline]
-    pub fn record_at(&self, kind: EventKind, subject: u32, payload: u64, t_ns: u64) {
+    pub fn record_at(&self, kind: EventKind, subject: u32, payload: u64, t_ns: u64, span: SpanCtx) {
         if self.enabled() {
             self.journal
-                .record_with_span(kind, subject, payload, t_ns, span::current().pack());
+                .record_with_span(kind, subject, payload, t_ns, span.pack());
         }
     }
 

@@ -362,7 +362,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         EventKind::PortEnqueue,
         EventKind::PortDequeue,
         EventKind::HandlerStart,
-        EventKind::HandlerEnd,
+        EventKind::SpanEnd,
         EventKind::ScopeEnter,
         EventKind::PoolRelease,
         EventKind::ScopeReclaim,

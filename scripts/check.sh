@@ -23,6 +23,25 @@ for ref in $(grep -ohE 'scripts/[A-Za-z0-9_]+\.sh|BENCH[A-Za-z0-9_]*\.json|crate
 done
 [ "$stale" -eq 0 ] || { echo "FAIL: the documents name files that do not exist"; exit 1; }
 
+# Stale-symbol lint: a back-ticked `a::b` path in README or DESIGN must
+# end in a word that some code line (comments do not count) of the
+# crates, the root package, the examples or the tests still spells.
+echo "==> stale-symbol lint (README, DESIGN)"
+code_words() {
+    find crates src examples tests -name '*.rs' -print0 | xargs -0 awk '
+        /^[[:space:]]*\/\// { next }
+        {
+            n = split($0, tok, /[^A-Za-z0-9_]+/)
+            for (i = 1; i <= n; i++) if (tok[i] != "") print tok[i]
+        }' | sort -u
+}
+stale=$(grep -ohE '`[^`]*`' README.md DESIGN.md |
+    grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' | sort -u |
+    awk 'NR == FNR { known[$0] = 1; next }
+        { last = $0; sub(/.*::/, "", last); if (!(last in known)) print "stale symbol: " $0 }' \
+        <(code_words) -)
+[ -z "$stale" ] || { echo "$stale"; echo "FAIL: the documents name symbols the code no longer has"; exit 1; }
+
 # Caller-less lint: a `pub fn` in a crate's src must be named on at
 # least one other code line (comments do not count) of the crates, the
 # root package or the benchmark.
