@@ -9,7 +9,7 @@
 use std::any::TypeId;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rtmem::{MemoryModel, ScopePool};
 use rtobs::Observer;
@@ -21,7 +21,7 @@ use crate::component::{
     TypedHandler,
 };
 use crate::error::{CompadresError, Result};
-use crate::message::{AnyPool, Message, MessagePool};
+use crate::message::{Message, MessagePool, PoolFactory};
 use crate::model::{Ccl, Cdl, ComponentKind, PortAttrs, PortDirection, ThreadpoolStrategy};
 use crate::runtime::{
     by_port_name, App, AppCore, CoreObs, Dispatch, InPort, InstanceRuntime, OutPort, PortId,
@@ -44,9 +44,6 @@ fn metric_safe(name: &str) -> String {
         })
         .collect()
 }
-
-/// Factory creating a type-erased message pool for a bound message type.
-type PoolFactory = Arc<dyn Fn(&str, usize) -> Arc<dyn AnyPool> + Send + Sync>;
 
 struct MessageBinding {
     type_id: TypeId,
@@ -126,7 +123,8 @@ impl AppBuilder {
         name: &str,
         factory: impl Fn() -> M + Send + Sync + 'static,
     ) -> Self {
-        // One pool per out-port carrying the type, all made by `factory`.
+        // One pool per out-port carrying the type, and one per in-port
+        // for injections, all made by `factory`.
         let factory = Arc::new(factory);
         let make_pool = Arc::new(move |mt: &str, capacity: usize| {
             let factory = Arc::clone(&factory);
@@ -369,6 +367,8 @@ impl AppBuilder {
                     handler: Arc::clone(&reg.factory),
                     message_type: port_def.message_type.clone(),
                     type_id: binding.type_id,
+                    inject_pool: OnceLock::new(),
+                    make_pool: Arc::clone(&binding.make_pool),
                     dispatch,
                     inflight: AtomicUsize::new(0),
                     attrs,

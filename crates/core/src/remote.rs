@@ -241,6 +241,9 @@ fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, conn: TcpConn) {
     let _ = conn.set_deadline(Some(recv_timeout));
     sh.obs.gauge_add(sh.conns_live, 1);
     let mut buf = Vec::new();
+    // Synchronous handlers run on this connection's own context, kept
+    // across messages rather than made for each.
+    let mut ctx = rtmem::Ctx::no_heap(sh.app.model());
     loop {
         let len = match conn.recv_into(&mut buf) {
             Ok(Some(len)) => len,
@@ -270,7 +273,8 @@ fn serve_conn<M: Message + BytesCodec>(sh: &ExportShared, conn: TcpConn) {
             _ => rtobs::SpanCtx::NONE,
         };
         let injected = rtobs::span::with_span(span, || {
-            sh.app.send_to(&sh.instance, &sh.port, msg, priority)
+            sh.app
+                .send_to_on(&mut ctx, &sh.instance, &sh.port, msg, priority)
         });
         if span.is_active() {
             // Close the adopted span: on a synchronous pipeline its

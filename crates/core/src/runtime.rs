@@ -24,7 +24,7 @@ use std::any::TypeId;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use rtplatform::small::SmallList;
@@ -36,7 +36,7 @@ use rtsched::{Priority, Task, ThreadPool};
 
 use crate::component::{Component, ComponentFactory, ErasedHandler, HandlerFactory, NullComponent};
 use crate::error::{CompadresError, Result};
-use crate::message::{AnyPool, Envelope, Message, PooledMsg};
+use crate::message::{AnyPool, Envelope, Message, PoolFactory, PooledMsg};
 use crate::model::{ComponentKind, PortAttrs};
 use crate::validate::{InstanceId, ValidatedApp, ValidatedInstance};
 
@@ -113,6 +113,11 @@ pub(crate) struct InPort {
     pub handler: HandlerFactory,
     pub message_type: String,
     pub type_id: TypeId,
+    /// Boxes for messages injected from outside the graph
+    /// ([`App::send_to`]), recycled as an out-port's messages are;
+    /// made by `make_pool` on the first injection.
+    pub inject_pool: OnceLock<Arc<dyn AnyPool>>,
+    pub make_pool: PoolFactory,
     pub dispatch: Dispatch,
     /// Buffer occupancy of an asynchronous port: claimed by `deliver`,
     /// given back when a worker takes the message.
@@ -365,6 +370,9 @@ pub(crate) struct CoreObs {
     shed: CounterId,
     undeliverable: CounterId,
     deadline_miss: CounterId,
+    /// Injections boxed on the heap because their in-port's pool had
+    /// every box out.
+    inject_fallbacks: CounterId,
     queue_wait: HistId,
     handler_latency: HistId,
 }
@@ -380,6 +388,7 @@ impl CoreObs {
             shed: obs.counter("compadres_shed_total"),
             undeliverable: obs.counter("compadres_undeliverable_total"),
             deadline_miss: obs.counter("compadres_deadline_miss_total"),
+            inject_fallbacks: obs.counter("compadres_inject_fallbacks_total"),
             queue_wait: obs.histogram("compadres_queue_wait_ns"),
             handler_latency: obs.histogram("compadres_handler_latency_ns"),
             obs,
@@ -1108,8 +1117,17 @@ impl App {
                 expected: info.message_type.clone(),
             });
         }
-        let env = Envelope::from_value(value, priority);
-        self.core.stats.obs.inc(self.core.stats.sent);
+        // Sized as an out-port's pool: the port's buffer plus slack.
+        let pool = info.inject_pool.get_or_init(|| {
+            (info.make_pool)(&info.message_type, info.attrs.buffer_size.max(4) + 2)
+        });
+        let stats = &self.core.stats;
+        let env = Envelope::injected(value, priority, pool).unwrap_or_else(|value| {
+            // Every box is out: box this one afresh rather than refuse.
+            stats.obs.inc(stats.inject_fallbacks);
+            Envelope::from_value(value, priority)
+        });
+        stats.obs.inc(stats.sent);
         self.core.deliver(ctx, to, env)
     }
 

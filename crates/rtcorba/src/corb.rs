@@ -969,6 +969,18 @@ mod tests {
     }
 
     #[test]
+    fn a_128_kib_echo_spans_receive_segments() {
+        // Larger than one receive segment: the reactor carves the
+        // request out as a list of parts and the decoder copies the
+        // body across the seam — paths a 64 KiB echo no longer takes.
+        let (_server, client) = loopback_echo_pair().unwrap();
+        let payload: Vec<u8> = (0..128u32 << 10).map(|i| (i % 251) as u8).collect();
+        for _ in 0..3 {
+            assert_eq!(client.invoke(b"echo", "echo", &payload).unwrap(), payload);
+        }
+    }
+
+    #[test]
     fn varied_message_sizes() {
         let (_server, client) = loopback_echo_pair().unwrap();
         for size in [32usize, 64, 128, 256, 512, 1024] {

@@ -16,23 +16,22 @@ use rtcorba::corb::loopback_echo_pair;
 fn an_echo_allocates_within_its_budget() {
     const WARM_UP: u64 = 100;
     const REQUESTS: u64 = 1_000;
-    /// Measured: exactly 3 (9 while every per-request activation
-    /// built its record, 14 before pool slots carried their own counts
-    /// and the client and the workers kept a context), all pinned by
-    /// interfaces the benchmark implements or calls: the `Vec` a
-    /// `Servant` returns; the `Vec` `TcpConn::recv_frame` returns,
-    /// which `invoke` cuts down to the reply body and hands to its
-    /// caller; the boxed payload of `App::send_to_on`, by which the
-    /// reactor's worker injects the frame into the POA in-port.
+    /// Measured: exactly 2 (3 while an injection boxed its message, 9
+    /// while every per-request activation built its record), both
+    /// pinned by interfaces the benchmark implements or calls:
     ///
-    /// The per-request `ClientProcessing` and `ServerProcessing`
-    /// activations, Fig. 10's create/destroy, refill their instance's
-    /// record and take nothing (`activation_allocs.rs` in core holds
-    /// one activation to 0). Freezing a filled segment takes nothing
-    /// (`steady_state_allocs_64k.rs` holds the 64 KiB echo, 34 segments
-    /// a request, to the same), and nothing on the path grows a buffer
-    /// it already has: the budget is the measurement, no slack.
-    const BUDGET_PER_REQUEST: u64 = 3;
+    /// * the `Vec` a `Servant` returns (`EchoServant`'s `args.to_vec()`);
+    /// * the `Vec` `TcpConn::recv_into` fills under `recv_frame`, which
+    ///   `invoke` cuts down to the reply body and hands to its caller.
+    ///
+    /// The reactor worker's injection into the POA in-port moves the
+    /// frame into a box its port's pool lends. The per-request
+    /// `ClientProcessing` and `ServerProcessing` activations, Fig. 10's
+    /// create/destroy, refill their instance's record and take nothing
+    /// (`activation_allocs.rs` in core holds one activation to 0), and
+    /// nothing on the path grows a buffer it already has: the budget is
+    /// the measurement, no slack.
+    const BUDGET_PER_REQUEST: u64 = 2;
 
     let (_server, client) = loopback_echo_pair().unwrap();
     let echo = |payload: &[u8], n: u64| {

@@ -112,6 +112,11 @@ pub enum EventKind {
     /// [`EventKind::PortShed`], which refuse at admission. `subject` =
     /// port entity, `payload` = buffer occupancy at that instant.
     Undeliverable = 31,
+    /// A reactor connection's outbox reached its cap: the peer stopped
+    /// reading its replies, so the connection is closed instead of
+    /// queueing without bound. `subject` = reactor entity, `payload` =
+    /// the connection's token.
+    OutboxFull = 32,
 }
 
 impl EventKind {
@@ -147,6 +152,7 @@ impl EventKind {
             29 => EventKind::FailoverComplete,
             30 => EventKind::NamingRebind,
             31 => EventKind::Undeliverable,
+            32 => EventKind::OutboxFull,
             _ => return None,
         })
     }
@@ -182,6 +188,7 @@ impl EventKind {
             EventKind::FailoverComplete => "failover.complete",
             EventKind::NamingRebind => "naming.rebind",
             EventKind::Undeliverable => "port.undeliverable",
+            EventKind::OutboxFull => "reactor.outbox_full",
         }
     }
 }

@@ -128,6 +128,15 @@ for bin in target/release/examples/*; do
     printf '%10d KiB  %s\n' "$(($(stat -c %s "$bin") / 1024))" "$name"
 done | sort -k3
 
+# Allocation-site map of one ORB echo at 64 B and at 64 KiB: every
+# heap allocation left on the request path, by call site, in every log
+# (informational; the steady_state_allocs guards are the gates).
+for size in 64 65536; do
+    echo "==> allocation sites of one ${size}-byte ORB echo"
+    SZ=$size cargo test -q --offline -p rtcorba --test alloc_sites -- --ignored --nocapture |
+        grep -vE '^(running [0-9]+ test|test result:.*|\.?)$'
+done
+
 # Production lines per crate: what CHANGES.md and ROADMAP "Net state"
 # quote when a PR claims to have removed code (informational).
 echo "==> production lines per crate (above each file's first #[cfg(test)])"
