@@ -30,7 +30,7 @@ use crate::giop::{self, MessageView, ReplyStatus};
 use crate::reactor::{FrameFn, ReactorConfig, ReactorServer};
 use crate::service::ObjectRegistry;
 use crate::transport::{Connection, TcpConn, TransportError};
-use crate::{InvokeOptions, OrbError};
+use crate::{InvokeOptions, OrbError, CLIENT_POOL_SEGS, SERVER_POOL_SEGS};
 
 /// Where client invocations read their results from, by request id:
 /// `MessageProcessing` files the outcome of a round trip under the id it
@@ -87,14 +87,6 @@ struct WireMsg {
     frame: FrameBuf,
     conn: Option<Arc<dyn Connection>>,
 }
-
-/// Segments in a client's marshal pool: a 64 KiB request (17 segments)
-/// fits, so the pool's heap fallback (see [`rtplatform::bufchain`]) is
-/// for larger frames, not for the steady state.
-const CLIENT_POOL_SEGS: usize = 32;
-/// Segments in the server's marshal pool, which every connection's
-/// replies share: three 64 KiB replies in flight at once fit.
-const SERVER_POOL_SEGS: usize = 64;
 
 const CLIENT_CDL: &str = r#"
 <Components>

@@ -46,6 +46,16 @@ pub mod zen;
 pub use builder::{ClientBuilder, ServerBuilder};
 pub use rtplatform::{cdr, giop, transport};
 
+/// Segments in a client's marshal pool, on both ORBs (Fig. 11 compares
+/// them sized alike): a 64 KiB request (17 segments) fits, so the
+/// pool's heap fallback (see [`rtplatform::bufchain`]) is for larger
+/// frames, not for the steady state.
+pub(crate) const CLIENT_POOL_SEGS: usize = 32;
+/// Segments in a server's marshal pool, on both ORBs, which every
+/// connection's replies share: three 64 KiB replies in flight at once
+/// fit.
+pub(crate) const SERVER_POOL_SEGS: usize = 64;
+
 /// How an invocation should be performed, shared by
 /// [`corb::CompadresClient::invoke_with`] and
 /// [`zen::ZenClient::invoke_with`]. `invoke` / `invoke_oneway` /

@@ -9,34 +9,33 @@
 //! [`crate::corb::CompadresServer`]; the protocol, dispatch and
 //! memory-architecture layers sit above it unchanged:
 //!
-//! * a **reactor thread** owns the listening socket and every accepted
-//!   connection (all nonblocking), waits on an
-//!   [`rtplatform::poll::Poller`], reassembles partial GIOP frames per
-//!   connection, and writes replies back with **vectored writes** that
-//!   coalesce whatever replies have queued since the last flush;
+//! * a **reactor thread** owns readiness: it accepts connections (all
+//!   nonblocking), waits on an [`rtplatform::poll::Poller`], reads and
+//!   reassembles partial GIOP frames per connection, and finishes the
+//!   writes a full socket refused — on `EPOLLOUT`, with one **vectored
+//!   write** that coalesces every reply queued behind it;
 //! * complete frames flow to a **fixed worker pool** over an
-//!   [`rtplatform::ring::MpmcRing`] readiness queue (workers park on an
-//!   [`rtplatform::park::Gate`] when idle). Scheduling is per
-//!   connection, actor-style: a connection is enqueued at most once, a
-//!   worker drains its inbox in FIFO order, and no two workers ever
-//!   process the same connection concurrently — so pipelined requests
-//!   on one connection are answered in order;
-//! * workers reply through a [`ReactorConn`] (a [`Connection`] whose
-//!   `send_chain` enqueues the frame on the connection's outbox and nudges
-//!   the reactor through an eventfd [`rtplatform::poll::Waker`]), which
-//!   means the handler pipeline — spans, fault replies,
-//!   service-context echoing — sees an ordinary [`Connection`].
+//!   [`rtsched::PriorityFifo`] of connections, all at one priority.
+//!   Scheduling is per connection, actor-style: a connection is queued
+//!   at most once, a worker drains its inbox in FIFO order, and no two
+//!   workers ever process the same connection concurrently — so
+//!   pipelined requests on one connection are answered in order;
+//! * the worker that builds a reply writes it: a [`ReactorConn`] is a
+//!   [`Connection`] whose `send_chain` does the nonblocking `writev`
+//!   itself and queues on the connection's outbox only what the socket
+//!   refuses, arming `EPOLLOUT` for the reactor. The handler pipeline —
+//!   spans, fault replies, service-context echoing — sees an ordinary
+//!   [`Connection`].
 //!
 //! Observability (all on the server's [`Observer`]): `reactor_connections`
 //! gauge (+ high-water mark), `reactor_queue_depth` gauge, the
 //! `reactor_coalesced_writes` histogram (frames per vectored write),
-//! `reactor_wakeups_total`, `reactor_partial_frames_total`,
-//! `reactor_protocol_errors_total`, `reactor_backpressure_total`,
+//! `reactor_partial_frames_total`, `reactor_protocol_errors_total`,
 //! `reactor_shed_total` and `reactor_outbox_full_total` counters.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,10 +44,9 @@ use std::time::Duration;
 
 use rtobs::{CounterId, EventKind, GaugeId, HistId, Observer};
 use rtplatform::bufchain::{FrameBuf, RecvChain, SegPool, MAX_IOVECS};
-use rtplatform::park::Gate;
 use rtplatform::poll::{Interest, PollEvent, Poller, Waker};
-use rtplatform::ring::MpmcRing;
 use rtplatform::sync::Mutex;
+use rtsched::{Priority, PriorityFifo};
 
 use crate::cdr::Endian;
 use crate::giop::{self, HEADER_LEN};
@@ -56,7 +54,7 @@ use crate::transport::{Connection, TransportError};
 
 /// Token of the listening socket in the reactor's poller.
 const TOKEN_LISTENER: u64 = 0;
-/// Token of the wakeup eventfd.
+/// Token of the shutdown eventfd.
 const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
 const TOKEN_FIRST_CONN: u64 = 2;
@@ -64,6 +62,10 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// Frames a worker processes from one connection before requeueing it,
 /// so a firehose connection cannot starve its neighbours.
 const WORKER_BATCH: usize = 16;
+
+/// The one priority connections are queued at: the work queue is FIFO
+/// across connections.
+const CONN_PRIORITY: Priority = Priority::NORM;
 
 /// Segments pre-allocated in the receive pool. Each is [`READ_CHUNK`]
 /// bytes; exhaustion falls back to heap segments (never blocks the
@@ -77,10 +79,6 @@ const RECV_POOL_SEGS: usize = 16;
 /// decoded in place (no copy across a seam).
 const READ_CHUNK: usize = (64 << 10) + (4 << 10);
 
-/// Capacity of the readiness and flush queues between reactor and
-/// workers (connections, not frames).
-const QUEUE_CAPACITY: usize = 4096;
-
 /// Sizing and limits for a [`ReactorServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
@@ -90,9 +88,9 @@ pub struct ReactorConfig {
     /// worker on scope exhaustion.
     pub workers: usize,
     /// Most complete frames one connection's inbox may hold before the
-    /// reactor sheds newly carved frames (`reactor_shed_total`). GIOP
-    /// frames carry no priority, so this is a coarse per-connection
-    /// overload valve — the shed client sees its recv deadline, not a
+    /// reactor sheds newly carved frames (`reactor_shed_total`). This is
+    /// a coarse per-connection overload valve that ignores the frames'
+    /// `RTCorbaPriority` — the shed client sees its recv deadline, not a
     /// wedged reactor. Priority-aware shedding happens downstream at the
     /// component in-ports (see `rtplatform::fault::AdmissionPolicy`).
     ///
@@ -125,25 +123,24 @@ pub type FrameFn = Box<dyn FnMut(&Arc<dyn Connection>, FrameBuf) + Send>;
 /// State shared between the reactor thread, the workers and every
 /// [`ReactorConn`].
 struct Shared {
+    /// Readiness of the listener, the waker and every connection.
+    /// `epoll_ctl` is thread-safe, so the thread that finds a socket
+    /// full arms `EPOLLOUT` itself.
+    poller: Poller,
+    /// Wakes the reactor out of its poll for shutdown.
     waker: Waker,
     /// Receive segments shared by every connection's reassembly chain.
     recv_pool: SegPool,
-    /// Connections with frames awaiting processing (each at most once).
-    work: MpmcRing<Arc<ReactorConn>>,
-    work_gate: Gate,
-    /// Connections with replies awaiting flushing (each at most once).
-    flush: MpmcRing<u64>,
-    /// Spillover when `flush` is momentarily full — never dropped.
-    flush_overflow: Mutex<Vec<u64>>,
+    /// Connections with frames awaiting a worker. Each is queued at most
+    /// once, so this holds no more than the live connections.
+    work: PriorityFifo<Arc<ReactorConn>>,
     shutdown: AtomicBool,
     obs: Arc<Observer>,
     conns_gauge: GaugeId,
     depth_gauge: GaugeId,
-    wakeups: CounterId,
     coalesce_hist: HistId,
     partial_frames: CounterId,
     protocol_errors: CounterId,
-    backpressure: CounterId,
     shed: CounterId,
     outbox_full: CounterId,
     /// Journal subject of the reactor's own events.
@@ -154,70 +151,61 @@ struct Shared {
 }
 
 impl Shared {
-    /// Queues `token` for a write flush (once) and wakes the reactor.
-    fn request_flush(&self, conn: &ReactorConn) {
-        if conn.flush_queued.swap(true, Ordering::SeqCst) {
-            return;
+    /// Queues a connection for a worker if it isn't already queued (or
+    /// being drained). Called by the reactor after appending to the
+    /// inbox.
+    fn schedule(&self, conn: &Arc<ReactorConn>) {
+        if !conn.scheduled.swap(true, Ordering::SeqCst) {
+            self.requeue(conn);
         }
-        if self.flush.push(conn.token).is_err() {
-            self.flush_overflow.lock().push(conn.token);
-        }
-        self.obs.inc(self.wakeups);
-        self.waker.wake();
     }
 
-    /// Enqueues a connection for worker processing if it isn't already
-    /// queued. Called by the reactor after appending to the inbox.
-    fn schedule(&self, conn: &Arc<ReactorConn>) {
-        if conn.scheduled.swap(true, Ordering::SeqCst) {
-            return;
+    /// Queues a connection that holds its schedule slot. Once the queue
+    /// is closed (shutdown) the connection is simply not served again.
+    fn requeue(&self, conn: &Arc<ReactorConn>) {
+        if let Some(depth) = self.work.push_with_len(CONN_PRIORITY, Arc::clone(conn)) {
+            self.obs.gauge_set(self.depth_gauge, depth as u64);
         }
-        let mut item = Arc::clone(conn);
-        // The queue holds connections (not frames) so it only fills when
-        // `QUEUE_CAPACITY` distinct connections all have pending work;
-        // if that happens, the reactor yields until workers drain —
-        // natural backpressure that ultimately flows back over TCP.
-        while let Err(back) = self.work.push(item) {
-            self.obs.inc(self.backpressure);
-            std::thread::yield_now();
-            item = back;
-        }
-        self.obs.gauge_set(self.depth_gauge, self.work.len() as u64);
-        self.work_gate.notify_one();
     }
 }
 
-/// Write-side state of one connection: queued reply frames plus how far
-/// into the front frame a partial write got. Once the socket refuses
-/// writes it holds at most [`ReactorConfig::inbox_capacity`] frames.
+/// Write-side state of one connection: reply frames the socket refused,
+/// plus how far into the front frame a partial write got. It holds at
+/// most [`ReactorConfig::inbox_capacity`] frames.
 #[derive(Default)]
 struct OutBuf {
-    queue: std::collections::VecDeque<FrameBuf>,
+    queue: VecDeque<FrameBuf>,
     /// Bytes of `queue[0]` already written.
     offset: usize,
+    /// The socket refused a write and `EPOLLOUT` is armed: new replies
+    /// queue behind the rest and the reactor writes them out when the
+    /// socket drains. Empty `queue` ⇔ not blocked, except on a
+    /// connection that is closing.
+    blocked: bool,
 }
 
 /// The worker-facing half of a reactor connection. Implements
-/// [`Connection`]: `send_chain` enqueues on the outbox and nudges the
-/// reactor; `recv_frame` is unsupported (inbound frames are delivered to
-/// the [`FrameFn`], never pulled).
+/// [`Connection`]: `send_chain` writes the reply to the socket, queueing
+/// what the socket refuses; `recv_frame` is unsupported (inbound frames
+/// are delivered to the [`FrameFn`], never pulled).
 pub struct ReactorConn {
     token: u64,
+    /// Read by the reactor, written by whoever holds `outbox`. Owned
+    /// here, so the fd stays open — and cannot be reused by a newer
+    /// connection — while any worker still holds this one.
+    stream: TcpStream,
     shared: Arc<Shared>,
     /// Complete inbound frames awaiting a worker, FIFO. Each frame
     /// shares (refcounts) the receive segments it was carved from.
-    inbox: Mutex<std::collections::VecDeque<FrameBuf>>,
+    inbox: Mutex<VecDeque<FrameBuf>>,
     /// Whether this connection currently sits in the work queue (or is
     /// being drained by a worker).
     scheduled: AtomicBool,
     outbox: Mutex<OutBuf>,
-    /// Whether the socket refused the last write (EPOLLOUT armed): the
-    /// peer is not keeping up. Written by the reactor only.
-    write_blocked: AtomicBool,
-    flush_queued: AtomicBool,
-    /// Set by `close()`, a protocol violation, a full outbox, or the
-    /// reactor dropping the connection. The reactor flushes the outbox,
-    /// then hangs up.
+    /// Set by `close()`, a protocol violation, a full outbox, a write
+    /// error, or the reactor dropping the connection. Once nothing is
+    /// queued the socket is shut down; the reactor sees the hang-up and
+    /// drops the connection.
     closing: AtomicBool,
 }
 
@@ -227,19 +215,98 @@ impl std::fmt::Debug for ReactorConn {
     }
 }
 
+impl ReactorConn {
+    /// Writes the outbox with vectored writes until it is empty or the
+    /// socket refuses more, arming `EPOLLOUT` on a refusal and
+    /// disarming it once the queue drains; shuts the socket down when a
+    /// closing connection has nothing left to write. Runs under the
+    /// outbox lock: from `send_chain` when nothing was queued, and from
+    /// the reactor on `EPOLLOUT`.
+    fn write_out(&self, out: &mut OutBuf) -> Result<(), TransportError> {
+        while !out.queue.is_empty() {
+            // Gather what is left of the head frame plus the frames
+            // queued behind it: one syscall carries every reply queued
+            // since the socket filled, each frame contributing its
+            // segments as separate iovecs (never copied together). The
+            // last frame gathered may be cut short by the list's
+            // length; the byte count written says where to resume.
+            let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+            let mut set = 0;
+            let mut frames_gathered = 0u64;
+            for frame in &out.queue {
+                if set == MAX_IOVECS {
+                    break;
+                }
+                let skip = if frames_gathered == 0 { out.offset } else { 0 };
+                set += frame.io_slices_from(skip, &mut iov[set..]);
+                frames_gathered += 1;
+            }
+            self.shared
+                .obs
+                .observe(self.shared.coalesce_hist, frames_gathered);
+            match (&self.stream).write_vectored(&iov[..set]) {
+                Ok(mut written) => {
+                    while written > 0 {
+                        let head_left = out.queue[0].len() - out.offset;
+                        if written >= head_left {
+                            written -= head_left;
+                            out.queue.pop_front();
+                            out.offset = 0;
+                        } else {
+                            out.offset += written;
+                            written = 0;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if !out.blocked {
+                        out.blocked = true;
+                        self.set_interest(Interest::BOTH);
+                    }
+                    return Ok(());
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    out.queue.clear();
+                    out.offset = 0;
+                    self.closing.store(true, Ordering::SeqCst);
+                    let _ = self.stream.shutdown(Shutdown::Both);
+                    return Err(TransportError::Io(e));
+                }
+            }
+        }
+        if out.blocked {
+            out.blocked = false;
+            self.set_interest(Interest::READ);
+        }
+        if self.closing.load(Ordering::SeqCst) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        Ok(())
+    }
+
+    /// Changes what the reactor polls this socket for. Fails harmlessly
+    /// once the reactor has deregistered it.
+    fn set_interest(&self, interest: Interest) {
+        let _ = self
+            .shared
+            .poller
+            .modify(self.stream.as_raw_fd(), self.token, interest);
+    }
+}
+
 impl Connection for ReactorConn {
     fn send_chain(&self, frame: &FrameBuf) -> Result<(), TransportError> {
         if self.closing.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
         }
         let mut out = self.outbox.lock();
-        if out.queue.len() >= self.shared.frame_cap && self.write_blocked.load(Ordering::SeqCst) {
+        if out.blocked && out.queue.len() >= self.shared.frame_cap {
             // A full outbox behind a socket that takes no more: the
             // peer is not reading. Hang up instead of queueing without
-            // bound; the reactor drops the connection at its next flush.
+            // bound.
             out.queue.clear();
             out.offset = 0;
-            drop(out);
             if !self.closing.swap(true, Ordering::SeqCst) {
                 let shared = &self.shared;
                 shared.obs.inc(shared.outbox_full);
@@ -247,16 +314,17 @@ impl Connection for ReactorConn {
                     .obs
                     .record(EventKind::OutboxFull, shared.entity, self.token);
             }
-            self.shared.request_flush(self);
+            let _ = self.write_out(&mut out);
             return Err(TransportError::Closed);
         }
         // Cloning a FrameBuf only bumps segment refcounts: the reply
-        // bytes written by the chain encoder are the bytes the reactor
-        // later scatters into the socket.
+        // bytes written by the chain encoder are the bytes scattered
+        // into the socket, now or — behind a blocked socket — later.
         out.queue.push_back(frame.clone());
-        drop(out);
-        self.shared.request_flush(self);
-        Ok(())
+        if out.blocked {
+            return Ok(());
+        }
+        self.write_out(&mut out)
     }
 
     fn recv_frame(&self) -> Result<Vec<u8>, TransportError> {
@@ -268,13 +336,17 @@ impl Connection for ReactorConn {
 
     fn close(&self) {
         self.closing.store(true, Ordering::SeqCst);
-        self.shared.request_flush(self);
+        let mut out = self.outbox.lock();
+        if !out.blocked {
+            // Nothing queued: hang up now. A blocked outbox is written
+            // out on EPOLLOUT first, and the hang-up follows it.
+            let _ = self.write_out(&mut out);
+        }
     }
 }
 
 /// Read-side state owned exclusively by the reactor thread.
 struct ConnEntry {
-    stream: TcpStream,
     conn: Arc<ReactorConn>,
     /// Partial-frame reassembly chain: reads land directly in pooled
     /// segments and complete frames are carved off as [`FrameBuf`]s
@@ -320,20 +392,16 @@ impl ReactorServer {
         let waker = Waker::new(&poller, TOKEN_WAKER).map_err(TransportError::Io)?;
 
         let shared = Arc::new(Shared {
+            poller,
             waker,
             recv_pool: SegPool::new(RECV_POOL_SEGS, READ_CHUNK),
-            work: MpmcRing::new(QUEUE_CAPACITY),
-            work_gate: Gate::new(),
-            flush: MpmcRing::new(QUEUE_CAPACITY),
-            flush_overflow: Mutex::new(Vec::new()),
+            work: PriorityFifo::new(),
             shutdown: AtomicBool::new(false),
             conns_gauge: obs.gauge("reactor_connections"),
             depth_gauge: obs.gauge("reactor_queue_depth"),
-            wakeups: obs.counter("reactor_wakeups_total"),
             coalesce_hist: obs.histogram("reactor_coalesced_writes"),
             partial_frames: obs.counter("reactor_partial_frames_total"),
             protocol_errors: obs.counter("reactor_protocol_errors_total"),
-            backpressure: obs.counter("reactor_backpressure_total"),
             shed: obs.counter("reactor_shed_total"),
             outbox_full: obs.counter("reactor_outbox_full_total"),
             entity: obs.register_entity("reactor"),
@@ -355,7 +423,7 @@ impl ReactorServer {
         let shared2 = Arc::clone(&shared);
         let reactor = std::thread::Builder::new()
             .name("orb-reactor".into())
-            .spawn(move || reactor_loop(&shared2, poller, listener))
+            .spawn(move || reactor_loop(&shared2, listener))
             .map_err(TransportError::Io)?;
 
         Ok(ReactorServer {
@@ -375,7 +443,7 @@ impl ReactorServer {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.waker.wake();
-        self.shared.work_gate.notify_all();
+        self.shared.work.close();
     }
 }
 
@@ -391,89 +459,56 @@ impl Drop for ReactorServer {
     }
 }
 
-/// Worker: pop a connection, drain (a batch of) its inbox through the
-/// handler, park when there is nothing to do.
-fn worker_loop(shared: &Arc<Shared>, mut handler: FrameFn) {
-    loop {
-        match shared.work.pop() {
-            Some(conn) => {
-                shared
-                    .obs
-                    .gauge_set(shared.depth_gauge, shared.work.len() as u64);
-                drain_conn(shared, conn, &mut handler);
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let deadline = std::time::Instant::now() + Duration::from_millis(100);
-                shared.work_gate.wait(Some(deadline), || {
-                    !shared.work.is_empty() || shared.shutdown.load(Ordering::SeqCst)
-                });
-            }
-        }
+/// Worker: take a connection from the work queue (parking while it is
+/// empty), drain (a batch of) its inbox through the handler; stop once
+/// the queue is closed and drained.
+fn worker_loop(shared: &Shared, mut handler: FrameFn) {
+    while let Some((_, conn)) = shared.work.pop() {
+        shared
+            .obs
+            .gauge_set(shared.depth_gauge, shared.work.len() as u64);
+        drain_conn(shared, &conn, &mut handler);
     }
 }
 
 /// Processes up to [`WORKER_BATCH`] frames from `conn`'s inbox in FIFO
 /// order, then either requeues it (more work pending — fairness) or
 /// releases its schedule slot with the usual lost-wakeup re-check.
-fn drain_conn(shared: &Arc<Shared>, conn: Arc<ReactorConn>, handler: &mut FrameFn) {
-    let as_dyn: Arc<dyn Connection> = Arc::clone(&conn) as Arc<dyn Connection>;
+fn drain_conn(shared: &Shared, conn: &Arc<ReactorConn>, handler: &mut FrameFn) {
+    let as_dyn: Arc<dyn Connection> = Arc::clone(conn) as Arc<dyn Connection>;
     let mut handled = 0;
-    loop {
+    while handled < WORKER_BATCH {
         let frame = conn.inbox.lock().pop_front();
-        match frame {
-            Some(frame) => {
-                handler(&as_dyn, frame);
-                handled += 1;
-                if handled >= WORKER_BATCH {
-                    if conn.inbox.lock().is_empty() {
-                        continue; // next iteration observes the empty inbox
-                    }
-                    // Requeue at the tail, still scheduled, so another
-                    // worker continues this connection after its peers.
-                    let mut item = Arc::clone(&conn);
-                    while let Err(back) = shared.work.push(item) {
-                        std::thread::yield_now();
-                        item = back;
-                    }
-                    shared.work_gate.notify_one();
-                    return;
-                }
-            }
-            None => {
-                conn.scheduled.store(false, Ordering::SeqCst);
-                // Re-check: the reactor may have appended between the
-                // empty pop and the store. Whoever wins the swap owns
-                // the requeue.
-                if !conn.inbox.lock().is_empty() && !conn.scheduled.swap(true, Ordering::SeqCst) {
-                    let mut item = Arc::clone(&conn);
-                    while let Err(back) = shared.work.push(item) {
-                        std::thread::yield_now();
-                        item = back;
-                    }
-                    shared.work_gate.notify_one();
-                }
-                return;
-            }
-        }
+        let Some(frame) = frame else { break };
+        handler(&as_dyn, frame);
+        handled += 1;
+    }
+    if handled == WORKER_BATCH && !conn.inbox.lock().is_empty() {
+        // Requeue at the tail, still scheduled, so another worker
+        // continues this connection after its peers.
+        shared.requeue(conn);
+        return;
+    }
+    conn.scheduled.store(false, Ordering::SeqCst);
+    // Re-check: the reactor may have appended between the last pop and
+    // the store. Whoever wins the swap in `schedule` owns the requeue.
+    if !conn.inbox.lock().is_empty() {
+        shared.schedule(conn);
     }
 }
 
-/// The reactor thread: accept, read/frame, flush, repeat.
-fn reactor_loop(shared: &Arc<Shared>, poller: Poller, listener: TcpListener) {
+/// The reactor thread: accept, read/frame, finish refused writes,
+/// repeat.
+fn reactor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     let mut conns: HashMap<u64, ConnEntry> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     let mut events: Vec<PollEvent> = Vec::new();
-    // Connections to flush this pass; kept (with its capacity) across
-    // passes.
-    let mut pending: Vec<u64> = Vec::new();
 
     while !shared.shutdown.load(Ordering::SeqCst) {
         // The timeout is a shutdown-latency bound, not a poll interval:
         // all data paths wake the loop via fd readiness or the eventfd.
-        if poller
+        if shared
+            .poller
             .wait(&mut events, Some(Duration::from_millis(100)))
             .is_err()
         {
@@ -481,47 +516,32 @@ fn reactor_loop(shared: &Arc<Shared>, poller: Poller, listener: TcpListener) {
         }
         for &ev in &events {
             match ev.token {
-                TOKEN_LISTENER => {
-                    accept_ready(shared, &poller, &listener, &mut conns, &mut next_token)
-                }
+                TOKEN_LISTENER => accept_ready(shared, &listener, &mut conns, &mut next_token),
                 TOKEN_WAKER => shared.waker.drain(),
                 token => {
                     if ev.readable || ev.closed {
-                        read_ready(shared, &poller, &mut conns, token, ev.closed);
+                        read_ready(shared, &mut conns, token, ev.closed);
                     }
                     if ev.writable {
-                        flush_conn(shared, &poller, &mut conns, token);
+                        if let Some(entry) = conns.get(&token) {
+                            // The socket drained: finish the replies it
+                            // refused.
+                            let _ = entry.conn.write_out(&mut entry.conn.outbox.lock());
+                        }
                     }
                 }
             }
-        }
-        // Replies queued by workers since the last pass.
-        pending.append(&mut shared.flush_overflow.lock());
-        while let Some(token) = shared.flush.pop() {
-            pending.push(token);
-        }
-        for token in pending.drain(..) {
-            if let Some(entry) = conns.get(&token) {
-                // Clear before flushing: a send racing the flush then
-                // re-queues rather than being lost.
-                entry.conn.flush_queued.store(false, Ordering::SeqCst);
-            }
-            flush_conn(shared, &poller, &mut conns, token);
         }
     }
 
     // Shutdown: sever every connection so blocked peers fail fast.
     for (_, entry) in conns.drain() {
-        entry.conn.closing.store(true, Ordering::SeqCst);
-        poller.deregister(entry.stream.as_raw_fd());
-        let _ = entry.stream.shutdown(std::net::Shutdown::Both);
+        drop_conn(shared, &entry);
     }
-    shared.work_gate.notify_all();
 }
 
 fn accept_ready(
     shared: &Arc<Shared>,
-    poller: &Poller,
     listener: &TcpListener,
     conns: &mut HashMap<u64, ConnEntry>,
     next_token: &mut u64,
@@ -534,7 +554,8 @@ fn accept_ready(
                 }
                 let token = *next_token;
                 *next_token += 1;
-                if poller
+                if shared
+                    .poller
                     .register(stream.as_raw_fd(), token, Interest::READ)
                     .is_err()
                 {
@@ -542,18 +563,16 @@ fn accept_ready(
                 }
                 let conn = Arc::new(ReactorConn {
                     token,
+                    stream,
                     shared: Arc::clone(shared),
-                    inbox: Mutex::new(std::collections::VecDeque::new()),
+                    inbox: Mutex::new(VecDeque::new()),
                     scheduled: AtomicBool::new(false),
                     outbox: Mutex::new(OutBuf::default()),
-                    write_blocked: AtomicBool::new(false),
-                    flush_queued: AtomicBool::new(false),
                     closing: AtomicBool::new(false),
                 });
                 conns.insert(
                     token,
                     ConnEntry {
-                        stream,
                         conn,
                         chain: RecvChain::new(&shared.recv_pool),
                     },
@@ -569,19 +588,13 @@ fn accept_ready(
 
 /// Drains the socket, reassembles frames, delivers them, and tears the
 /// connection down on EOF/error (after delivering what arrived).
-fn read_ready(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    token: u64,
-    peer_closed: bool,
-) {
+fn read_ready(shared: &Shared, conns: &mut HashMap<u64, ConnEntry>, token: u64, peer_closed: bool) {
     let Some(entry) = conns.get_mut(&token) else {
         return;
     };
     // Reads land directly in pooled segment memory; frames carved
     // below share those segments instead of being copied out.
-    let eof = fill_chain(&mut entry.chain, &mut entry.stream, peer_closed);
+    let eof = fill_chain(&mut entry.chain, &mut &entry.conn.stream, peer_closed);
 
     // Carve every complete frame out of the reassembly chain.
     let mut delivered = false;
@@ -598,11 +611,11 @@ fn read_ready(
             Err(_) => {
                 // Bad magic or absurd size: this is not a GIOP stream.
                 // Tell the peer (MessageError), then hang up once the
-                // reply has flushed.
+                // reply has been written.
                 shared.obs.inc(shared.protocol_errors);
                 let error = giop::encode_error(Endian::native()).to_vec();
                 let _ = entry.conn.send_chain(&FrameBuf::from_vec(error));
-                entry.conn.closing.store(true, Ordering::SeqCst);
+                entry.conn.close();
                 let discard = entry.chain.len();
                 let _ = entry.chain.take_frame(discard);
                 return;
@@ -628,11 +641,12 @@ fn read_ready(
         delivered = true;
     }
     if delivered {
-        let conn = Arc::clone(&entry.conn);
-        shared.schedule(&conn);
+        shared.schedule(&entry.conn);
     }
     if eof {
-        drop_conn(shared, poller, conns, token);
+        if let Some(entry) = conns.remove(&token) {
+            drop_conn(shared, &entry);
+        }
     }
 }
 
@@ -657,92 +671,14 @@ fn fill_chain(chain: &mut RecvChain, stream: &mut impl io::Read, peer_closed: bo
     }
 }
 
-/// Flushes the outbox with vectored writes, arming/disarming EPOLLOUT as
-/// the socket blocks/unblocks, and completes a deferred close once the
-/// outbox is empty.
-fn flush_conn(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    token: u64,
-) {
-    let Some(entry) = conns.get_mut(&token) else {
-        return;
-    };
-    loop {
-        let mut out = entry.conn.outbox.lock();
-        if out.queue.is_empty() {
-            drop(out);
-            if entry.conn.write_blocked.swap(false, Ordering::SeqCst) {
-                let _ = poller.modify(entry.stream.as_raw_fd(), token, Interest::READ);
-            }
-            if entry.conn.closing.load(Ordering::SeqCst) {
-                drop_conn(shared, poller, conns, token);
-            }
-            return;
-        }
-        // Gather what is left of the head frame plus the frames queued
-        // behind it: one syscall carries every reply coalesced since the
-        // last flush, each frame contributing its segments as separate
-        // iovecs (never copied together). The last frame gathered may
-        // be cut short by the list's length; the byte count written
-        // says where the next pass resumes.
-        let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
-        let mut set = 0;
-        let mut frames_gathered = 0u64;
-        for frame in &out.queue {
-            if set == MAX_IOVECS {
-                break;
-            }
-            let skip = if frames_gathered == 0 { out.offset } else { 0 };
-            set += frame.io_slices_from(skip, &mut iov[set..]);
-            frames_gathered += 1;
-        }
-        shared.obs.observe(shared.coalesce_hist, frames_gathered);
-        match entry.stream.write_vectored(&iov[..set]) {
-            Ok(mut written) => {
-                while written > 0 {
-                    let head_left = out.queue[0].len() - out.offset;
-                    if written >= head_left {
-                        written -= head_left;
-                        out.queue.pop_front();
-                        out.offset = 0;
-                    } else {
-                        out.offset += written;
-                        written = 0;
-                    }
-                }
-                // Loop: either more queued frames, or empty → epilogue.
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                drop(out);
-                if !entry.conn.write_blocked.swap(true, Ordering::SeqCst) {
-                    let _ = poller.modify(entry.stream.as_raw_fd(), token, Interest::BOTH);
-                }
-                return;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                drop(out);
-                drop_conn(shared, poller, conns, token);
-                return;
-            }
-        }
-    }
-}
-
-fn drop_conn(
-    shared: &Arc<Shared>,
-    poller: &Poller,
-    conns: &mut HashMap<u64, ConnEntry>,
-    token: u64,
-) {
-    if let Some(entry) = conns.remove(&token) {
-        entry.conn.closing.store(true, Ordering::SeqCst);
-        poller.deregister(entry.stream.as_raw_fd());
-        let _ = entry.stream.shutdown(std::net::Shutdown::Both);
-        shared.obs.gauge_sub(shared.conns_gauge, 1);
-    }
+/// Stops polling a connection the reactor has forgotten and severs it.
+/// A worker still holding it finds it closing.
+fn drop_conn(shared: &Shared, entry: &ConnEntry) {
+    let conn = &entry.conn;
+    conn.closing.store(true, Ordering::SeqCst);
+    shared.poller.deregister(conn.stream.as_raw_fd());
+    let _ = conn.stream.shutdown(Shutdown::Both);
+    shared.obs.gauge_sub(shared.conns_gauge, 1);
 }
 
 #[cfg(test)]

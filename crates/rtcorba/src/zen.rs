@@ -23,16 +23,10 @@ use crate::cdr::Endian;
 use crate::giop::{self, MessageView, ReplyStatus};
 use crate::service::ObjectRegistry;
 use crate::transport::{Connection, TcpConn, TcpServer, TransportError};
-use crate::{InvokeOptions, OrbError};
+use crate::{InvokeOptions, OrbError, CLIENT_POOL_SEGS, SERVER_POOL_SEGS};
 
 const TRANSPORT_SCOPE: usize = 64 << 10;
 const REQUEST_SCOPE: usize = 64 << 10;
-/// Segments in the marshal pools, sized as `corb.rs` sizes its own: a
-/// 64 KiB request (17 segments) fits the client's, three 64 KiB replies
-/// in flight the server's; past that a lease falls back to plain heap
-/// segments rather than blocking (see [`rtplatform::bufchain`]).
-const CLIENT_POOL_SEGS: usize = 32;
-const SERVER_POOL_SEGS: usize = 64;
 
 /// The hand-coded client ORB.
 ///

@@ -456,3 +456,149 @@ fn a_half_closed_peer_has_every_request_served() {
     assert_eq!(*recorder.seen.lock().unwrap(), sizes, "all, in order");
     server.shutdown();
 }
+
+/// Bytes of one reply in the split-write tests: far more than a
+/// loopback socket buffers for a peer that is not reading.
+const SPLIT_REPLY: usize = 4 << 20;
+
+/// The bytes of the split-write reply for request `id`.
+fn split_reply(id: u8) -> Vec<u8> {
+    (0..SPLIT_REPLY as u32)
+        .map(|i| (i.wrapping_mul(u32::from(id) + 1) % 251) as u8)
+        .collect()
+}
+
+/// A servant whose reply is [`SPLIT_REPLY`] bytes keyed by the request's
+/// first byte; counts calls.
+#[derive(Default)]
+struct SplitReply {
+    served: std::sync::atomic::AtomicU64,
+}
+
+impl Servant for SplitReply {
+    fn invoke(&self, _operation: &str, args: &[u8]) -> Result<Vec<u8>, String> {
+        self.served
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(split_reply(args[0]))
+    }
+}
+
+/// The split write path: a peer pipelines three requests for 4 MiB
+/// replies and reads nothing until the one worker has answered all
+/// three. The worker writes what the socket takes and moves on — it
+/// serves another connection meanwhile — and the reactor finishes the
+/// rest on `EPOLLOUT`, coalescing the replies queued behind the refused
+/// write. All three arrive byte-exact and in order.
+#[test]
+fn replies_a_full_socket_refused_are_finished_by_the_reactor_in_order() {
+    let big = Arc::new(SplitReply::default());
+    let registry = ObjectRegistry::with_echo();
+    registry.register(b"big".to_vec(), Arc::clone(&big) as Arc<dyn Servant>);
+    let server = rtcorba::ServerBuilder::new(registry)
+        .reactor(ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        })
+        .serve()
+        .unwrap();
+    let addr = server.addr().unwrap();
+    let obs = server.app().observer();
+    let coalesced = obs.histogram("reactor_coalesced_writes");
+
+    let ids = [1u8, 2, 3];
+    let mut wire = Vec::new();
+    for id in ids {
+        wire.extend(encode(&RequestMessage {
+            request_id: u32::from(id),
+            response_expected: true,
+            object_key: b"big".to_vec(),
+            operation: "get".into(),
+            body: vec![id],
+            service_context: Vec::new(),
+        }));
+    }
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.write_all(&wire).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while big.served.load(std::sync::atomic::Ordering::SeqCst) < 3 {
+        assert!(Instant::now() < deadline, "the requests were not served");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // The one worker is free although 12 MiB of replies are unread: it
+    // serves another connection, after it has handed over reply 3.
+    let other = rtcorba::ClientBuilder::new().connect(addr).unwrap();
+    assert_eq!(other.invoke(b"echo", "echo", &[5, 6]).unwrap(), vec![5, 6]);
+
+    peer.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for id in ids {
+        match decode(&read_frame(&mut peer)) {
+            Ok(Message::Reply(r)) => {
+                assert_eq!(r.request_id, u32::from(id), "in request order");
+                assert_eq!(r.status, ReplyStatus::NoException);
+                assert!(r.body == split_reply(id), "reply {id} differs");
+            }
+            other => panic!("expected reply {id}, got {other:?}"),
+        }
+    }
+    assert!(
+        obs.hist_snapshot(coalesced).max >= 2,
+        "replies queued behind a refused write go out together"
+    );
+    server.shutdown();
+}
+
+/// `close()` on a connection whose outbox is blocked: the reactor
+/// writes out every queued byte on `EPOLLOUT` first, and only then
+/// does the peer see EOF.
+#[test]
+fn close_behind_a_blocked_outbox_delivers_every_queued_byte_before_eof() {
+    let (closed_tx, closed_rx) = mpsc::channel();
+    let make_handler = move || -> rtcorba::reactor::FrameFn {
+        let closed = closed_tx.clone();
+        let mut replied = 0u8;
+        Box::new(move |conn, _frame| {
+            replied += 1;
+            conn.send_chain(&FrameBuf::from_vec(split_reply(replied)))
+                .unwrap();
+            if replied == 3 {
+                conn.close();
+                assert!(conn.send_chain(&FrameBuf::from_vec(vec![0; 8])).is_err());
+                let _ = closed.send(());
+            }
+        })
+    };
+    let server = rtcorba::reactor::ReactorServer::spawn(
+        make_handler,
+        rtobs::Observer::new(),
+        ReactorConfig {
+            workers: 1,
+            ..ReactorConfig::default()
+        },
+    )
+    .unwrap();
+
+    let request = encode(&RequestMessage {
+        request_id: 1,
+        response_expected: true,
+        object_key: b"any".to_vec(),
+        operation: "get".into(),
+        body: Vec::new(),
+        service_context: Vec::new(),
+    });
+    let mut peer = TcpStream::connect(server.addr()).unwrap();
+    peer.write_all(&request.repeat(3)).unwrap();
+    closed_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the handler closed the connection");
+
+    let mut received = Vec::new();
+    peer.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    peer.read_to_end(&mut received).expect("EOF, not an error");
+    assert_eq!(received.len(), 3 * SPLIT_REPLY, "every queued byte");
+    for (id, reply) in (1..=3).zip(received.chunks(SPLIT_REPLY)) {
+        assert!(reply == split_reply(id), "reply {id} differs");
+    }
+}

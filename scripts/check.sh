@@ -137,6 +137,13 @@ for size in 64 65536; do
         grep -vE '^(running [0-9]+ test|test result:.*|\.?)$'
 done
 
+# Syscall map of one ORB echo at 64 B and at 64 KiB: write- and
+# read-class syscalls per echo, in every log (informational here; the
+# same test ran as a tier-1 guard in the workspace tests above).
+echo "==> syscalls of one ORB echo"
+cargo test -q --offline -p rtcorba --test echo_syscalls -- --nocapture |
+    grep -vE '^(running [0-9]+ test|test result:.*|\.?)$'
+
 # Production lines per crate: what CHANGES.md and ROADMAP "Net state"
 # quote when a PR claims to have removed code (informational).
 echo "==> production lines per crate (above each file's first #[cfg(test)])"
